@@ -42,16 +42,28 @@ def maxabs(m) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _as_stack(m) -> np.ndarray:
+    """Coerce to a complex128 matrix or stack of matrices, shape (..., n, k)."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    return a
+
+
 def _require_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
+    if m.shape[-2] != m.shape[-1]:
+        raise NonSquareError(f"matrix is {m.shape[-2]}x{m.shape[-1]}")
 
 
-def hermitian_part(m) -> np.ndarray:
-    """Return (M + M*)/2."""
-    m = as_matrix(m)
+def hermitian_part(m, out=None) -> np.ndarray:
+    """Return (M + M*)/2, matrix by matrix for a stack of shape (..., n, n),
+    in ``out`` if given (complex128, same shape, not overlapping M)."""
+    m = _as_stack(m)
     _require_square(m)
-    return (m + m.conj().T) / 2
+    h = np.conjugate(m.swapaxes(-1, -2), out=out, order="C")
+    h += m
+    h /= 2
+    return h
 
 
 @dataclass(frozen=True)
@@ -132,16 +144,16 @@ def inv_sqrt_psd(m, rank_tol: float = 1e-10) -> np.ndarray:
     return hermitian_part((v / np.sqrt(w)) @ v.conj().T)
 
 
-def numeric_rank(m, rel_tol: float = RANK_REL_TOL) -> int:
+def numeric_rank(m, rel_tol: float = RANK_REL_TOL):
     """Number of singular values above ``rel_tol`` times the largest one.
 
-    The zero matrix has rank 0.
+    The zero matrix has rank 0. A stack of shape (..., n, k) takes one SVD
+    call and gives an integer array with the rank of each matrix.
     """
-    m = as_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or float(s[0]) <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    a = _as_stack(m)
+    s = np.linalg.svd(a, compute_uv=False)
+    ranks = np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def trace_norm(m) -> float:

@@ -45,7 +45,7 @@ def make_povm(operators, rank_tol: float = linalg.RANK_REL_TOL) -> Povm:
             raise DimMismatchError(
                 f"operator {k} has shape {op.shape}, expected ({dim}, {dim})"
             )
-    ranks = tuple(linalg.numeric_rank(op, rank_tol) for op in ops)
+    ranks = tuple(linalg.numeric_rank(np.stack(ops), rank_tol).tolist())
     return Povm(dim=dim, operators=ops, ranks=ranks)
 
 
@@ -62,20 +62,22 @@ def compute_lsm(e: Ensemble) -> Povm:
         raise SpanDeficientError(report.span_rank, e.dim)
     if not report.passed:
         raise ValueError("ensemble failed validation; run validate() for details")
+    return make_povm(_lsm_operators(e))
 
-    f = factorize(e)
-    block = build_psi(e, f)
+
+def _lsm_operators(e: Ensemble) -> np.ndarray:
+    """The least-squares operators of a validated ensemble, stacked (m, n, n)."""
+    block = build_psi(e, factorize(e))
     gram = linalg.hermitian_part(block.psi @ block.psi.conj().T)
     try:
         w = linalg.inv_sqrt_psd(gram)
     except SingularMatrixError:
         raise SpanDeficientError(linalg.numeric_rank(block.psi), e.dim) from None
-
-    ops = []
+    ops = np.empty((e.num_states, e.dim, e.dim), dtype=np.complex128)
     for i in range(e.num_states):
         mu = w @ block.block(i)
-        ops.append(linalg.hermitian_part(mu @ mu.conj().T))
-    return make_povm(ops)
+        np.matmul(mu, mu.conj().T, out=ops[i])
+    return linalg.hermitian_part(ops)
 
 
 def lsm_is_projective_expected(e: Ensemble) -> bool:

@@ -14,6 +14,12 @@ the operators PSD and summing to the identity by construction, and its fixed
 points satisfy the slackness conditions. Iteration stops once the certificate
 built from X = herm(sum_j G_j Pi_j) passes feasibility and slackness at the
 requested tolerance.
+
+The weighted states G_i and the operators Pi_i are held as stacked
+``(m, n, n)`` arrays, so each step of an iteration is one batched numpy call
+rather than a Python loop over the m operators. The certificate is still
+checked in full, at the requested tolerance, on every iteration, by the same
+routine that :func:`certify` uses.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .errors import (
     SingularMatrixError,
     SpanDeficientError,
 )
-from .lsm import Povm, compute_lsm, make_povm
+from .lsm import Povm, _lsm_operators, make_povm
 
 # Lambda eigenvalues below this (relative to maxabs) get a 1e-12 identity
 # shift before inversion; guards rank-deficient iterates.
@@ -94,10 +100,7 @@ def prob_correct(e: Ensemble, p: Povm) -> float:
         raise CountMismatchError(
             f"{e.num_states} states vs {p.num_outcomes} outcomes"
         )
-    total = 0.0
-    for s, op in zip(e.states, p.operators):
-        total += s.prior * float(np.trace(s.rho @ op).real)
-    return total
+    return _trace_sum(_weighted_states(e), np.stack(p.operators))
 
 
 def helstrom_binary(e: Ensemble) -> float:
@@ -132,38 +135,104 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
             f"{e.num_states} states vs {p.num_outcomes} outcomes"
         )
     x_hat = linalg.hermitian_part(x_hat)
-    margins = []
-    slacks = []
-    for s, op in zip(e.states, p.operators):
-        diff = x_hat - s.prior * s.rho
-        margins.append(float(np.linalg.eigvalsh(linalg.hermitian_part(diff))[0]))
-        slacks.append(linalg.maxabs(diff @ op))
+    g = _weighted_states(e)
+    ops = np.stack(p.operators)
     dual = float(np.trace(x_hat).real)
-    gap = dual - prob_correct(e, p)
+    gap = dual - _trace_sum(g, ops)
+    margins, slacks = _residuals(x_hat, g, ops, diff=g)
     return Certificate(
         x_hat=x_hat,
         dual_value=dual,
         gap=gap,
-        feas_margins=tuple(margins),
-        slack_residuals=tuple(slacks),
+        feas_margins=tuple(margins.tolist()),
+        slack_residuals=tuple(slacks.tolist()),
     )
 
 
-def _dual_candidate(g: list[np.ndarray], ops: list[np.ndarray]) -> np.ndarray:
-    acc = np.zeros_like(g[0])
-    for gi, pi in zip(g, ops):
-        acc += gi @ pi
-    return linalg.hermitian_part(acc)
+def _weighted_states(e: Ensemble) -> np.ndarray:
+    """The stack of herm(p_i rho_i), shape (m, n, n)."""
+    return linalg.hermitian_part(e.priors[:, None, None] * np.stack(e.rhos))
 
 
-def _regularized_inv_sqrt(lam: np.ndarray) -> np.ndarray:
-    lam = linalg.hermitian_part(lam)
-    w, v = np.linalg.eigh(lam)
-    if float(w[0]) < LAMBDA_FLOOR * linalg.maxabs(lam):
-        w = w + LAMBDA_FLOOR
-    if float(w[0]) <= 0.0:
-        raise SingularMatrixError("iteration map collapsed to a singular operator")
-    return linalg.hermitian_part((v / np.sqrt(w)) @ v.conj().T)
+def _trace_sum(g: np.ndarray, ops: np.ndarray) -> float:
+    """sum_i Tr(G_i Pi_i) over two (m, n, n) stacks."""
+    return float(np.einsum("ijk,ikj->", g, ops).real)
+
+
+def _residuals(x_hat, g, ops, diff=None, prod=None):
+    """Smallest eigenvalue of each x_hat - G_i and largest entry magnitude of
+    each (x_hat - G_i) Pi_i. ``diff`` and ``prod`` are optional (m, n, n)
+    output buffers; ``diff`` may be ``g`` itself, which is then overwritten."""
+    diff = np.subtract(x_hat, g, out=diff)
+    margins = np.linalg.eigvalsh(diff)[:, 0]
+    slacks = np.abs(np.matmul(diff, ops, out=prod)).max(axis=(1, 2))
+    return margins, slacks
+
+
+def _ascend(g: np.ndarray, ops: np.ndarray, tol: float, max_iter: int):
+    """Fixed-point ascent from ``ops``: the best iterate as (operators, x_hat,
+    primal, dual, iteration), whether it converged, the iteration count and
+    the per-iteration records."""
+    # two (m, n, n) work buffers, reused by every iteration
+    gp = np.empty_like(g)
+    work = np.empty_like(g)
+
+    history: list[IterateRecord] = []
+    best_score = np.inf
+    best: tuple[np.ndarray, np.ndarray, float, float, int] | None = None
+    converged = False
+    iteration = 0
+
+    while True:
+        np.matmul(g, ops, out=gp)
+        x_hat = linalg.hermitian_part(gp.sum(axis=0))
+        lam = linalg.hermitian_part(np.matmul(gp, g, out=work).sum(axis=0))
+        primal = _trace_sum(g, ops)
+        dual = float(np.trace(x_hat).real)
+        margins, slacks = _residuals(x_hat, g, ops, gp, work)
+        min_margin = float(margins.min())
+        max_slack = float(slacks.max())
+
+        history.append(
+            IterateRecord(
+                iteration=iteration,
+                primal_value=primal,
+                dual_value=dual,
+                gap=dual - primal,
+                min_feas_margin=min_margin,
+                max_slack_residual=max_slack,
+            )
+        )
+
+        # an iterate is never written once made, so best keeps it without a copy
+        score = max(-min_margin, max_slack, 0.0)
+        if score < best_score:
+            best_score = score
+            best = (ops, x_hat, primal, dual, iteration)
+
+        if min_margin >= -tol and max_slack <= tol:
+            converged = True
+            best = (ops, x_hat, primal, dual, iteration)
+            break
+        if iteration >= max_iter:
+            break
+
+        w, v = np.linalg.eigh(lam)
+        if float(w[0]) < LAMBDA_FLOOR * linalg.maxabs(lam):
+            w = w + LAMBDA_FLOOR
+        if float(w[0]) <= 0.0:
+            raise SingularMatrixError("iteration map collapsed to a singular operator")
+        s_inv = linalg.hermitian_part((v / np.sqrt(w)) @ v.conj().T)
+        np.matmul(s_inv, g, out=gp)
+        np.matmul(gp, ops, out=work)
+        # G_i S is (S G_i)*, as S and G_i are Hermitian
+        np.conj(gp, out=gp)
+        update = np.matmul(work, gp.swapaxes(-1, -2))
+        # the new iterate takes over the buffer gp, and the new array becomes gp
+        ops, gp = linalg.hermitian_part(update, out=gp), update
+        iteration += 1
+
+    return best, converged, iteration, history
 
 
 def solve_optimal(
@@ -183,65 +252,9 @@ def solve_optimal(
     if not report.passed:
         raise ValueError("ensemble failed validation; run validate() for details")
 
-    g = [linalg.hermitian_part(s.prior * s.rho) for s in e.states]
-    ops = [np.array(op) for op in compute_lsm(e).operators]
-
-    history: list[IterateRecord] = []
-    best_score = np.inf
-    best: tuple[list[np.ndarray], np.ndarray, float, float, int] | None = None
-    converged = False
-    iteration = 0
-
-    while True:
-        x_hat = _dual_candidate(g, ops)
-        primal = 0.0
-        for s, pi in zip(e.states, ops):
-            primal += s.prior * float(np.trace(s.rho @ pi).real)
-        dual = float(np.trace(x_hat).real)
-
-        min_margin = np.inf
-        max_slack = 0.0
-        for gi, pi in zip(g, ops):
-            diff = x_hat - gi
-            min_margin = min(
-                min_margin, float(np.linalg.eigvalsh(linalg.hermitian_part(diff))[0])
-            )
-            max_slack = max(max_slack, linalg.maxabs(diff @ pi))
-
-        history.append(
-            IterateRecord(
-                iteration=iteration,
-                primal_value=primal,
-                dual_value=dual,
-                gap=dual - primal,
-                min_feas_margin=min_margin,
-                max_slack_residual=max_slack,
-            )
-        )
-
-        score = max(-min_margin, max_slack, 0.0)
-        if score < best_score:
-            best_score = score
-            best = ([pi.copy() for pi in ops], x_hat, primal, dual, iteration)
-
-        if min_margin >= -tol and max_slack <= tol:
-            converged = True
-            best = (ops, x_hat, primal, dual, iteration)
-            break
-        if iteration >= max_iter:
-            break
-
-        lam = np.zeros_like(x_hat)
-        for gi, pi in zip(g, ops):
-            lam += gi @ pi @ gi
-        s_inv = _regularized_inv_sqrt(lam)
-        ops = [
-            linalg.hermitian_part((s_inv @ gi) @ pi @ (gi @ s_inv))
-            for gi, pi in zip(g, ops)
-        ]
-        iteration += 1
-
-    assert best is not None
+    best, converged, iteration, history = _ascend(
+        _weighted_states(e), _lsm_operators(e), tol, max_iter
+    )
     ops_out, x_out, primal_out, dual_out, _ = best
     povm = make_povm(ops_out)
     cert = certify(e, povm, x_out, tol)

@@ -184,3 +184,19 @@ def test_hermitian_part_symmetrizes():
     a = np_rng.normal(size=(3, 3)) + 1j * np_rng.normal(size=(3, 3))
     h = hermitian_part(a)
     assert maxabs(h - h.conj().T) == 0.0
+
+
+def test_hermitian_part_stack_matches_slices():
+    a = np_rng.normal(size=(4, 3, 3)) + 1j * np_rng.normal(size=(4, 3, 3))
+    h = hermitian_part(a)
+    assert h.shape == a.shape
+    for k in range(4):
+        assert np.array_equal(h[k], hermitian_part(a[k]))
+    with pytest.raises(NonSquareError):
+        hermitian_part(np.zeros((4, 2, 3)))
+
+
+def test_numeric_rank_stack_matches_slices():
+    stack = np.stack([np.diag([1.0, 0.0, 0.0]), np.eye(3), np.zeros((3, 3)), rand_psd(3)])
+    ranks = numeric_rank(stack)
+    assert ranks.tolist() == [numeric_rank(m) for m in stack] == [1, 3, 0, 3]

@@ -1,0 +1,160 @@
+"""The stacked solver against the per-operator loop it replaced.
+
+``reference_solve`` and ``reference_certificate`` are the fixed-point loop
+and the certificate check written one operator at a time, as the formulas
+read. They are the oracle: the batched ``solve_optimal`` must take the same
+iterations, stop for the same reason and land on the same iterate.
+"""
+
+import numpy as np
+
+from qsd import certify, compute_lsm, numeric_rank, random_ensemble, solve_optimal
+from qsd.linalg import hermitian_part, maxabs
+from qsd.optimal import LAMBDA_FLOOR
+
+MAX_ITER = 300
+
+
+def reference_certificate(e, ops, x_hat):
+    """Per-operator margins, residuals, dual value and gap of ``x_hat``."""
+    x_hat = hermitian_part(x_hat)
+    margins, slacks = [], []
+    primal = 0.0
+    for s, op in zip(e.states, ops):
+        diff = x_hat - s.prior * s.rho
+        margins.append(float(np.linalg.eigvalsh(hermitian_part(diff))[0]))
+        slacks.append(maxabs(diff @ op))
+        primal += s.prior * float(np.trace(s.rho @ op).real)
+    dual = float(np.trace(x_hat).real)
+    return margins, slacks, dual, dual - primal
+
+
+def reference_solve(e, tol=1e-8, max_iter=10000):
+    """The fixed-point ascent, one operator at a time.
+
+    Returns the best iterate's operators, dual operator and primal value,
+    the iteration count, whether it converged, and the per-iteration
+    (primal, dual, min margin, max slack) records.
+    """
+    g = [hermitian_part(s.prior * s.rho) for s in e.states]
+    ops = [np.array(op) for op in compute_lsm(e).operators]
+    history = []
+    best_score = np.inf
+    best = None
+    converged = False
+    iteration = 0
+    while True:
+        acc = np.zeros_like(g[0])
+        for gi, pi in zip(g, ops):
+            acc += gi @ pi
+        x_hat = hermitian_part(acc)
+        primal = 0.0
+        for s, pi in zip(e.states, ops):
+            primal += s.prior * float(np.trace(s.rho @ pi).real)
+        dual = float(np.trace(x_hat).real)
+        min_margin = np.inf
+        max_slack = 0.0
+        for gi, pi in zip(g, ops):
+            diff = x_hat - gi
+            min_margin = min(min_margin, float(np.linalg.eigvalsh(hermitian_part(diff))[0]))
+            max_slack = max(max_slack, maxabs(diff @ pi))
+        history.append((primal, dual, min_margin, max_slack))
+
+        score = max(-min_margin, max_slack, 0.0)
+        if score < best_score:
+            best_score = score
+            best = ([pi.copy() for pi in ops], x_hat, primal)
+        if min_margin >= -tol and max_slack <= tol:
+            converged = True
+            best = (ops, x_hat, primal)
+            break
+        if iteration >= max_iter:
+            break
+
+        lam = np.zeros_like(x_hat)
+        for gi, pi in zip(g, ops):
+            lam += gi @ pi @ gi
+        lam = hermitian_part(lam)
+        w, v = np.linalg.eigh(lam)
+        if float(w[0]) < LAMBDA_FLOOR * maxabs(lam):
+            w = w + LAMBDA_FLOOR
+        s_inv = hermitian_part((v / np.sqrt(w)) @ v.conj().T)
+        ops = [hermitian_part((s_inv @ gi) @ pi @ (gi @ s_inv)) for gi, pi in zip(g, ops)]
+        iteration += 1
+    ops_out, x_out, primal_out = best
+    return ops_out, x_out, primal_out, iteration, converged, history
+
+
+def dependent_corpus(count=40):
+    """Seeded spanning draws, n 2-6 and m 2-7, ranks in 1..n, priors
+    alternately uniform and flat-Dirichlet; span-deficient draws are skipped."""
+    out = []
+    k = 0
+    while len(out) < count:
+        rng = np.random.default_rng([20260, k])
+        n, m = 2 + k % 5, 2 + (k // 5) % 6
+        ranks = [int(r) for r in rng.integers(1, n + 1, size=m)]
+        priors = "uniform"
+        if k % 2 == 0:
+            p = rng.dirichlet(np.ones(m))
+            priors = (*p[:-1], 1.0 - p[:-1].sum())
+        e = random_ensemble(n, ranks, priors=priors, seed=int(rng.integers(2**31)))
+        k += 1
+        if numeric_rank(np.hstack(e.rhos)) == n:
+            out.append((e, MAX_ITER))
+    return out
+
+
+def independent_corpus():
+    return [
+        (random_ensemble(32, (8, 8, 8, 8), seed=5100 + k, require_independent=True), 10000)
+        for k in range(3)
+    ]
+
+
+def assert_matches_reference(e, max_iter):
+    """Solve both ways and compare; return the reference's stop and history."""
+    povm, cert, diag = solve_optimal(e, max_iter=max_iter)
+    ops, x_hat, primal, iterations, converged, history = reference_solve(e, max_iter=max_iter)
+    assert diag.iterations == iterations
+    assert diag.converged == converged
+    assert abs(diag.primal_value - primal) <= 1e-12
+    assert len(diag.history) == len(history)
+    for rec, (p, d, margin, slack) in zip(diag.history, history):
+        assert abs(rec.primal_value - p) <= 1e-12
+        assert abs(rec.dual_value - d) <= 1e-12
+        assert abs(rec.min_feas_margin - margin) <= 1e-10
+        assert abs(rec.max_slack_residual - slack) <= 1e-10
+    for got, want in zip(povm.operators, ops):
+        assert maxabs(got - want) <= 1e-10
+    margins, slacks, dual, gap = reference_certificate(e, ops, x_hat)
+    assert np.allclose(cert.feas_margins, margins, rtol=0, atol=1e-10)
+    assert np.allclose(cert.slack_residuals, slacks, rtol=0, atol=1e-10)
+
+    # certify on the returned measurement follows the per-operator formula
+    recheck = certify(e, povm, cert.x_hat)
+    margins, slacks, dual, gap = reference_certificate(e, povm.operators, cert.x_hat)
+    assert np.allclose(recheck.feas_margins, margins, rtol=0, atol=1e-10)
+    assert np.allclose(recheck.slack_residuals, slacks, rtol=0, atol=1e-10)
+    assert abs(recheck.dual_value - dual) <= 1e-12
+    assert abs(recheck.gap - gap) <= 1e-12
+    return converged, history
+
+
+def test_stacked_solver_matches_per_operator_loop():
+    stops = set()
+    worse_steps = []
+    for e, max_iter in dependent_corpus() + independent_corpus():
+        converged, history = assert_matches_reference(e, max_iter)
+        stops.add(converged)
+        scores = [max(-margin, slack, 0.0) for _, _, margin, slack in history]
+        worse = [k for k in range(1, len(scores)) if scores[k] > scores[k - 1]]
+        if worse:
+            worse_steps.append((e, worse[0]))
+    # the corpus reaches both stops: the certificate, and the exhausted budget
+    assert stops == {True, False}
+    # a budget that ends on a step that made the certificate worse must
+    # return an earlier iterate, not the last one
+    assert worse_steps
+    for e, k in worse_steps:
+        assert not assert_matches_reference(e, k)[0]
