@@ -4,17 +4,12 @@ on linearly independent ensembles.
 """
 
 from .ensemble import (
-    BlockMatrix,
     Ensemble,
-    Factorization,
     State,
     ValidationReport,
-    build_psi,
     deflate,
-    factorize,
     is_linearly_independent,
     random_ensemble,
-    selector,
     validate,
 )
 from .errors import (
@@ -22,11 +17,10 @@ from .errors import (
     BadRanksError,
     CountMismatchError,
     DimMismatchError,
+    InvalidEnsembleError,
     NonSquareError,
     NotBinaryError,
-    NotConvergedError,
     NotHermitianError,
-    NotPsdError,
     QsdError,
     SingularMatrixError,
     SpanDeficientError,
@@ -35,12 +29,10 @@ from .linalg import (
     EigResult,
     eig_hermitian,
     inv_sqrt_psd,
-    is_psd,
     numeric_rank,
-    sqrt_psd,
     trace_norm,
 )
-from .lsm import Povm, compute_lsm, lsm_is_projective_expected, make_povm
+from .lsm import Povm, compute_lsm, make_povm
 from .optimal import (
     Certificate,
     SolveDiagnostics,
@@ -66,19 +58,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BadPriorsError",
     "BadRanksError",
-    "BlockMatrix",
     "Certificate",
     "ConfusionMatrix",
     "CountMismatchError",
     "DimMismatchError",
     "EigResult",
     "Ensemble",
-    "Factorization",
+    "InvalidEnsembleError",
     "NonSquareError",
     "NotBinaryError",
-    "NotConvergedError",
     "NotHermitianError",
-    "NotPsdError",
     "Povm",
     "PovmCheck",
     "QsdError",
@@ -91,29 +80,23 @@ __all__ = [
     "ValidationReport",
     "VnmReport",
     "born_probabilities",
-    "build_psi",
     "certify",
     "check_povm",
     "compute_lsm",
     "deflate",
     "direct_sum_rank",
     "eig_hermitian",
-    "factorize",
     "helstrom_binary",
     "inv_sqrt_psd",
     "is_linearly_independent",
     "is_projective",
-    "is_psd",
-    "lsm_is_projective_expected",
     "make_povm",
     "numeric_rank",
     "prob_correct",
     "random_ensemble",
     "rank_profile",
-    "selector",
     "simulate",
     "solve_optimal",
-    "sqrt_psd",
     "trace_norm",
     "validate",
     "vnm_report",

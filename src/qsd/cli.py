@@ -20,8 +20,8 @@ from .errors import (
     BadRanksError,
     CountMismatchError,
     DimMismatchError,
+    InvalidEnsembleError,
     QsdError,
-    SpanDeficientError,
 )
 from .lsm import compute_lsm
 from .optimal import certify, prob_correct, solve_optimal
@@ -145,16 +145,8 @@ def _cmd_gen(args):
     return serialize.ensemble_to_wire(e), 0, ""
 
 
-def _failed_validation(report):
-    return serialize.validation_report_to_wire(report), 1, "ensemble failed validation"
-
-
 def _cmd_lsm(args):
-    e = _load_ensemble(args.ensemble)
-    report = validate(e)
-    if not report.passed:
-        return _failed_validation(report)
-    payload = serialize.povm_to_wire(compute_lsm(e))
+    payload = serialize.povm_to_wire(compute_lsm(_load_ensemble(args.ensemble)))
     if args.out:
         _write_json(args.out, payload)
     return payload, 0, ""
@@ -162,9 +154,6 @@ def _cmd_lsm(args):
 
 def _cmd_solve(args):
     e = _load_ensemble(args.ensemble)
-    report = validate(e)
-    if not report.passed:
-        return _failed_validation(report)
     povm, cert, diag = solve_optimal(e, tol=args.tol, max_iter=args.max_iter)
     payload = serialize.solve_result_to_wire(povm, cert, diag)
     if args.out:
@@ -248,10 +237,9 @@ def dispatch(argv) -> CommandResult:
         payload, code, note = _HANDLERS[args.command](args)
     except _UsageError as exc:
         return CommandResult(2, "", f"error: {exc}")
-    except SpanDeficientError as exc:
-        payload = {"error": "span_deficient", "span_rank": exc.span_rank,
-                   "dim": exc.dim, "message": str(exc)}
-        return CommandResult(1, serialize.dumps(payload), str(exc))
+    except InvalidEnsembleError as exc:
+        payload = serialize.validation_report_to_wire(exc.report)
+        return CommandResult(1, serialize.dumps(payload), "ensemble failed validation")
     except _FORMAT_ERRORS as exc:
         return CommandResult(2, "", f"error: {exc}")
     except QsdError as exc:

@@ -1,11 +1,12 @@
 """Quantum state ensembles.
 
 An ensemble is a finite set of density operators with strictly positive priors
-summing to one. This module validates ensembles, factorizes each density
-operator into scaled orthogonal eigenvector columns, tests linear independence
-of the collected eigenvectors, assembles the prior-weighted block-column
-matrix used by the least-squares measurement, and generates seeded random
-ensembles for test corpora.
+summing to one. Everything here rests on the weighted states ``p_i rho_i`` and
+their sum, the average state ``rho_bar``. This module validates ensembles,
+decides whether the states span the space from the spectrum of ``rho_bar`` (the
+one span decision of the package), tests linear independence, restricts an
+ensemble to the subspace it spans, and generates seeded random ensembles for
+test corpora.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadPriorsError, BadRanksError
+from .errors import (
+    BadPriorsError,
+    BadRanksError,
+    InvalidEnsembleError,
+    SpanDeficientError,
+)
 
 PRIOR_SUM_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
-# Density operators are trace-1, so eigenvalue scale is O(1/n) and a relative
-# threshold on the largest eigenvalue is the safe rank cut.
-RHO_RANK_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,49 +91,52 @@ class ValidationReport:
     passed: bool
 
 
+def weighted_states(e: Ensemble) -> np.ndarray:
+    """The stack of herm(p_i rho_i), shape (m, n, n); its sum is rho_bar."""
+    return linalg.hermitian_part(e.priors[:, None, None] * np.stack(e.rhos))
+
+
+def span(g: np.ndarray) -> tuple[linalg.EigResult, int]:
+    """Eigendecomposition of rho_bar, the sum of the weighted states ``g``,
+    and the dimension the states span.
+
+    This is the package's one decision on whether the states span the space:
+    the rank of rho_bar by :func:`qsd.linalg.psd_rank`, which is also where
+    :func:`qsd.linalg.inv_sqrt_psd` stops inverting.
+    """
+    res = linalg.eig_hermitian(g.sum(axis=0))
+    return res, linalg.psd_rank(res.values)
+
+
 def validate(e: Ensemble) -> ValidationReport:
     """Check ensemble invariants and report every deviation.
 
     Never raises for bad content; failures are carried in the report. The
     ensemble passes iff all density operators are Hermitian PSD with unit
     trace (within tolerance), priors are positive and sum to one, and the
-    state eigenvectors collectively span the full space.
+    states span the full space (``rho_bar`` has full rank).
     """
-    psd_margins = []
-    trace_devs = []
-    herm_devs = []
-    ok = True
-    for s in e.states:
-        rho = s.rho
-        scale = 1 + linalg.maxabs(rho)
-        asym = linalg.maxabs(rho - rho.conj().T)
-        herm_devs.append(asym)
-        if asym > linalg.HERMITIAN_ASYMMETRY_TOL * scale:
-            ok = False
-        w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        min_eig = float(w[0])
-        psd_margins.append(min_eig)
-        if min_eig < -PSD_TOL * scale:
-            ok = False
-        tdev = abs(complex(np.trace(rho)) - 1.0)
-        trace_devs.append(float(tdev))
-        if tdev > TRACE_TOL:
-            ok = False
-
+    rhos = np.stack(e.rhos)
+    scale = 1 + np.abs(rhos).max(axis=(1, 2))
+    herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
+    psd_margins = np.linalg.eigvalsh(linalg.hermitian_part(rhos))[:, 0]
+    trace_devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
     priors = e.priors
     prior_sum_dev = abs(float(priors.sum()) - 1.0)
     min_prior = float(priors.min())
-    if prior_sum_dev > PRIOR_SUM_TOL or min_prior <= 0.0:
-        ok = False
-
-    span_rank = linalg.numeric_rank(np.hstack(e.rhos))
-    if span_rank != e.dim:
-        ok = False
-
+    span_rank = span(weighted_states(e))[1]
+    ok = bool(
+        np.all(herm_devs <= linalg.HERMITIAN_ASYMMETRY_TOL * scale)
+        and np.all(psd_margins >= -PSD_TOL * scale)
+        and np.all(trace_devs <= TRACE_TOL)
+        and prior_sum_dev <= PRIOR_SUM_TOL
+        and min_prior > 0.0
+        and span_rank == e.dim
+    )
     return ValidationReport(
-        psd_margins=tuple(psd_margins),
-        trace_deviations=tuple(trace_devs),
-        hermitian_deviations=tuple(herm_devs),
+        psd_margins=tuple(psd_margins.tolist()),
+        trace_deviations=tuple(trace_devs.tolist()),
+        hermitian_deviations=tuple(herm_devs.tolist()),
         prior_sum_deviation=prior_sum_dev,
         min_prior=min_prior,
         span_rank=span_rank,
@@ -139,100 +145,30 @@ def validate(e: Ensemble) -> ValidationReport:
     )
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Per-state factors ``phi`` with ``rho = phi @ phi*``.
+def require_valid(e: Ensemble) -> None:
+    """Raise unless :func:`validate` passes the ensemble.
 
-    Each factor is n x r with mutually orthogonal columns; column k has
-    squared norm equal to the k-th kept eigenvalue (descending).
+    ``SpanDeficientError`` when the states do not span the space, otherwise
+    ``InvalidEnsembleError``; both carry the validation report.
     """
-
-    factors: tuple[np.ndarray, ...]
-    ranks: tuple[int, ...]
-
-
-def factorize(e: Ensemble) -> Factorization:
-    """Factor every density operator into scaled eigenvector columns."""
-    factors = []
-    ranks = []
-    for s in e.states:
-        r = linalg.numeric_rank(s.rho, RHO_RANK_REL_TOL)
-        res = linalg.eig_hermitian(s.rho)
-        # eigh is ascending; keep the top r eigenpairs, largest first
-        idx = np.argsort(res.values)[::-1][:r]
-        vals = np.clip(res.values[idx], 0.0, None)
-        phi = res.vectors[:, idx] * np.sqrt(vals)
-        factors.append(phi)
-        ranks.append(r)
-    return Factorization(factors=tuple(factors), ranks=tuple(ranks))
+    report = validate(e)
+    if report.span_rank < report.dim:
+        raise SpanDeficientError(report)
+    if not report.passed:
+        raise InvalidEnsembleError(report)
 
 
-def is_linearly_independent(
-    e: Ensemble, f: Factorization | None = None
-) -> tuple[bool, int, int]:
+def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
     """Whether the collected state eigenvectors are linearly independent.
 
-    Returns ``(flag, span_rank, total_rank)`` where ``span_rank`` is the rank
-    of the horizontal concatenation of all factors and ``total_rank`` is the
-    sum of state ranks; the flag is true iff the two agree.
+    Returns ``(flag, span_rank, total_rank)`` where ``span_rank`` is the
+    dimension the states span (the rank of rho_bar, as in :func:`validate`)
+    and ``total_rank`` is the sum of state ranks; the flag is true iff the
+    two agree.
     """
-    if f is None:
-        f = factorize(e)
-    span_rank = linalg.numeric_rank(np.hstack(f.factors))
-    total_rank = int(sum(f.ranks))
+    span_rank = span(weighted_states(e))[1]
+    total_rank = int(linalg.numeric_rank(np.stack(e.rhos)).sum())
     return span_rank == total_rank, span_rank, total_rank
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Prior-weighted factors placed side by side.
-
-    Block i holds ``sqrt(prior_i) * phi_i`` and starts at column
-    ``offsets[i]``.
-    """
-
-    psi: np.ndarray
-    offsets: tuple[int, ...]
-    ranks: tuple[int, ...]
-
-    def block(self, i: int) -> np.ndarray:
-        off = self.offsets[i]
-        return self.psi[:, off : off + self.ranks[i]]
-
-
-def build_psi(e: Ensemble, f: Factorization) -> BlockMatrix:
-    """Assemble the n x (sum of ranks) block-column matrix."""
-    blocks = [
-        np.sqrt(s.prior) * phi for s, phi in zip(e.states, f.factors)
-    ]
-    offsets = []
-    off = 0
-    for r in f.ranks:
-        offsets.append(off)
-        off += r
-    return BlockMatrix(
-        psi=np.hstack(blocks), offsets=tuple(offsets), ranks=tuple(f.ranks)
-    )
-
-
-def selector(i: int, ranks) -> np.ndarray:
-    """Column-selection matrix for block i (0-based).
-
-    The result has shape (sum of ranks) x ranks[i], all zeros except a single
-    1 per column placed so that ``psi @ selector(i, ranks)`` picks out block i
-    exactly. Selectors for different blocks are mutually orthogonal:
-    ``selector(i)* @ selector(j)`` is the identity when i == j and zero
-    otherwise.
-    """
-    ranks = [int(r) for r in ranks]
-    if not 0 <= i < len(ranks):
-        raise IndexError(f"block index {i} out of range for {len(ranks)} blocks")
-    total = sum(ranks)
-    off = sum(ranks[:i])
-    sel = np.zeros((total, ranks[i]), dtype=np.complex128)
-    for q in range(ranks[i]):
-        sel[off + q, q] = 1.0
-    return sel
 
 
 def _resolve_priors(priors, m: int) -> tuple[float, ...]:
@@ -326,16 +262,12 @@ def deflate(e: Ensemble) -> tuple[Ensemble, np.ndarray]:
     """Re-express an ensemble on the subspace its states actually span.
 
     Returns the reduced ensemble together with the n x k orthonormal basis B
-    of the spanned subspace, so each new density operator is ``B* rho B``.
-    The identity deflation (k == n) is allowed and harmless.
+    of the spanned subspace, the eigenvectors of rho_bar above the span cut
+    (largest eigenvalue first), so each new density operator is
+    ``B* rho B``. The identity deflation (k == n) is allowed and harmless.
     """
-    concat = np.hstack(e.rhos)
-    k = linalg.numeric_rank(concat)
-    u, _, _ = np.linalg.svd(concat)
-    basis = u[:, :k]
-    states = []
-    for s in e.states:
-        rho = basis.conj().T @ s.rho @ basis
-        rho = (rho + rho.conj().T) / 2
-        states.append(State(prior=s.prior, rho=rho))
-    return Ensemble(dim=k, states=tuple(states)), basis
+    res, k = span(weighted_states(e))
+    basis = res.vectors[:, ::-1][:, :k]
+    rhos = linalg.hermitian_part(basis.conj().T @ np.stack(e.rhos) @ basis)
+    states = tuple(State(prior=s.prior, rho=rho) for s, rho in zip(e.states, rhos))
+    return Ensemble(dim=k, states=states), basis

@@ -15,27 +15,35 @@ class NotHermitianError(QsdError):
     """Asymmetry exceeds the Hermitian tolerance; the input is corrupted."""
 
 
-class NotPsdError(QsdError):
-    """An eigenvalue lies below the PSD clamping tolerance."""
-
-
 class SingularMatrixError(QsdError):
     """Matrix is numerically singular; no inverse square root exists."""
 
 
-class SpanDeficientError(QsdError):
+class InvalidEnsembleError(QsdError, ValueError):
+    """An ensemble failed validation.
+
+    Carries the :class:`qsd.ensemble.ValidationReport` with every deviation.
+    """
+
+    def __init__(self, report, message: str = "ensemble failed validation"):
+        super().__init__(message)
+        self.report = report
+
+
+class SpanDeficientError(InvalidEnsembleError):
     """The state eigenvectors do not span the full space.
 
     Carries the rank of the spanned subspace so callers can deflate.
     """
 
-    def __init__(self, span_rank: int, dim: int):
+    def __init__(self, report):
         super().__init__(
-            f"state eigenvectors span a {span_rank}-dimensional subspace "
-            f"of a {dim}-dimensional space"
+            report,
+            f"state eigenvectors span a {report.span_rank}-dimensional subspace "
+            f"of a {report.dim}-dimensional space",
         )
-        self.span_rank = span_rank
-        self.dim = dim
+        self.span_rank = report.span_rank
+        self.dim = report.dim
 
 
 class BadRanksError(QsdError):
@@ -56,18 +64,3 @@ class CountMismatchError(QsdError):
 
 class NotBinaryError(QsdError):
     """Exactly two states are required."""
-
-
-class NotConvergedError(QsdError):
-    """Solver failed to certify optimality within its iteration budget.
-
-    ``solve_optimal`` itself never raises this; it returns the best iterate
-    with ``converged=False``. The class is provided for callers that prefer a
-    hard failure and carries the best iterate when raised.
-    """
-
-    def __init__(self, message: str, povm=None, certificate=None, diagnostics=None):
-        super().__init__(message)
-        self.povm = povm
-        self.certificate = certificate
-        self.diagnostics = diagnostics

@@ -1,5 +1,5 @@
-"""Dense complex Hermitian kernel: eigendecompositions, PSD tests, matrix
-square roots, numeric rank, trace norm.
+"""Dense complex Hermitian kernel: eigendecompositions, inverse square
+roots, numeric rank, trace norm.
 
 All operations are pure functions on numpy complex128 arrays. Dimensions in
 this problem family are tiny (a few hundred at most), so everything goes
@@ -14,18 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonSquareError,
-    NotHermitianError,
-    NotPsdError,
-    SingularMatrixError,
-)
+from .errors import NonSquareError, NotHermitianError, SingularMatrixError
 
 # Asymmetry above this (relative to maxabs) means corrupted input, not roundoff.
 HERMITIAN_ASYMMETRY_TOL = 1e-8
-# Eigenvalues in [-PSD_CLAMP_TOL*(1+maxabs), 0) are treated as roundoff zeros.
-PSD_CLAMP_TOL = 1e-8
 RANK_REL_TOL = 1e-10
+# Eigenvalues of a PSD matrix below this fraction of the largest count as
+# zero, both for its rank and for whether it has an inverse square root.
+PSD_RANK_REL_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -68,7 +64,7 @@ def hermitian_part(m, out=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigResult:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
     ``values`` are real and ascending; the columns of ``vectors`` are the
     matching orthonormal eigenvectors.
@@ -79,66 +75,51 @@ class EigResult:
 
 
 def eig_hermitian(m) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a stack (..., n, n).
 
     The input is symmetrized as (M + M*)/2 before decomposition, which removes
     accumulated roundoff asymmetry deterministically. Asymmetry beyond
-    ``HERMITIAN_ASYMMETRY_TOL * maxabs(M)`` raises ``NotHermitianError``.
+    ``HERMITIAN_ASYMMETRY_TOL * maxabs(M)`` in any matrix raises
+    ``NotHermitianError``.
     """
-    m = as_matrix(m)
+    m = _as_stack(m)
     _require_square(m)
-    asym = maxabs(m - m.conj().T)
-    if asym > HERMITIAN_ASYMMETRY_TOL * maxabs(m):
+    m_h = np.conjugate(m.swapaxes(-1, -2))
+    asym = np.abs(m - m_h).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if np.any(asym > HERMITIAN_ASYMMETRY_TOL * scale):
         raise NotHermitianError(
-            f"asymmetry {asym:.3e} exceeds {HERMITIAN_ASYMMETRY_TOL:.0e} * maxabs"
+            f"asymmetry {float(asym.max()):.3e} exceeds "
+            f"{HERMITIAN_ASYMMETRY_TOL:.0e} * maxabs"
         )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = np.linalg.eigh((m + m_h) / 2)
     return EigResult(values=w, vectors=v)
 
 
-def is_psd(m, tol: float = 1e-9) -> tuple[bool, float]:
-    """Test positive semidefiniteness of a Hermitian matrix.
+def psd_rank(values, rank_tol: float = PSD_RANK_REL_TOL) -> int:
+    """Number of eigenvalues at or above ``rank_tol`` times the largest.
 
-    Returns ``(flag, min_eigenvalue)`` where the flag is true iff the smallest
-    eigenvalue is at least ``-tol * (1 + maxabs(M))``.
+    ``values`` are the ascending eigenvalues of one Hermitian matrix. A
+    matrix whose largest eigenvalue is not positive has rank 0.
     """
-    res = eig_hermitian(m)
-    min_eig = float(res.values[0])
-    return min_eig >= -tol * (1 + maxabs(m)), min_eig
+    w_max = float(values[-1])
+    if w_max <= 0.0:
+        return 0
+    return int(np.count_nonzero(values >= rank_tol * w_max))
 
 
-def sqrt_psd(m) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
-
-    Small negative eigenvalues (above ``-PSD_CLAMP_TOL*(1+maxabs)``) are
-    clamped to zero; anything below that raises ``NotPsdError`` since it
-    signals a caller bug rather than roundoff.
-    """
-    m = as_matrix(m)
-    res = eig_hermitian(m)
-    floor = -PSD_CLAMP_TOL * (1 + maxabs(m))
-    if res.values[0] < floor:
-        raise NotPsdError(
-            f"min eigenvalue {float(res.values[0]):.3e} below {floor:.3e}"
-        )
-    w = np.clip(res.values, 0.0, None)
-    v = res.vectors
-    return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
-
-
-def inv_sqrt_psd(m, rank_tol: float = 1e-10) -> np.ndarray:
+def inv_sqrt_psd(m, rank_tol: float = PSD_RANK_REL_TOL) -> np.ndarray:
     """Hermitian inverse square root of a positive definite matrix.
 
-    Raises ``SingularMatrixError`` when the smallest eigenvalue falls below
-    ``rank_tol`` times the largest, i.e. the matrix is not safely invertible.
+    Raises ``SingularMatrixError`` when :func:`psd_rank` at ``rank_tol`` is
+    below the dimension, i.e. the matrix is not safely invertible.
     """
-    res = eig_hermitian(m)
+    res = eig_hermitian(as_matrix(m))
     w = res.values
-    w_max = float(w[-1])
-    if w_max <= 0.0 or float(w[0]) < rank_tol * w_max:
+    if psd_rank(w, rank_tol) < len(w):
         raise SingularMatrixError(
             f"min eigenvalue {float(w[0]):.3e} below "
-            f"{rank_tol:.1e} * {w_max:.3e}"
+            f"{rank_tol:.1e} * {float(w[-1]):.3e}"
         )
     v = res.vectors
     return hermitian_part((v / np.sqrt(w)) @ v.conj().T)
@@ -158,5 +139,5 @@ def numeric_rank(m, rel_tol: float = RANK_REL_TOL):
 
 def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    res = eig_hermitian(m)
+    res = eig_hermitian(as_matrix(m))
     return float(np.abs(res.values).sum())

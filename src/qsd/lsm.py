@@ -1,8 +1,10 @@
 """Least-squares (square-root) measurement.
 
-The measurement operator for state i is built from the prior-weighted factor
-block psi_i and the inverse square root of Psi Psi*, where Psi stacks all
-blocks side by side. For linearly independent ensembles this measurement is
+With the average state rho_bar = sum_i p_i rho_i, the measurement operator for
+state i is ``Pi_i = rho_bar^{-1/2} p_i rho_i rho_bar^{-1/2}``. This is the
+``(Psi Psi*)^{-1/2} psi_i`` form of Eldar & Forney, "On quantum detection and
+the square-root measurement" (2001), since ``Psi Psi* = rho_bar``; no state
+needs to be factorized. For linearly independent ensembles this measurement is
 projective; in general it is only a valid POVM.
 """
 
@@ -13,30 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import Ensemble, build_psi, factorize, is_linearly_independent, validate
-from .errors import DimMismatchError, SingularMatrixError, SpanDeficientError
+from .ensemble import Ensemble, require_valid, span, weighted_states
+from .errors import DimMismatchError
 
 
 @dataclass(frozen=True)
 class Povm:
-    """A list of PSD operators summing to the identity, with measured ranks."""
+    """PSD operators summing to the identity, stacked as an (m, n, n) array."""
 
     dim: int
-    operators: tuple[np.ndarray, ...]
-    ranks: tuple[int, ...]
+    operators: np.ndarray
 
     @property
     def num_outcomes(self) -> int:
         return len(self.operators)
 
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """Numeric rank of each operator, measured with one batched SVD."""
+        return tuple(linalg.numeric_rank(self.operators).tolist())
 
-def make_povm(operators, rank_tol: float = linalg.RANK_REL_TOL) -> Povm:
-    """Package operators into a Povm, measuring each operator's rank.
+
+def make_povm(operators) -> Povm:
+    """Stack square operators of one shape into a Povm.
 
     Only shapes are enforced here; completeness and positivity are verified
     separately so that broken candidate POVMs can still be inspected.
     """
-    ops = tuple(linalg.as_matrix(op) for op in operators)
+    ops = [linalg.as_matrix(op) for op in operators]
     if not ops:
         raise ValueError("a POVM needs at least one operator")
     dim = ops[0].shape[0]
@@ -45,46 +51,31 @@ def make_povm(operators, rank_tol: float = linalg.RANK_REL_TOL) -> Povm:
             raise DimMismatchError(
                 f"operator {k} has shape {op.shape}, expected ({dim}, {dim})"
             )
-    ranks = tuple(linalg.numeric_rank(np.stack(ops), rank_tol).tolist())
-    return Povm(dim=dim, operators=ops, ranks=ranks)
+    return Povm(dim=dim, operators=np.stack(ops))
 
 
 def compute_lsm(e: Ensemble) -> Povm:
     """Least-squares measurement of an ensemble.
 
-    Evaluated as written: the inverse square root of Psi Psi* applied to each
-    block psi_i, then the outer product. Raises ``SpanDeficientError`` when
-    the state eigenvectors do not span the space (Psi Psi* singular); use
-    :func:`qsd.ensemble.deflate` first in that case.
+    Raises ``SpanDeficientError`` when the states do not span the space
+    (rho_bar singular; use :func:`qsd.ensemble.deflate` first in that case)
+    and ``InvalidEnsembleError`` when the ensemble fails validation otherwise.
     """
-    report = validate(e)
-    if report.span_rank < e.dim:
-        raise SpanDeficientError(report.span_rank, e.dim)
-    if not report.passed:
-        raise ValueError("ensemble failed validation; run validate() for details")
-    return make_povm(_lsm_operators(e))
+    require_valid(e)
+    return make_povm(_lsm_operators(weighted_states(e)))
 
 
-def _lsm_operators(e: Ensemble) -> np.ndarray:
-    """The least-squares operators of a validated ensemble, stacked (m, n, n)."""
-    block = build_psi(e, factorize(e))
-    gram = linalg.hermitian_part(block.psi @ block.psi.conj().T)
-    try:
-        w = linalg.inv_sqrt_psd(gram)
-    except SingularMatrixError:
-        raise SpanDeficientError(linalg.numeric_rank(block.psi), e.dim) from None
-    ops = np.empty((e.num_states, e.dim, e.dim), dtype=np.complex128)
-    for i in range(e.num_states):
-        mu = w @ block.block(i)
-        np.matmul(mu, mu.conj().T, out=ops[i])
-    return linalg.hermitian_part(ops)
+def _lsm_operators(g: np.ndarray) -> np.ndarray:
+    """``rho_bar^{-1/2} G_i rho_bar^{-1/2}`` over the (m, n, n) stack ``g``
+    of weighted states of a validated ensemble (so rho_bar is invertible).
 
-
-def lsm_is_projective_expected(e: Ensemble) -> bool:
-    """Whether the least-squares measurement must come out projective.
-
-    True exactly when the ensemble is linearly independent; used to drive
-    conditional assertions in verification suites.
+    The scaling is done in the eigenbasis of rho_bar, where each diagonal
+    entry is divided by its eigenvalue exactly: orthogonal states get exact
+    projectors, which the product ``W G_i W`` with ``W = rho_bar^{-1/2}``
+    misses by a rounding of ``W`` squared.
     """
-    flag, _, _ = is_linearly_independent(e)
-    return flag
+    res, _ = span(g)
+    v, w = res.vectors, res.values
+    scaled = v.conj().T @ g @ v
+    scaled /= np.sqrt(np.outer(w, w))
+    return linalg.hermitian_part(v @ scaled @ v.conj().T)

@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import Ensemble, validate
+from .ensemble import Ensemble, require_valid, weighted_states
 from .errors import (
     CountMismatchError,
     DimMismatchError,
     NotBinaryError,
     SingularMatrixError,
-    SpanDeficientError,
 )
 from .lsm import Povm, _lsm_operators, make_povm
 
@@ -100,7 +99,7 @@ def prob_correct(e: Ensemble, p: Povm) -> float:
         raise CountMismatchError(
             f"{e.num_states} states vs {p.num_outcomes} outcomes"
         )
-    return _trace_sum(_weighted_states(e), np.stack(p.operators))
+    return _trace_sum(weighted_states(e), p.operators)
 
 
 def helstrom_binary(e: Ensemble) -> float:
@@ -135,11 +134,10 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
             f"{e.num_states} states vs {p.num_outcomes} outcomes"
         )
     x_hat = linalg.hermitian_part(x_hat)
-    g = _weighted_states(e)
-    ops = np.stack(p.operators)
+    g = weighted_states(e)
     dual = float(np.trace(x_hat).real)
-    gap = dual - _trace_sum(g, ops)
-    margins, slacks = _residuals(x_hat, g, ops, diff=g)
+    gap = dual - _trace_sum(g, p.operators)
+    margins, slacks = _residuals(x_hat, g, p.operators, diff=g)
     return Certificate(
         x_hat=x_hat,
         dual_value=dual,
@@ -147,11 +145,6 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
         feas_margins=tuple(margins.tolist()),
         slack_residuals=tuple(slacks.tolist()),
     )
-
-
-def _weighted_states(e: Ensemble) -> np.ndarray:
-    """The stack of herm(p_i rho_i), shape (m, n, n)."""
-    return linalg.hermitian_part(e.priors[:, None, None] * np.stack(e.rhos))
 
 
 def _trace_sum(g: np.ndarray, ops: np.ndarray) -> float:
@@ -244,17 +237,12 @@ def solve_optimal(
     ensembles, so a fixed point there) and runs the fixed-point ascent until
     the certificate passes at ``tol`` or the iteration budget runs out. On
     exhaustion the best iterate seen is returned with ``converged=False``
-    rather than raising; hard instances are diagnosed, not aborted.
+    rather than raising; hard instances are diagnosed, not aborted. An
+    ensemble that fails validation raises as in :func:`qsd.lsm.compute_lsm`.
     """
-    report = validate(e)
-    if report.span_rank < e.dim:
-        raise SpanDeficientError(report.span_rank, e.dim)
-    if not report.passed:
-        raise ValueError("ensemble failed validation; run validate() for details")
-
-    best, converged, iteration, history = _ascend(
-        _weighted_states(e), _lsm_operators(e), tol, max_iter
-    )
+    require_valid(e)
+    g = weighted_states(e)
+    best, converged, iteration, history = _ascend(g, _lsm_operators(g), tol, max_iter)
     ops_out, x_out, primal_out, dual_out, _ = best
     povm = make_povm(ops_out)
     cert = certify(e, povm, x_out, tol)

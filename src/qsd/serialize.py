@@ -23,26 +23,20 @@ def dumps(payload) -> str:
 
 
 def matrix_to_wire(m) -> list:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    # a complex128 is its (re, im) float64 pair in memory
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def matrix_from_wire(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ValueError("matrix must be a non-empty list of rows")
-    cols = None
-    rows = []
-    for row in data:
-        if not isinstance(row, list) or (cols is not None and len(row) != cols):
-            raise ValueError("matrix rows must be lists of equal length")
-        cols = len(row)
-        entries = []
-        for entry in row:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ValueError("matrix entries must be [re, im] pairs")
-            entries.append(complex(float(entry[0]), float(entry[1])))
-        rows.append(entries)
-    return np.array(rows, dtype=np.complex128)
+    # ragged rows raise ValueError here; null, strings and integers too large
+    # for int64 give a non-numeric dtype
+    a = np.array(data)
+    if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2:
+        raise ValueError("matrix must be equal-length rows of [re, im] number pairs")
+    return a.astype(np.float64, copy=False).view(np.complex128)[..., 0]
 
 
 def ensemble_to_wire(e: Ensemble) -> dict:
@@ -61,17 +55,19 @@ def ensemble_from_wire(data) -> Ensemble:
     try:
         dim = int(data["dim"])
         raw_states = data["states"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"ensemble document missing field: {exc}") from None
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"ensemble document has a missing or bad field: {exc}") from None
     if not isinstance(raw_states, list) or not raw_states:
         raise ValueError("ensemble states must be a non-empty list")
     states = []
     for entry in raw_states:
         if not isinstance(entry, dict) or "prior" not in entry or "rho" not in entry:
             raise ValueError("each state needs 'prior' and 'rho'")
-        states.append(
-            State(prior=float(entry["prior"]), rho=matrix_from_wire(entry["rho"]))
-        )
+        try:
+            prior = float(entry["prior"])
+        except (TypeError, OverflowError):
+            raise ValueError(f"prior must be a number, got {entry['prior']!r}") from None
+        states.append(State(prior=prior, rho=matrix_from_wire(entry["rho"])))
     return Ensemble(dim=dim, states=tuple(states))
 
 
@@ -88,8 +84,8 @@ def povm_from_wire(data) -> Povm:
     try:
         dim = int(data["dim"])
         raw_ops = data["operators"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"povm document missing field: {exc}") from None
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"povm document has a missing or bad field: {exc}") from None
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ValueError("povm operators must be a non-empty list")
     ops = [matrix_from_wire(op) for op in raw_ops]
@@ -120,8 +116,8 @@ def certificate_from_wire(data) -> Certificate:
             feas_margins=tuple(float(v) for v in data["feas_margins"]),
             slack_residuals=tuple(float(v) for v in data["slack_residuals"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"certificate document missing field: {exc}") from None
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"certificate document has a missing or bad field: {exc}") from None
 
 
 def validation_report_to_wire(r: ValidationReport) -> dict:
@@ -179,8 +175,8 @@ def sim_result_from_wire(data) -> SimResult:
             empirical_pd=float(data["empirical_pd"]),
             std_error=float(data["std_error"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"simulation document missing field: {exc}") from None
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"simulation document has a missing or bad field: {exc}") from None
 
 
 def diagnostics_to_wire(d: SolveDiagnostics) -> dict:
@@ -211,5 +207,5 @@ def solve_result_from_wire(data) -> tuple[Povm, Certificate, dict]:
             certificate_from_wire(data["certificate"]),
             dict(data["diagnostics"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"solve document missing field: {exc}") from None
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"solve document has a missing or bad field: {exc}") from None

@@ -15,7 +15,6 @@ import numpy as np
 from .ensemble import Ensemble
 from .errors import CountMismatchError, DimMismatchError
 from .lsm import Povm
-from .optimal import prob_correct
 
 # Entries at or above this are roundoff; anything more negative is an invalid
 # POVM, not noise.
@@ -52,15 +51,10 @@ def born_probabilities(e: Ensemble, p: Povm) -> ConfusionMatrix:
     """
     if e.dim != p.dim:
         raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
-    probs = np.empty((e.num_states, p.num_outcomes))
-    for i, s in enumerate(e.states):
-        for j, op in enumerate(p.operators):
-            probs[i, j] = float(np.trace(s.rho @ op).real)
+    probs = np.einsum("ikl,jlk->ij", np.stack(e.rhos), p.operators).real
     analytic = None
     if e.num_states == p.num_outcomes:
-        analytic = float(
-            sum(s.prior * probs[i, i] for i, s in enumerate(e.states))
-        )
+        analytic = float(e.priors @ np.diagonal(probs))
     return ConfusionMatrix(probs=probs, analytic_pd=analytic)
 
 
@@ -119,8 +113,3 @@ def simulate(e: Ensemble, p: Povm, trials: int, seed: int) -> SimResult:
         std_error=std_error,
     )
 
-
-def analytic_matches_prob_correct(e: Ensemble, p: Povm, tol: float = 1e-10) -> bool:
-    """Consistency check: the confusion diagonal reproduces prob_correct."""
-    cm = born_probabilities(e, p)
-    return abs(cm.analytic_pd - prob_correct(e, p)) <= tol

@@ -35,27 +35,17 @@ class PovmCheck:
 
 def check_povm(p: Povm, tol: float = 1e-8) -> PovmCheck:
     """Verify PSD-ness of each operator and that they sum to the identity."""
-    margins = []
-    ok = True
-    for op in p.operators:
-        if op.shape != (p.dim, p.dim):
-            raise DimMismatchError(f"operator shape {op.shape} != dim {p.dim}")
-        scale = 1 + linalg.maxabs(op)
-        w = np.linalg.eigvalsh(linalg.hermitian_part(op))
-        margins.append(float(w[0]))
-        if float(w[0]) < -tol * scale:
-            ok = False
-    total = np.zeros((p.dim, p.dim), dtype=np.complex128)
-    for op in p.operators:
-        total += op
-    completeness = linalg.maxabs(total - np.eye(p.dim))
-    if completeness > tol:
-        ok = False
+    ops = p.operators
+    if ops.shape[1:] != (p.dim, p.dim):
+        raise DimMismatchError(f"operator shape {ops.shape[1:]} != dim {p.dim}")
+    scale = 1 + np.abs(ops).max(axis=(1, 2))
+    margins = np.linalg.eigvalsh(linalg.hermitian_part(ops))[:, 0]
+    completeness = linalg.maxabs(ops.sum(axis=0) - np.eye(p.dim))
     return PovmCheck(
-        psd_margins=tuple(margins),
+        psd_margins=tuple(margins.tolist()),
         completeness_residual=completeness,
         tol=tol,
-        passed=ok,
+        passed=bool(np.all(margins >= -tol * scale)) and completeness <= tol,
     )
 
 
@@ -90,23 +80,19 @@ def is_projective(p: Povm, tol: float = 1e-6) -> VnmReport:
     pairwise residual ||Pi_i Pi_j|| (i != j) and the completeness residual
     are all within ``tol``.
     """
-    m = p.num_outcomes
-    idem = tuple(
-        linalg.maxabs(op @ op - op) for op in p.operators
-    )
-    orth = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                orth[i, j] = linalg.maxabs(p.operators[i] @ p.operators[j])
+    ops = p.operators
+    idem = np.abs(ops @ ops - ops).max(axis=(1, 2))
+    # row i is max|Pi_i Pi_j| over j; a product per row keeps memory at m n^2
+    orth = np.stack([np.abs(op @ ops).max(axis=(1, 2)) for op in ops])
+    np.fill_diagonal(orth, 0.0)
     completeness = check_povm(p, tol).completeness_residual
     verdict = (
-        all(r <= tol for r in idem)
+        bool(np.all(idem <= tol))
         and float(orth.max(initial=0.0)) <= tol
         and completeness <= tol
     )
     return VnmReport(
-        idempotency_residuals=idem,
+        idempotency_residuals=tuple(idem.tolist()),
         orthogonality_residuals=orth,
         completeness_residual=completeness,
         rank_pairs=None,
@@ -123,12 +109,11 @@ def rank_profile(e: Ensemble, p: Povm) -> tuple[RankPair, ...]:
         raise CountMismatchError(
             f"{e.num_states} states vs {p.num_outcomes} outcomes"
         )
-    pairs = []
-    for s, op in zip(e.states, p.operators):
-        r = linalg.numeric_rank(s.rho)
-        t = linalg.numeric_rank(op)
-        pairs.append(RankPair(state_rank=r, povm_rank=t, equal=t == r, bounded=t <= r))
-    return tuple(pairs)
+    state_ranks = linalg.numeric_rank(np.stack(e.rhos)).tolist()
+    return tuple(
+        RankPair(state_rank=r, povm_rank=t, equal=t == r, bounded=t <= r)
+        for r, t in zip(state_ranks, p.ranks)
+    )
 
 
 def vnm_report(e: Ensemble, p: Povm, tol: float = 1e-6) -> VnmReport:
@@ -150,12 +135,8 @@ def direct_sum_rank(p: Povm, eig_tol: float = RANGE_EIG_TOL) -> int:
     Equals the space dimension exactly when the operator ranges decompose the
     space as a direct sum.
     """
-    bases = []
-    for op in p.operators:
-        res = linalg.eig_hermitian(op)
-        keep = res.values > eig_tol
-        if np.any(keep):
-            bases.append(res.vectors[:, keep])
-    if not bases:
-        return 0
-    return linalg.numeric_rank(np.hstack(bases))
+    res = linalg.eig_hermitian(p.operators)
+    bases = np.concatenate(
+        [v[:, w > eig_tol] for w, v in zip(res.values, res.vectors)], axis=1
+    )
+    return linalg.numeric_rank(bases) if bases.size else 0

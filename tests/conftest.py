@@ -24,6 +24,15 @@ def pure_ensemble(priors, vectors) -> Ensemble:
     return Ensemble(dim=dim, states=states)
 
 
+def near_collinear_pair(eps) -> Ensemble:
+    """|0> and cos(eps)|0> + sin(eps)|1> with equal priors.
+
+    Independent on paper, but the smaller eigenvalue of rho_bar is about
+    eps**2 / 4 of the larger, below the span cut for eps <= 1e-5.
+    """
+    return pure_ensemble((0.5, 0.5), (ket(1, 0), ket(np.cos(eps), np.sin(eps))))
+
+
 @pytest.fixture
 def orthonormal_pair() -> Ensemble:
     return pure_ensemble((0.5, 0.5), (ket(1, 0), ket(0, 1)))

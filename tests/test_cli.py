@@ -5,9 +5,11 @@ import sys
 
 import numpy as np
 
-from conftest import ket, pure_ensemble
+import pytest
 
-from qsd import compute_lsm
+from conftest import ket, near_collinear_pair, pure_ensemble
+
+from qsd import compute_lsm, validate
 from qsd.cli import dispatch
 from qsd.serialize import (
     certificate_to_wire,
@@ -18,6 +20,7 @@ from qsd.serialize import (
     povm_to_wire,
     sim_result_from_wire,
     solve_result_from_wire,
+    validation_report_to_wire,
 )
 
 
@@ -138,6 +141,42 @@ def test_span_deficient_is_domain_failure(tmp_path):
     assert result.exit_code == 1
     wire = json.loads(result.stdout)
     assert wire["passed"] is False and wire["span_rank"] == 2
+
+
+@pytest.mark.parametrize("command", ["lsm", "solve"])
+def test_near_collinear_pair_fails_validation(tmp_path, command):
+    e = near_collinear_pair(1e-7)
+    e_path = write_json(tmp_path, "e.json", ensemble_to_wire(e))
+    result = dispatch([command, e_path])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout) == validation_report_to_wire(validate(e))
+    assert json.loads(result.stdout)["span_rank"] == 1
+    assert result.stderr == "ensemble failed validation"
+
+
+def test_solve_invalid_priors_reports_validation(tmp_path):
+    e = pure_ensemble((0.6, 0.6), (ket(1, 0), ket(0, 1)))
+    e_path = write_json(tmp_path, "e.json", ensemble_to_wire(e))
+    result = dispatch(["solve", e_path])
+    assert result.exit_code == 1
+    wire = json.loads(result.stdout)
+    assert wire["passed"] is False and wire["span_rank"] == 2
+
+
+def test_null_numbers_exit_two(tmp_path):
+    rho = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+    bad_rho = {"dim": 1, "states": [{"prior": 1.0, "rho": [[[None, 0]]]}]}
+    bad_prior = {"dim": 2, "states": [{"prior": None, "rho": rho}]}
+    for doc in (bad_rho, bad_prior):
+        for command in ("validate", "solve"):
+            result = dispatch([command, write_json(tmp_path, "e.json", doc)])
+            assert result.exit_code == 2, (command, doc)
+            assert result.stdout == "" and result.stderr.startswith("error:")
+    e_path, _, _, _ = ortho_pair_files(tmp_path)
+    bad_povm = {"dim": 2, "operators": [[[[None, 0], [0, 0]], [[0, 0], [0, 0]]], rho]}
+    result = dispatch(["pd", e_path, write_json(tmp_path, "p.json", bad_povm)])
+    assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr.startswith("error:")
 
 
 def test_unknown_command_exits_two():

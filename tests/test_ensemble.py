@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import ket, projector, pure_ensemble
+from conftest import ket, near_collinear_pair, projector, pure_ensemble
+from psi_route import build_psi, factorize
 
 from qsd import (
     BadPriorsError,
     BadRanksError,
     Ensemble,
     State,
-    build_psi,
     deflate,
-    factorize,
     inv_sqrt_psd,
     is_linearly_independent,
+    numeric_rank,
     random_ensemble,
-    selector,
     validate,
 )
 from qsd.linalg import maxabs
@@ -50,6 +49,33 @@ def test_validate_flags_span_deficiency():
     report = validate(e)
     assert not report.passed
     assert report.span_rank == 1
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_near_collinear_pair_is_span_deficient(eps):
+    # the singular values of hstack(rho_i) stay above their cut here; the
+    # span is decided on rho_bar, where the least-squares measurement needs it
+    e = near_collinear_pair(eps)
+    report = validate(e)
+    assert not report.passed
+    assert report.span_rank == 1
+    assert is_linearly_independent(e) == (False, 1, 2)
+    reduced, basis = deflate(e)
+    assert reduced.dim == 1 and basis.shape == (2, 1)
+    assert validate(reduced).passed
+
+
+def test_span_rank_agrees_with_hstack_rank():
+    rng = np.random.default_rng(404)
+    deficient = 0
+    for k in range(300):
+        n = int(rng.integers(2, 7))
+        ranks = [int(r) for r in rng.integers(1, n + 1, size=int(rng.integers(1, 8)))]
+        e = random_ensemble(n, ranks, seed=7000 + k)
+        span_rank = validate(e).span_rank
+        assert span_rank == numeric_rank(np.hstack(e.rhos))
+        deficient += span_rank < n
+    assert deficient > 0
 
 
 def test_factorize_rank_one():
@@ -115,38 +141,6 @@ def test_zero_prior_rejected_upstream():
     assert not validate(e).passed
     with pytest.raises(BadPriorsError):
         random_ensemble(2, (1, 1), priors=(1.0, 0.0), seed=0)
-
-
-def test_selector_shapes():
-    assert np.array_equal(selector(0, (1, 1)).real, [[1.0], [0.0]])
-    assert np.array_equal(selector(1, (2, 1)).real, [[0.0], [0.0], [1.0]])
-    got = selector(1, (1, 2)).real
-    expected = np.zeros((3, 2))
-    expected[1, 0] = 1.0
-    expected[2, 1] = 1.0
-    assert np.array_equal(got, expected)
-
-
-def test_selector_out_of_range():
-    with pytest.raises(IndexError):
-        selector(2, (1, 1))
-
-
-def test_selector_orthogonality():
-    ranks = (2, 1, 3)
-    for i in range(3):
-        for j in range(3):
-            prod = selector(i, ranks).conj().T @ selector(j, ranks)
-            expected = np.eye(ranks[i]) if i == j else np.zeros((ranks[i], ranks[j]))
-            assert np.array_equal(prod.real, expected)
-            assert maxabs(prod.imag) == 0.0
-
-
-def test_selector_picks_block(zero_plus):
-    f = factorize(zero_plus)
-    block = build_psi(zero_plus, f)
-    for i in range(2):
-        assert np.array_equal(block.psi @ selector(i, block.ranks), block.block(i))
 
 
 def test_random_ensemble_independent_qubits():

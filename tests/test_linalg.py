@@ -4,16 +4,13 @@ import pytest
 from qsd import (
     NonSquareError,
     NotHermitianError,
-    NotPsdError,
     SingularMatrixError,
     eig_hermitian,
     inv_sqrt_psd,
-    is_psd,
     numeric_rank,
-    sqrt_psd,
     trace_norm,
 )
-from qsd.linalg import hermitian_part, maxabs
+from qsd.linalg import hermitian_part, maxabs, psd_rank
 
 np_rng = np.random.default_rng(11)
 
@@ -72,46 +69,6 @@ def test_eig_reconstruction_random():
         assert maxabs(res.vectors.conj().T @ res.vectors - np.eye(n)) < 1e-10
 
 
-def test_is_psd_identity():
-    flag, min_eig = is_psd(np.eye(2), 1e-9)
-    assert flag and abs(min_eig - 1.0) < 1e-12
-
-
-def test_is_psd_negated_identity():
-    flag, min_eig = is_psd(-np.eye(2), 1e-9)
-    assert not flag and abs(min_eig + 1.0) < 1e-12
-
-
-def test_is_psd_indefinite():
-    flag, min_eig = is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-9)
-    assert not flag and abs(min_eig + 1.0) < 1e-12
-
-
-def test_sqrt_identity():
-    assert maxabs(sqrt_psd(np.eye(3)) - np.eye(3)) < 1e-12
-
-
-def test_sqrt_diagonal():
-    assert maxabs(sqrt_psd(np.diag([4.0, 9.0])) - np.diag([2.0, 3.0])) < 1e-12
-
-
-def test_sqrt_offdiagonal():
-    # eigenvalues 1 and 3: S = V diag(1, sqrt(3)) V*
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    s = sqrt_psd(m)
-    r3 = np.sqrt(3.0)
-    expected = np.array(
-        [[(r3 + 1) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (r3 + 1) / 2]]
-    )
-    assert maxabs(s - expected) < 1e-12
-    assert maxabs(s @ s - m) < 1e-10
-
-
-def test_sqrt_rejects_indefinite():
-    with pytest.raises(NotPsdError):
-        sqrt_psd(-np.eye(2))
-
-
 def test_inv_sqrt_identity():
     assert maxabs(inv_sqrt_psd(np.eye(2)) - np.eye(2)) < 1e-12
 
@@ -130,11 +87,34 @@ def test_sqrt_and_inv_sqrt_random():
     for _ in range(100):
         n = int(np_rng.integers(1, 7))
         m = rand_psd(n)
-        s = sqrt_psd(m)
-        assert maxabs(s @ s - m) <= 1e-8 * (1 + maxabs(m))
         m_pd = m + 0.1 * np.eye(n)  # bounded away from singular
         w = inv_sqrt_psd(m_pd)
         assert maxabs(w @ m_pd @ w - np.eye(n)) <= 1e-7
+
+
+def test_inv_sqrt_raises_exactly_below_full_psd_rank():
+    for w in ([1.0, 1e-9], [1.0, 1e-10], [1.0, 0.99e-10], [1.0, 0.0], [0.0, 0.0], [-1.0, -2.0]):
+        m = np.diag(w)
+        singular = psd_rank(np.sort(w)) < 2
+        assert singular == (min(w) < 1e-10 * max(w) or max(w) <= 0.0)
+        if singular:
+            with pytest.raises(SingularMatrixError):
+                inv_sqrt_psd(m)
+        else:
+            inv_sqrt_psd(m)
+
+
+def test_eig_hermitian_stack_matches_slices():
+    stack = np.stack([rand_hermitian(3) for _ in range(4)])
+    res = eig_hermitian(stack)
+    assert res.values.shape == (4, 3) and res.vectors.shape == (4, 3, 3)
+    for k in range(4):
+        one = eig_hermitian(stack[k])
+        assert np.array_equal(res.values[k], one.values)
+        assert np.array_equal(res.vectors[k], one.vectors)
+    stack[2, 0, 1] += 1.0
+    with pytest.raises(NotHermitianError):
+        eig_hermitian(stack)
 
 
 def test_numeric_rank_cases():

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import ket, projector, pure_ensemble, trine_vectors
+from conftest import ket, near_collinear_pair, projector, pure_ensemble, trine_vectors
+from psi_route import build_psi, factorize, psi_route_lsm
 
 from qsd import (
+    DimMismatchError,
+    InvalidEnsembleError,
     SpanDeficientError,
-    build_psi,
+    check_povm,
     compute_lsm,
-    factorize,
-    lsm_is_projective_expected,
+    is_linearly_independent,
+    is_projective,
+    make_povm,
     random_ensemble,
+    validate,
 )
 from qsd.linalg import maxabs
 
@@ -76,10 +81,11 @@ def test_lsm_completeness(trine, zero_plus):
 
 
 def test_lsm_projective_expected(orthonormal_pair, trine):
-    assert lsm_is_projective_expected(orthonormal_pair)
-    assert not lsm_is_projective_expected(trine)
+    # the least-squares measurement is projective exactly for independent states
     e = random_ensemble(4, (2, 1, 1), seed=5, require_independent=True)
-    assert lsm_is_projective_expected(e)
+    for ens, independent in ((orthonormal_pair, True), (trine, False), (e, True)):
+        assert is_linearly_independent(ens)[0] == independent
+        assert is_projective(compute_lsm(ens), 1e-7).is_von_neumann == independent
 
 
 def test_lsm_span_deficient():
@@ -129,3 +135,80 @@ def test_block_overlap_identity_for_independent():
                     assert maxabs(prod - np.eye(block.ranks[i])) <= 1e-8
                 else:
                     assert maxabs(prod) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_lsm_matches_psi_route_independent(n):
+    for k in range(3):
+        e = random_ensemble(n, (n // 4,) * 4, priors=(0.1, 0.2, 0.3, 0.4),
+                            seed=1900 + k, require_independent=True)
+        povm = compute_lsm(e)
+        for got, want in zip(povm.operators, psi_route_lsm(e)):
+            assert maxabs(got - want) <= 1e-12
+
+
+def test_lsm_matches_psi_route_dependent():
+    shapes = [(2, (1, 2, 1)), (3, (2, 2, 3)), (4, (3, 1, 2, 4)), (6, (2, 5, 3))]
+    for k in range(40):
+        dim, ranks = shapes[k % len(shapes)]
+        e = random_ensemble(dim, ranks, seed=2000 + k)
+        povm = compute_lsm(e)
+        for got, want in zip(povm.operators, psi_route_lsm(e)):
+            assert maxabs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_lsm_near_collinear_pair_is_span_deficient(eps):
+    with pytest.raises(SpanDeficientError) as exc_info:
+        compute_lsm(near_collinear_pair(eps))
+    err = exc_info.value
+    assert (err.span_rank, err.dim) == (1, 2)
+    assert err.report.span_rank == 1 and not err.report.passed
+
+
+def test_validated_ensembles_have_an_lsm():
+    # whatever validate passes has a least-squares measurement, and it is a
+    # POVM; near-collinear pure states probe the span cut from both sides
+    rng = np.random.default_rng(77)
+    passed = failed = 0
+    for k in range(300):
+        if k % 2:
+            n = int(rng.integers(2, 6))
+            ranks = [int(r) for r in rng.integers(1, n + 1, size=int(rng.integers(1, 6)))]
+            e = random_ensemble(n, ranks, seed=8000 + k)
+        else:
+            e = near_collinear_pair(10.0 ** rng.uniform(-7, -3))
+        if validate(e).passed:
+            passed += 1
+            assert check_povm(compute_lsm(e)).passed
+        else:
+            failed += 1
+    assert passed > 50 and failed > 50
+
+
+def test_lsm_invalid_ensemble_carries_report():
+    e = pure_ensemble((0.6, 0.6), (ket(1, 0), ket(0, 1)))
+    with pytest.raises(InvalidEnsembleError) as exc_info:
+        compute_lsm(e)
+    assert isinstance(exc_info.value, ValueError)
+    assert not isinstance(exc_info.value, SpanDeficientError)
+    report = exc_info.value.report
+    assert not report.passed and report.span_rank == 2
+    assert abs(report.prior_sum_deviation - 0.2) < 1e-12
+
+
+def test_make_povm_stacks_operators():
+    povm = make_povm([np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0])])
+    assert povm.operators.shape == (3, 2, 2)
+    assert povm.operators.dtype == np.complex128
+    assert povm.num_outcomes == 3
+    assert povm.ranks == (2, 0, 1)
+
+
+def test_make_povm_rejects_mixed_shapes():
+    with pytest.raises(DimMismatchError):
+        make_povm([np.eye(2), np.eye(3)])
+    with pytest.raises(DimMismatchError):
+        make_povm([np.zeros((2, 3))])
+    with pytest.raises(ValueError):
+        make_povm([])

@@ -46,11 +46,39 @@ def test_matrix_wire_shape():
         [[[1.0]]],
         [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
         "nope",
+        [[[None, 0]]],
+        [[[0, None]]],
+        [[[1.0, 0.0], None]],
+        [[["x", 0]]],
+        [[[{"re": 1}, 0]]],
+        [[[10**400, 0]]],
+        [[[1.0, 0.0, 0.0]]],
+        [[]],
     ],
 )
 def test_matrix_from_wire_rejects_malformed(bad):
     with pytest.raises(ValueError):
         matrix_from_wire(bad)
+
+
+def per_entry_matrix_to_wire(m):
+    """The encoder as one comprehension over entries: the oracle."""
+    a = np.asarray(m, dtype=np.complex128)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+
+
+def test_matrix_to_wire_bytes_match_per_entry_encoder():
+    tiny = 5e-324
+    special = np.array(
+        [[-0.0 + 0.0j, complex(0.0, -0.0), complex(tiny, -tiny)],
+         [complex(-0.0, -0.0), 2.2250738585072014e-308 + 1e-310j, 1 / 3 - 1j * np.pi]]
+    )
+    rng = np.random.default_rng(5)
+    rand = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    for m in (special, rand, rand.T, rand.real, np.eye(3, dtype=np.float32)):
+        assert dumps(matrix_to_wire(m)) == dumps(per_entry_matrix_to_wire(m))
+    assert "-0.0" in dumps(matrix_to_wire(special))
+    assert "5e-324" in dumps(matrix_to_wire(special))
 
 
 def test_ensemble_round_trip():
@@ -70,6 +98,15 @@ def test_ensemble_from_wire_rejects_malformed():
         ensemble_from_wire({"dim": 2, "states": [{"prior": 0.5}]})
     with pytest.raises(ValueError):
         ensemble_from_wire([1, 2, 3])
+    rho = matrix_to_wire(np.eye(2) / 2)
+    for bad_state in ({"prior": None, "rho": rho}, {"prior": [1.0], "rho": rho},
+                      {"prior": 1.0, "rho": [[[None, 0], [0, 0]], [[0, 0], [0.5, 0]]]}):
+        with pytest.raises(ValueError):
+            ensemble_from_wire({"dim": 2, "states": [bad_state]})
+    with pytest.raises(ValueError):
+        ensemble_from_wire({"dim": None, "states": [{"prior": 1.0, "rho": rho}]})
+    with pytest.raises(ValueError):
+        ensemble_from_wire({"dim": 1e400, "states": [{"prior": 1.0, "rho": rho}]})
 
 
 def test_povm_round_trip(zero_plus):
@@ -84,6 +121,8 @@ def test_povm_round_trip(zero_plus):
 def test_povm_from_wire_checks_dim():
     with pytest.raises(ValueError):
         povm_from_wire({"dim": 3, "operators": [matrix_to_wire(np.eye(2))]})
+    with pytest.raises(ValueError):
+        povm_from_wire({"dim": 1, "operators": [[[[None, 0]]]]})
 
 
 def test_certificate_round_trip(zero_plus):

@@ -8,6 +8,7 @@ from qsd import (
     compute_lsm,
     make_povm,
     prob_correct,
+    random_ensemble,
     simulate,
     solve_optimal,
 )
@@ -44,6 +45,18 @@ def test_born_zero_plus_lsm_diagonal(zero_plus):
     assert abs(cm.probs[0, 0] - ZERO_PLUS_OPTIMUM) < 1e-12
     assert abs(cm.probs[1, 1] - ZERO_PLUS_OPTIMUM) < 1e-12
     assert np.abs(cm.probs - cm.probs.T).max() < 1e-12
+
+
+def test_born_probabilities_match_trace_loop():
+    for k in range(5):
+        e = random_ensemble(3, (1, 2, 3, 2), priors=(0.1, 0.2, 0.3, 0.4), seed=3300 + k)
+        p = compute_lsm(e)
+        cm = born_probabilities(e, p)
+        for i, s in enumerate(e.states):
+            for j, op in enumerate(p.operators):
+                assert abs(cm.probs[i, j] - np.trace(s.rho @ op).real) <= 1e-14
+        diagonal = sum(s.prior * cm.probs[i, i] for i, s in enumerate(e.states))
+        assert abs(cm.analytic_pd - diagonal) <= 1e-14
 
 
 def test_analytic_pd_matches_prob_correct(trine):

@@ -10,11 +10,13 @@ from qsd import (
     direct_sum_rank,
     is_projective,
     make_povm,
+    numeric_rank,
     random_ensemble,
     rank_profile,
     solve_optimal,
     vnm_report,
 )
+from qsd.linalg import maxabs
 
 
 def test_check_povm_projector_pair(orthonormal_pair_povm):
@@ -111,3 +113,29 @@ def test_vnm_report_combines_rank_pairs(orthonormal_pair, orthonormal_pair_povm)
     report = vnm_report(orthonormal_pair, orthonormal_pair_povm, 1e-6)
     assert report.is_von_neumann
     assert report.rank_pairs == ((1, 1, True, True), (1, 1, True, True))
+
+
+def test_batched_checks_match_per_operator_loops():
+    # the checks written one operator at a time, as the formulas read
+    for k in range(6):
+        e = random_ensemble(4, (2, 3, 1, 2), seed=2700 + k)
+        p = compute_lsm(e)
+        ops = list(p.operators)
+        check = check_povm(p)
+        margins = [np.linalg.eigvalsh((op + op.conj().T) / 2)[0] for op in ops]
+        assert np.allclose(check.psd_margins, margins, rtol=0, atol=1e-14)
+        assert abs(check.completeness_residual - maxabs(sum(ops) - np.eye(4))) <= 1e-14
+        report = is_projective(p)
+        for i, a in enumerate(ops):
+            assert abs(report.idempotency_residuals[i] - maxabs(a @ a - a)) <= 1e-14
+            for j, b in enumerate(ops):
+                want = 0.0 if i == j else maxabs(a @ b)
+                assert abs(report.orthogonality_residuals[i, j] - want) <= 1e-14
+        pairs = rank_profile(e, p)
+        assert [pair.state_rank for pair in pairs] == [numeric_rank(s.rho) for s in e.states]
+        assert [pair.povm_rank for pair in pairs] == [numeric_rank(op) for op in ops]
+        bases = []
+        for op in ops:
+            w, v = np.linalg.eigh(op)
+            bases.append(v[:, w > 1e-8])
+        assert direct_sum_rank(p) == numeric_rank(np.hstack(bases))
