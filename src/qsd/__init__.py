@@ -5,7 +5,6 @@ on linearly independent ensembles.
 
 from .ensemble import (
     Ensemble,
-    State,
     ValidationReport,
     deflate,
     is_linearly_independent,
@@ -28,7 +27,6 @@ from .errors import (
 from .linalg import (
     EigResult,
     eig_hermitian,
-    inv_sqrt_psd,
     numeric_rank,
     trace_norm,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "SingularMatrixError",
     "SolveDiagnostics",
     "SpanDeficientError",
-    "State",
     "ValidationReport",
     "VnmReport",
     "born_probabilities",
@@ -87,7 +84,6 @@ __all__ = [
     "direct_sum_rank",
     "eig_hermitian",
     "helstrom_binary",
-    "inv_sqrt_psd",
     "is_linearly_independent",
     "is_projective",
     "make_povm",

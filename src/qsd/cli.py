@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -45,6 +46,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """A finite positive float; a tolerance of 0, inf or nan proves nothing."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return tol
+
+
+def _iteration_budget(text: str) -> int:
+    budget = int(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return budget
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qsd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,8 +82,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="optimal measurement with certificate")
     p.add_argument("ensemble")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--max-iter", type=_iteration_budget, default=10000)
     p.add_argument("--out")
     p.add_argument("--cert")
 
@@ -75,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("ensemble")
     p.add_argument("povm")
     p.add_argument("cert")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=_tolerance, default=1e-7)
 
     p = sub.add_parser("pd", help="probability of correct detection")
     p.add_argument("ensemble")
@@ -84,7 +100,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-vnm", help="Von Neumann structure report")
     p.add_argument("ensemble")
     p.add_argument("povm")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = sub.add_parser("simulate", help="Monte Carlo detection experiment")
     p.add_argument("ensemble")

@@ -29,52 +29,34 @@ PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class State:
-    """One ensemble member: a prior probability and a density operator."""
-
-    prior: float
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = linalg.as_matrix(self.rho)
-        if rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"density operator must be square, got {rho.shape}")
-        object.__setattr__(self, "prior", float(self.prior))
-        object.__setattr__(self, "rho", rho)
-
-
-@dataclass(frozen=True)
 class Ensemble:
-    """Immutable collection of states on an n-dimensional space."""
+    """Priors p_i and density operators rho_i of m states on an n-dimensional
+    space, stacked as float64 ``(m,)`` and complex128 ``(m, n, n)`` arrays.
 
-    dim: int
-    states: tuple[State, ...]
+    The constructor copies both into read-only arrays, so neither the caller's
+    arrays nor writes through ``e.priors`` or ``e.rhos`` can change it.
+    """
+
+    priors: np.ndarray
+    rhos: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "states", tuple(self.states))
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
-        if not self.states:
-            raise ValueError("ensemble needs at least one state")
-        for k, s in enumerate(self.states):
-            if s.rho.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"state {k} has shape {s.rho.shape}, expected "
-                    f"({self.dim}, {self.dim})"
-                )
+        rhos = linalg.square_stack(self.rhos)
+        priors = np.array(self.priors, dtype=np.float64)
+        if priors.shape != rhos.shape[:1]:
+            raise ValueError(f"got priors of shape {priors.shape} for {len(rhos)} states")
+        priors.flags.writeable = False
+        rhos.flags.writeable = False
+        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "rhos", rhos)
+
+    @property
+    def dim(self) -> int:
+        return self.rhos.shape[-1]
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
-
-    @property
-    def priors(self) -> np.ndarray:
-        return np.array([s.prior for s in self.states])
-
-    @property
-    def rhos(self) -> tuple[np.ndarray, ...]:
-        return tuple(s.rho for s in self.states)
+        return len(self.rhos)
 
 
 @dataclass(frozen=True)
@@ -93,7 +75,7 @@ class ValidationReport:
 
 def weighted_states(e: Ensemble) -> np.ndarray:
     """The stack of herm(p_i rho_i), shape (m, n, n); its sum is rho_bar."""
-    return linalg.hermitian_part(e.priors[:, None, None] * np.stack(e.rhos))
+    return linalg.hermitian_part(e.priors[:, None, None] * e.rhos)
 
 
 def span(g: np.ndarray) -> tuple[linalg.EigResult, int]:
@@ -101,8 +83,8 @@ def span(g: np.ndarray) -> tuple[linalg.EigResult, int]:
     and the dimension the states span.
 
     This is the package's one decision on whether the states span the space:
-    the rank of rho_bar by :func:`qsd.linalg.psd_rank`, which is also where
-    :func:`qsd.linalg.inv_sqrt_psd` stops inverting.
+    the rank of rho_bar by :func:`qsd.linalg.psd_rank`, which is also the
+    rank at which the least-squares measurement can invert rho_bar.
     """
     res = linalg.eig_hermitian(g.sum(axis=0))
     return res, linalg.psd_rank(res.values)
@@ -116,7 +98,7 @@ def validate(e: Ensemble) -> ValidationReport:
     trace (within tolerance), priors are positive and sum to one, and the
     states span the full space (``rho_bar`` has full rank).
     """
-    rhos = np.stack(e.rhos)
+    rhos = e.rhos
     scale = 1 + np.abs(rhos).max(axis=(1, 2))
     herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
     psd_margins = np.linalg.eigvalsh(linalg.hermitian_part(rhos))[:, 0]
@@ -167,7 +149,7 @@ def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
     two agree.
     """
     span_rank = span(weighted_states(e))[1]
-    total_rank = int(linalg.numeric_rank(np.stack(e.rhos)).sum())
+    total_rank = int(linalg.numeric_rank(e.rhos).sum())
     return span_rank == total_rank, span_rank, total_rank
 
 
@@ -249,13 +231,13 @@ def random_ensemble(
         for r in ranks:
             blocks.append(_complex_normal(rng, dim, r))
 
-    states = []
-    for prior, a in zip(p, blocks):
+    rhos = []
+    for a in blocks:
         rho = a @ a.conj().T
         rho = (rho + rho.conj().T) / 2
         rho /= float(np.trace(rho).real)
-        states.append(State(prior=prior, rho=rho))
-    return Ensemble(dim=dim, states=tuple(states))
+        rhos.append(rho)
+    return Ensemble(p, rhos)
 
 
 def deflate(e: Ensemble) -> tuple[Ensemble, np.ndarray]:
@@ -268,6 +250,5 @@ def deflate(e: Ensemble) -> tuple[Ensemble, np.ndarray]:
     """
     res, k = span(weighted_states(e))
     basis = res.vectors[:, ::-1][:, :k]
-    rhos = linalg.hermitian_part(basis.conj().T @ np.stack(e.rhos) @ basis)
-    states = tuple(State(prior=s.prior, rho=rho) for s, rho in zip(e.states, rhos))
-    return Ensemble(dim=k, states=states), basis
+    rhos = linalg.hermitian_part(basis.conj().T @ e.rhos @ basis)
+    return Ensemble(e.priors, rhos), basis

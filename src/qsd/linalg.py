@@ -1,5 +1,5 @@
-"""Dense complex Hermitian kernel: eigendecompositions, inverse square
-roots, numeric rank, trace norm.
+"""Dense complex Hermitian kernel: stacks of square matrices,
+eigendecompositions, numeric rank, trace norm.
 
 All operations are pure functions on numpy complex128 arrays. Dimensions in
 this problem family are tiny (a few hundred at most), so everything goes
@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonSquareError, NotHermitianError, SingularMatrixError
+from .errors import DimMismatchError, NonSquareError, NotHermitianError
 
 # Asymmetry above this (relative to maxabs) means corrupted input, not roundoff.
 HERMITIAN_ASYMMETRY_TOL = 1e-8
 RANK_REL_TOL = 1e-10
 # Eigenvalues of a PSD matrix below this fraction of the largest count as
-# zero, both for its rank and for whether it has an inverse square root.
+# zero for its rank.
 PSD_RANK_REL_TOL = 1e-10
 
 
@@ -36,6 +36,23 @@ def maxabs(m) -> float:
     """Largest entry magnitude; 0 for an empty array."""
     a = np.asarray(m)
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def square_stack(mats) -> np.ndarray:
+    """Copy a non-empty sequence of square matrices of one shape into a new
+    complex128 array of shape (m, n, n).
+
+    Raises ``DimMismatchError`` when the shapes differ or are not square and
+    ``ValueError`` when there is no matrix.
+    """
+    ms = [np.asarray(a, dtype=np.complex128) for a in mats]
+    if not ms:
+        raise ValueError("expected at least one matrix")
+    shape = ms[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ms):
+        shapes = sorted({a.shape for a in ms})
+        raise DimMismatchError(f"expected square matrices of one shape, got {shapes}")
+    return np.stack(ms)
 
 
 def _as_stack(m) -> np.ndarray:
@@ -106,23 +123,6 @@ def psd_rank(values, rank_tol: float = PSD_RANK_REL_TOL) -> int:
     if w_max <= 0.0:
         return 0
     return int(np.count_nonzero(values >= rank_tol * w_max))
-
-
-def inv_sqrt_psd(m, rank_tol: float = PSD_RANK_REL_TOL) -> np.ndarray:
-    """Hermitian inverse square root of a positive definite matrix.
-
-    Raises ``SingularMatrixError`` when :func:`psd_rank` at ``rank_tol`` is
-    below the dimension, i.e. the matrix is not safely invertible.
-    """
-    res = eig_hermitian(as_matrix(m))
-    w = res.values
-    if psd_rank(w, rank_tol) < len(w):
-        raise SingularMatrixError(
-            f"min eigenvalue {float(w[0]):.3e} below "
-            f"{rank_tol:.1e} * {float(w[-1]):.3e}"
-        )
-    v = res.vectors
-    return hermitian_part((v / np.sqrt(w)) @ v.conj().T)
 
 
 def numeric_rank(m, rel_tol: float = RANK_REL_TOL):

@@ -16,15 +16,18 @@ import numpy as np
 
 from . import linalg
 from .ensemble import Ensemble, require_valid, span, weighted_states
-from .errors import DimMismatchError
+from .errors import CountMismatchError, DimMismatchError
 
 
 @dataclass(frozen=True)
 class Povm:
     """PSD operators summing to the identity, stacked as an (m, n, n) array."""
 
-    dim: int
     operators: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[-1]
 
     @property
     def num_outcomes(self) -> int:
@@ -42,16 +45,16 @@ def make_povm(operators) -> Povm:
     Only shapes are enforced here; completeness and positivity are verified
     separately so that broken candidate POVMs can still be inspected.
     """
-    ops = [linalg.as_matrix(op) for op in operators]
-    if not ops:
-        raise ValueError("a POVM needs at least one operator")
-    dim = ops[0].shape[0]
-    for k, op in enumerate(ops):
-        if op.shape != (dim, dim):
-            raise DimMismatchError(
-                f"operator {k} has shape {op.shape}, expected ({dim}, {dim})"
-            )
-    return Povm(dim=dim, operators=np.stack(ops))
+    return Povm(linalg.square_stack(operators))
+
+
+def require_match(e: Ensemble, p: Povm) -> None:
+    """Raise unless the POVM acts on the ensemble's space with one outcome
+    per state: ``DimMismatchError`` or ``CountMismatchError``."""
+    if e.dim != p.dim:
+        raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
+    if e.num_states != p.num_outcomes:
+        raise CountMismatchError(f"{e.num_states} states vs {p.num_outcomes} outcomes")
 
 
 def compute_lsm(e: Ensemble) -> Povm:

@@ -30,13 +30,8 @@ import numpy as np
 
 from . import linalg
 from .ensemble import Ensemble, require_valid, weighted_states
-from .errors import (
-    CountMismatchError,
-    DimMismatchError,
-    NotBinaryError,
-    SingularMatrixError,
-)
-from .lsm import Povm, _lsm_operators, make_povm
+from .errors import DimMismatchError, NotBinaryError, SingularMatrixError
+from .lsm import Povm, _lsm_operators, make_povm, require_match
 
 # Lambda eigenvalues below this (relative to maxabs) get a 1e-12 identity
 # shift before inversion; guards rank-deficient iterates.
@@ -93,12 +88,7 @@ class SolveDiagnostics:
 
 def prob_correct(e: Ensemble, p: Povm) -> float:
     """Probability of correct detection: sum_i p_i Tr(rho_i Pi_i)."""
-    if e.dim != p.dim:
-        raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
-    if e.num_states != p.num_outcomes:
-        raise CountMismatchError(
-            f"{e.num_states} states vs {p.num_outcomes} outcomes"
-        )
+    require_match(e, p)
     return _trace_sum(weighted_states(e), p.operators)
 
 
@@ -110,8 +100,8 @@ def helstrom_binary(e: Ensemble) -> float:
     """
     if e.num_states != 2:
         raise NotBinaryError(f"need exactly 2 states, got {e.num_states}")
-    s1, s2 = e.states
-    delta = s1.prior * s1.rho - s2.prior * s2.rho
+    (p1, p2), (rho1, rho2) = e.priors, e.rhos
+    delta = p1 * rho1 - p2 * rho2
     return 0.5 * (1.0 + linalg.trace_norm(delta))
 
 
@@ -127,12 +117,7 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
         raise DimMismatchError(
             f"dual operator has shape {x_hat.shape}, expected ({e.dim}, {e.dim})"
         )
-    if e.dim != p.dim:
-        raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
-    if e.num_states != p.num_outcomes:
-        raise CountMismatchError(
-            f"{e.num_states} states vs {p.num_outcomes} outcomes"
-        )
+    require_match(e, p)
     x_hat = linalg.hermitian_part(x_hat)
     g = weighted_states(e)
     dual = float(np.trace(x_hat).real)
@@ -238,8 +223,12 @@ def solve_optimal(
     the certificate passes at ``tol`` or the iteration budget runs out. On
     exhaustion the best iterate seen is returned with ``converged=False``
     rather than raising; hard instances are diagnosed, not aborted. An
-    ensemble that fails validation raises as in :func:`qsd.lsm.compute_lsm`.
+    ensemble that fails validation raises as in :func:`qsd.lsm.compute_lsm`,
+    and ``ValueError`` is raised unless ``tol`` is finite and positive and
+    ``max_iter`` is not negative.
     """
+    if not 0.0 < tol < np.inf or max_iter < 0:
+        raise ValueError(f"need finite tol > 0 and max_iter >= 0, got {tol!r}, {max_iter!r}")
     require_valid(e)
     g = weighted_states(e)
     best, converged, iteration, history = _ascend(g, _lsm_operators(g), tol, max_iter)

@@ -2,16 +2,18 @@
 
 Matrices are row-major with every entry a two-element [re, im] array.
 Serialization goes through ``json.dumps``, whose shortest-repr float encoding
-round-trips IEEE doubles losslessly.
+round-trips IEEE doubles losslessly. Decoders accept only finite numbers in
+matrices and priors, and only a JSON integer as ``dim``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
-from .ensemble import Ensemble, State, ValidationReport
+from .ensemble import Ensemble, ValidationReport
 from .lsm import Povm, make_povm
 from .optimal import Certificate, SolveDiagnostics
 from .sim import SimResult
@@ -36,62 +38,67 @@ def matrix_from_wire(data) -> np.ndarray:
     a = np.array(data)
     if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2:
         raise ValueError("matrix must be equal-length rows of [re, im] number pairs")
-    return a.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a.view(np.complex128)[..., 0]
+
+
+def _prior_from_wire(x) -> float:
+    # bool is an int to Python but not a number on the wire; nan, the
+    # infinities and integers beyond the double range all fail the bound
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"prior must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _checked_dim(data, stack_dim: int) -> None:
+    """Check the document's declared ``dim`` against its matrices."""
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim must be a JSON integer, got {dim!r}")
+    if dim != stack_dim:
+        raise ValueError(f"declared dim {dim} != matrix dim {stack_dim}")
 
 
 def ensemble_to_wire(e: Ensemble) -> dict:
     return {
         "dim": e.dim,
         "states": [
-            {"prior": float(s.prior), "rho": matrix_to_wire(s.rho)}
-            for s in e.states
+            {"prior": prior, "rho": rho}
+            for prior, rho in zip(e.priors.tolist(), matrix_to_wire(e.rhos))
         ],
     }
 
 
 def ensemble_from_wire(data) -> Ensemble:
-    if not isinstance(data, dict):
-        raise ValueError("ensemble document must be a JSON object")
-    try:
-        dim = int(data["dim"])
-        raw_states = data["states"]
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"ensemble document has a missing or bad field: {exc}") from None
+    if not isinstance(data, dict) or "dim" not in data:
+        raise ValueError("ensemble document must be a JSON object with 'dim' and 'states'")
+    raw_states = data.get("states")
     if not isinstance(raw_states, list) or not raw_states:
         raise ValueError("ensemble states must be a non-empty list")
-    states = []
-    for entry in raw_states:
-        if not isinstance(entry, dict) or "prior" not in entry or "rho" not in entry:
-            raise ValueError("each state needs 'prior' and 'rho'")
-        try:
-            prior = float(entry["prior"])
-        except (TypeError, OverflowError):
-            raise ValueError(f"prior must be a number, got {entry['prior']!r}") from None
-        states.append(State(prior=prior, rho=matrix_from_wire(entry["rho"])))
-    return Ensemble(dim=dim, states=tuple(states))
+    if not all(isinstance(s, dict) and "prior" in s and "rho" in s for s in raw_states):
+        raise ValueError("each state needs 'prior' and 'rho'")
+    e = Ensemble(
+        [_prior_from_wire(s["prior"]) for s in raw_states],
+        [matrix_from_wire(s["rho"]) for s in raw_states],
+    )
+    _checked_dim(data, e.dim)
+    return e
 
 
 def povm_to_wire(p: Povm) -> dict:
-    return {
-        "dim": p.dim,
-        "operators": [matrix_to_wire(op) for op in p.operators],
-    }
+    return {"dim": p.dim, "operators": matrix_to_wire(p.operators)}
 
 
 def povm_from_wire(data) -> Povm:
-    if not isinstance(data, dict):
-        raise ValueError("povm document must be a JSON object")
-    try:
-        dim = int(data["dim"])
-        raw_ops = data["operators"]
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"povm document has a missing or bad field: {exc}") from None
+    if not isinstance(data, dict) or "dim" not in data:
+        raise ValueError("povm document must be a JSON object with 'dim' and 'operators'")
+    raw_ops = data.get("operators")
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ValueError("povm operators must be a non-empty list")
-    ops = [matrix_from_wire(op) for op in raw_ops]
-    p = make_povm(ops)
-    if p.dim != dim:
-        raise ValueError(f"declared dim {dim} != operator dim {p.dim}")
+    p = make_povm([matrix_from_wire(op) for op in raw_ops])
+    _checked_dim(data, p.dim)
     return p
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble
-from .errors import CountMismatchError, DimMismatchError
-from .lsm import Povm
+from .errors import DimMismatchError
+from .lsm import Povm, require_match
 
 # Entries at or above this are roundoff; anything more negative is an invalid
 # POVM, not noise.
@@ -51,7 +51,7 @@ def born_probabilities(e: Ensemble, p: Povm) -> ConfusionMatrix:
     """
     if e.dim != p.dim:
         raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
-    probs = np.einsum("ikl,jlk->ij", np.stack(e.rhos), p.operators).real
+    probs = np.einsum("ikl,jlk->ij", e.rhos, p.operators).real
     analytic = None
     if e.num_states == p.num_outcomes:
         analytic = float(e.priors @ np.diagonal(probs))
@@ -78,10 +78,7 @@ def simulate(e: Ensemble, p: Povm, trials: int, seed: int) -> SimResult:
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if e.num_states != p.num_outcomes:
-        raise CountMismatchError(
-            f"{e.num_states} states vs {p.num_outcomes} outcomes"
-        )
+    require_match(e, p)
     cm = born_probabilities(e, p)
     rows = _sampling_rows(cm.probs)
     m = rows.shape[0]

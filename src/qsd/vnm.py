@@ -8,15 +8,14 @@ the state ranks, and the direct-sum rank of the operator ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .ensemble import Ensemble
-from .errors import CountMismatchError, DimMismatchError
-from .lsm import Povm
+from .lsm import Povm, require_match
 
 # Projector spectra are bimodal (near 0 or 1), so an absolute eigenvalue cut
 # is safe for extracting range bases.
@@ -36,8 +35,6 @@ class PovmCheck:
 def check_povm(p: Povm, tol: float = 1e-8) -> PovmCheck:
     """Verify PSD-ness of each operator and that they sum to the identity."""
     ops = p.operators
-    if ops.shape[1:] != (p.dim, p.dim):
-        raise DimMismatchError(f"operator shape {ops.shape[1:]} != dim {p.dim}")
     scale = 1 + np.abs(ops).max(axis=(1, 2))
     margins = np.linalg.eigvalsh(linalg.hermitian_part(ops))[:, 0]
     completeness = linalg.maxabs(ops.sum(axis=0) - np.eye(p.dim))
@@ -103,13 +100,8 @@ def is_projective(p: Povm, tol: float = 1e-6) -> VnmReport:
 
 def rank_profile(e: Ensemble, p: Povm) -> tuple[RankPair, ...]:
     """Compare each measurement operator's rank against its state's rank."""
-    if e.dim != p.dim:
-        raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
-    if e.num_states != p.num_outcomes:
-        raise CountMismatchError(
-            f"{e.num_states} states vs {p.num_outcomes} outcomes"
-        )
-    state_ranks = linalg.numeric_rank(np.stack(e.rhos)).tolist()
+    require_match(e, p)
+    state_ranks = linalg.numeric_rank(e.rhos).tolist()
     return tuple(
         RankPair(state_rank=r, povm_rank=t, equal=t == r, bounded=t <= r)
         for r, t in zip(state_ranks, p.ranks)
@@ -118,15 +110,7 @@ def rank_profile(e: Ensemble, p: Povm) -> tuple[RankPair, ...]:
 
 def vnm_report(e: Ensemble, p: Povm, tol: float = 1e-6) -> VnmReport:
     """Full report: projectivity residuals plus the rank comparison."""
-    base = is_projective(p, tol)
-    return VnmReport(
-        idempotency_residuals=base.idempotency_residuals,
-        orthogonality_residuals=base.orthogonality_residuals,
-        completeness_residual=base.completeness_residual,
-        rank_pairs=rank_profile(e, p),
-        tol=tol,
-        is_von_neumann=base.is_von_neumann,
-    )
+    return replace(is_projective(p, tol), rank_pairs=rank_profile(e, p))
 
 
 def direct_sum_rank(p: Povm, eig_tol: float = RANGE_EIG_TOL) -> int:

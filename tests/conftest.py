@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsd import Ensemble, State, make_povm
+from qsd import Ensemble, make_povm
 
 
 def ket(*amplitudes) -> np.ndarray:
@@ -19,9 +19,7 @@ def projector(v) -> np.ndarray:
 
 
 def pure_ensemble(priors, vectors) -> Ensemble:
-    dim = len(vectors[0])
-    states = tuple(State(p, projector(v)) for p, v in zip(priors, vectors))
-    return Ensemble(dim=dim, states=states)
+    return Ensemble(priors, [projector(v) for v in vectors])
 
 
 def near_collinear_pair(eps) -> Ensemble:

@@ -7,7 +7,8 @@ for state i is ``mu_i mu_i*`` with ``mu_i = (Psi Psi*)^{-1/2} psi_i``
 (Eldar & Forney, "On quantum detection and the square-root measurement",
 2001). ``qsd`` computes the same operators from ``rho_bar = Psi Psi*``
 without any factorization; this route, taken as written, is what it is
-checked against.
+checked against, with :func:`inv_sqrt_psd` as the literal
+``W = rho_bar^{-1/2}``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsd import inv_sqrt_psd, numeric_rank
-from qsd.linalg import eig_hermitian, hermitian_part
+from qsd import SingularMatrixError, numeric_rank
+from qsd.linalg import PSD_RANK_REL_TOL, as_matrix, eig_hermitian, hermitian_part, psd_rank
+
+
+def inv_sqrt_psd(m, rank_tol: float = PSD_RANK_REL_TOL) -> np.ndarray:
+    """Hermitian inverse square root ``W`` of a positive definite matrix.
+
+    Raises ``SingularMatrixError`` when :func:`qsd.linalg.psd_rank` at
+    ``rank_tol`` is below the dimension, i.e. the matrix is not safely
+    invertible.
+    """
+    res = eig_hermitian(as_matrix(m))
+    w = res.values
+    if psd_rank(w, rank_tol) < len(w):
+        raise SingularMatrixError(
+            f"min eigenvalue {float(w[0]):.3e} below "
+            f"{rank_tol:.1e} * {float(w[-1]):.3e}"
+        )
+    v = res.vectors
+    return hermitian_part((v / np.sqrt(w)) @ v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -36,9 +55,9 @@ def factorize(e) -> Factorization:
     """Factor every density operator into scaled eigenvector columns."""
     factors = []
     ranks = []
-    for s in e.states:
-        r = numeric_rank(s.rho)
-        res = eig_hermitian(s.rho)
+    for rho in e.rhos:
+        r = numeric_rank(rho)
+        res = eig_hermitian(rho)
         # eigh is ascending; keep the top r eigenpairs, largest first
         idx = np.argsort(res.values)[::-1][:r]
         vals = np.clip(res.values[idx], 0.0, None)
@@ -66,7 +85,7 @@ class BlockMatrix:
 
 def build_psi(e, f: Factorization) -> BlockMatrix:
     """Assemble the n x (sum of ranks) block-column matrix."""
-    blocks = [np.sqrt(s.prior) * phi for s, phi in zip(e.states, f.factors)]
+    blocks = [np.sqrt(prior) * phi for prior, phi in zip(e.priors, f.factors)]
     offsets = tuple(int(o) for o in np.cumsum((0,) + f.ranks[:-1]))
     return BlockMatrix(psi=np.hstack(blocks), offsets=offsets, ranks=f.ranks)
 

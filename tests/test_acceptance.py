@@ -163,7 +163,7 @@ def test_criterion_2_lsm_is_von_neumann(independent_corpus):
                 target = povm.operators[i] if i == j else 0.0
                 resid = maxabs(povm.operators[i] @ povm.operators[j] - target)
                 assert resid <= 1e-7
-        f_ranks = tuple(numeric_rank(s.rho) for s in e.states)
+        f_ranks = tuple(numeric_rank(rho) for rho in e.rhos)
         assert tuple(numeric_rank(op) for op in povm.operators) == f_ranks
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

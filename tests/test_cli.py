@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -165,11 +166,22 @@ def test_solve_invalid_priors_reports_validation(tmp_path):
 
 def test_null_numbers_exit_two(tmp_path):
     rho = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
-    bad_rho = {"dim": 1, "states": [{"prior": 1.0, "rho": [[[None, 0]]]}]}
-    bad_prior = {"dim": 2, "states": [{"prior": None, "rho": rho}]}
-    for doc in (bad_rho, bad_prior):
+    nan_rho = [[[float("nan"), 0], [0, 0]], [[0, 0], [0.5, 0]]]
+    docs = [
+        {"dim": 1, "states": [{"prior": 1.0, "rho": [[[None, 0]]]}]},
+        {"dim": 2, "states": [{"prior": None, "rho": rho}]},
+        # NaN and Infinity are not JSON, and dim must be a JSON integer
+        {"dim": 2, "states": [{"prior": 1.0, "rho": nan_rho}]},
+        {"dim": 2, "states": [{"prior": float("inf"), "rho": rho}]},
+        {"dim": "2", "states": [{"prior": 1.0, "rho": rho}]},
+        {"dim": 2.9, "states": [{"prior": 1.0, "rho": rho}]},
+        {"dim": True, "states": [{"prior": 1.0, "rho": [[[1.0, 0]]]}]},
+    ]
+    for doc in docs:
         for command in ("validate", "solve"):
-            result = dispatch([command, write_json(tmp_path, "e.json", doc)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = dispatch([command, write_json(tmp_path, "e.json", doc)])
             assert result.exit_code == 2, (command, doc)
             assert result.stdout == "" and result.stderr.startswith("error:")
     e_path, _, _, _ = ortho_pair_files(tmp_path)
@@ -217,7 +229,7 @@ def test_gen_explicit_priors(tmp_path):
     )
     assert result.exit_code == 0
     e = ensemble_from_wire(json.loads(result.stdout))
-    assert e.states[0].prior == 0.25
+    assert e.priors[0] == 0.25
 
 
 def test_mismatched_inputs_exit_two(tmp_path):
@@ -237,3 +249,24 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"pd": 1.0}
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8", "-inf"])
+def test_tolerances_that_prove_nothing_exit_two(tmp_path, tol):
+    e_path, p_path, e, povm = ortho_pair_files(tmp_path)
+    from qsd import certify
+
+    c_path = write_json(tmp_path, "cert.json", certificate_to_wire(certify(e, povm, np.eye(2))))
+    for argv in (["solve", e_path], ["certify", e_path, p_path, c_path],
+                 ["check-vnm", e_path, p_path]):
+        result = dispatch(argv + ["--tol", tol])
+        assert result.exit_code == 2, argv
+        assert result.stdout == "" and "--tol" in result.stderr
+
+
+def test_negative_iteration_budget_exits_two(tmp_path):
+    e_path, _, _, _ = ortho_pair_files(tmp_path)
+    result = dispatch(["solve", e_path, "--max-iter", "-1"])
+    assert result.exit_code == 2
+    assert result.stdout == "" and "--max-iter" in result.stderr
+    assert dispatch(["solve", e_path, "--max-iter", "0"]).exit_code == 0

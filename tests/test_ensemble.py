@@ -1,16 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import ket, near_collinear_pair, projector, pure_ensemble
-from psi_route import build_psi, factorize
+from psi_route import build_psi, factorize, inv_sqrt_psd
 
 from qsd import (
     BadPriorsError,
     BadRanksError,
+    DimMismatchError,
     Ensemble,
-    State,
     deflate,
-    inv_sqrt_psd,
     is_linearly_independent,
     numeric_rank,
     random_ensemble,
@@ -37,7 +38,7 @@ def test_validate_flags_prior_sum():
 
 
 def test_validate_flags_trace():
-    e = Ensemble(2, (State(1.0, 2.0 * projector(ket(1, 0))),))
+    e = Ensemble([1.0], [2.0 * projector(ket(1, 0))])
     report = validate(e)
     assert not report.passed
     assert abs(report.trace_deviations[0] - 1.0) < 1e-12
@@ -84,11 +85,11 @@ def test_factorize_rank_one():
     assert f.ranks == (1,)
     phi = f.factors[0]
     assert phi.shape == (2, 1)
-    assert maxabs(phi @ phi.conj().T - e.states[0].rho) < 1e-12
+    assert maxabs(phi @ phi.conj().T - e.rhos[0]) < 1e-12
 
 
 def test_factorize_maximally_mixed():
-    e = Ensemble(2, (State(1.0, np.eye(2, dtype=complex) / 2),))
+    e = Ensemble([1.0], [np.eye(2) / 2])
     f = factorize(e)
     assert f.ranks == (2,)
     phi = f.factors[0]
@@ -99,7 +100,7 @@ def test_factorize_maximally_mixed():
 
 
 def test_factorize_diagonal_mixed():
-    e = Ensemble(2, (State(1.0, np.diag([0.75, 0.25]).astype(complex)),))
+    e = Ensemble([1.0], [np.diag([0.75, 0.25])])
     f = factorize(e)
     phi = f.factors[0]
     assert f.ranks == (2,)
@@ -131,7 +132,7 @@ def test_build_psi_orthonormal_pair(orthonormal_pair):
 
 
 def test_build_psi_single_mixed_state():
-    e = Ensemble(2, (State(1.0, np.eye(2, dtype=complex) / 2),))
+    e = Ensemble([1.0], [np.eye(2) / 2])
     block = build_psi(e, factorize(e))
     assert maxabs(block.psi @ block.psi.conj().T - np.eye(2) / 2) < 1e-12
 
@@ -173,11 +174,8 @@ def test_random_ensemble_deterministic():
     a = random_ensemble(3, (2, 1), seed=42, require_independent=True)
     b = random_ensemble(3, (2, 1), seed=42, require_independent=True)
     c = random_ensemble(3, (2, 1), seed=43, require_independent=True)
-    for sa, sb in zip(a.states, b.states):
-        assert np.array_equal(sa.rho, sb.rho)
-    assert any(
-        maxabs(sa.rho - sc.rho) > 1e-3 for sa, sc in zip(a.states, c.states)
-    )
+    assert np.array_equal(a.rhos, b.rhos)
+    assert any(maxabs(ra - rc) > 1e-3 for ra, rc in zip(a.rhos, c.rhos))
 
 
 def test_uniform_priors_sum_exactly():
@@ -197,8 +195,8 @@ def test_random_independent_corpus_properties():
         flag, span, total = is_linearly_independent(e)
         assert flag and span == dim and total == dim
         f = factorize(e)
-        for s, phi in zip(e.states, f.factors):
-            assert maxabs(phi @ phi.conj().T - s.rho) <= 1e-9
+        for rho, phi in zip(e.rhos, f.factors):
+            assert maxabs(phi @ phi.conj().T - rho) <= 1e-9
 
 
 def test_psi_invertible_for_independent():
@@ -218,6 +216,74 @@ def test_deflate_reduces_to_spanned_subspace():
     assert basis.shape == (3, 2)
     assert validate(reduced).passed
     # deflation preserves pairwise overlaps
-    overlap = np.trace(e.states[0].rho @ e.states[1].rho).real
-    overlap_reduced = np.trace(reduced.states[0].rho @ reduced.states[1].rho).real
+    overlap = np.trace(e.rhos[0] @ e.rhos[1]).real
+    overlap_reduced = np.trace(reduced.rhos[0] @ reduced.rhos[1]).real
     assert abs(overlap - overlap_reduced) < 1e-12
+
+
+# SHA-256 of the priors' float64 bytes followed by the rhos' complex128 bytes,
+# captured before ensembles became stacks; the benchmark corpora are drawn
+# with this function, so a change here changes every corpus.
+RANDOM_ENSEMBLE_SHA256 = [
+    ((4, (2, 1, 1), "uniform", 7, True),
+     "6aedab5f39cf8e53807cb6e07c67ad631eeffc6462722b9ce3f7575e0ae0dd1e"),
+    ((6, (3, 3), (0.3, 0.7), 11, True),
+     "fc28439e6bfa09ca87f6f1ae54fadfa2af6c9ff38c0dc12dfedd941fd369d0fe"),
+    ((16, (4, 4, 4, 4), "uniform", 404, True),
+     "04327e585edd938959e1107db8fbc348aa87007f10e2bf09e72b4cda9ac356ff"),
+    ((3, (2, 1, 3), "uniform", 5, False),
+     "4336de279fe20d630592b0f74e9302cf6fdec566a91cfc3e5e1953f9ad6f20f6"),
+    ((5, (1, 2, 5, 3), (0.1, 0.2, 0.3, 0.4), 123, False),
+     "8d672d433a620539d47f531cc2f4d3c6c70221a1a6a2f5708035d00fd7f2eb3d"),
+    ((2, (1,) * 7, "uniform", 0, False),
+     "35a2cc7ff8800a0802f6edd77114b925ea8d086e959311b7132b6295449ee7cd"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", RANDOM_ENSEMBLE_SHA256,
+    ids=[f"{'independent' if a[4] else 'dependent'}-n{a[0]}-seed{a[3]}"
+         for a, _ in RANDOM_ENSEMBLE_SHA256],
+)
+def test_random_ensemble_bytes_are_pinned(args, digest):
+    dim, ranks, priors, seed, independent = args
+    e = random_ensemble(dim, ranks, priors=priors, seed=seed,
+                        require_independent=independent)
+    assert e.priors.dtype == np.float64 and e.rhos.dtype == np.complex128
+    h = hashlib.sha256(e.priors.tobytes())
+    h.update(e.rhos.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_ensemble_stacks_and_copies():
+    priors = np.array([0.25, 0.75])
+    rhos = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    e = Ensemble(priors, rhos)
+    assert e.dim == 2 and e.num_states == 2
+    assert e.priors.shape == (2,) and e.rhos.shape == (2, 2, 2)
+    # the caller's arrays are copied, not aliased
+    priors[0] = 0.5
+    rhos[0][0, 0] = 7.0
+    assert e.priors[0] == 0.25 and e.rhos[0, 0, 0] == 1.0
+    stack = np.stack(rhos)
+    assert not np.shares_memory(Ensemble(priors, stack).rhos, stack)
+    # and stored read-only
+    for arr in (e.priors, e.rhos):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_ensemble_rejects_bad_shapes():
+    rho = np.eye(2) / 2
+    with pytest.raises(ValueError):
+        Ensemble([0.5, 0.5], [rho])
+    with pytest.raises(ValueError):
+        Ensemble([[1.0]], [rho])
+    with pytest.raises(DimMismatchError):
+        Ensemble([0.5, 0.5], [rho, np.eye(3) / 3])
+    with pytest.raises(DimMismatchError):
+        Ensemble([1.0], [np.ones((2, 3))])
+    with pytest.raises(DimMismatchError):
+        Ensemble([1.0], [np.ones(2)])
+    with pytest.raises(ValueError):
+        Ensemble([], [])

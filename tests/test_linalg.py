@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from psi_route import inv_sqrt_psd
+
 from qsd import (
     NonSquareError,
     NotHermitianError,
     SingularMatrixError,
     eig_hermitian,
-    inv_sqrt_psd,
     numeric_rank,
     trace_norm,
 )

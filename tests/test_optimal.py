@@ -78,9 +78,9 @@ def test_helstrom_identical_states():
     rho = np.eye(2, dtype=complex) / 2
     e = pure_ensemble((0.7, 0.3), (ket(1, 0), ket(1, 0)))
     assert abs(helstrom_binary(e) - 0.7) < 1e-12
-    from qsd import Ensemble, State
+    from qsd import Ensemble
 
-    e2 = Ensemble(2, (State(0.7, rho), State(0.3, rho)))
+    e2 = Ensemble([0.7, 0.3], [rho, rho])
     assert abs(helstrom_binary(e2) - 0.7) < 1e-12
 
 
@@ -201,3 +201,16 @@ def test_not_converged_returns_best_iterate():
     # best iterate is still a near-POVM and carries meaningful diagnostics
     assert maxabs(sum(povm.operators) - np.eye(2)) < 1e-8
     assert not cert.optimal_at(1e-12)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-8, -np.inf])
+def test_solve_rejects_tolerances_that_prove_nothing(zero_plus, tol):
+    with pytest.raises(ValueError):
+        solve_optimal(zero_plus, tol=tol)
+
+
+def test_solve_rejects_negative_budget(zero_plus):
+    with pytest.raises(ValueError):
+        solve_optimal(zero_plus, max_iter=-1)
+    _, _, diag = solve_optimal(zero_plus, max_iter=0)
+    assert diag.iterations == 0

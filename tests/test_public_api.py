@@ -8,5 +8,5 @@ def test_public_api():
         assert getattr(qsd, name) is not None, name
     for gone in ("Factorization", "factorize", "BlockMatrix", "build_psi", "selector",
                  "NotConvergedError", "NotPsdError", "sqrt_psd", "is_psd",
-                 "lsm_is_projective_expected"):
+                 "lsm_is_projective_expected", "State", "inv_sqrt_psd"):
         assert not hasattr(qsd, gone), gone

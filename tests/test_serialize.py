@@ -54,6 +54,9 @@ def test_matrix_wire_shape():
         [[[10**400, 0]]],
         [[[1.0, 0.0, 0.0]]],
         [[]],
+        [[[float("nan"), 0.0]]],
+        [[[0.0, float("inf")]]],
+        [[[1.0, 0.0], [-float("inf"), 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
     ],
 )
 def test_matrix_from_wire_rejects_malformed(bad):
@@ -86,9 +89,8 @@ def test_ensemble_round_trip():
     wire = json.loads(dumps(ensemble_to_wire(e)))
     back = ensemble_from_wire(wire)
     assert back.dim == e.dim
-    for a, b in zip(e.states, back.states):
-        assert a.prior == b.prior
-        assert np.array_equal(a.rho, b.rho)
+    assert np.array_equal(back.priors, e.priors)
+    assert np.array_equal(back.rhos, e.rhos)
 
 
 def test_ensemble_from_wire_rejects_malformed():
@@ -107,6 +109,17 @@ def test_ensemble_from_wire_rejects_malformed():
         ensemble_from_wire({"dim": None, "states": [{"prior": 1.0, "rho": rho}]})
     with pytest.raises(ValueError):
         ensemble_from_wire({"dim": 1e400, "states": [{"prior": 1.0, "rho": rho}]})
+    for bad_prior in (float("nan"), float("inf"), -float("inf"), True, "1.0", 10**400):
+        with pytest.raises(ValueError):
+            ensemble_from_wire({"dim": 2, "states": [{"prior": bad_prior, "rho": rho}]})
+    # dim must be a JSON integer: no strings, floats or booleans
+    for bad_dim in ("2", 2.9, 2.0, True):
+        with pytest.raises(ValueError):
+            ensemble_from_wire({"dim": bad_dim, "states": [{"prior": 1.0, "rho": rho}]})
+    with pytest.raises(ValueError):
+        ensemble_from_wire({"dim": 3, "states": [{"prior": 1.0, "rho": rho}]})
+    one = {"dim": 1, "states": [{"prior": 1, "rho": [[[1, 0]]]}]}
+    assert ensemble_from_wire(one).priors.tolist() == [1.0]
 
 
 def test_povm_round_trip(zero_plus):
@@ -123,6 +136,12 @@ def test_povm_from_wire_checks_dim():
         povm_from_wire({"dim": 3, "operators": [matrix_to_wire(np.eye(2))]})
     with pytest.raises(ValueError):
         povm_from_wire({"dim": 1, "operators": [[[[None, 0]]]]})
+    with pytest.raises(ValueError):
+        povm_from_wire({"dim": 1, "operators": [[[[float("nan"), 0]]]]})
+    for bad_dim in ("1", 1.0, 1.5, True, None):
+        with pytest.raises(ValueError):
+            povm_from_wire({"dim": bad_dim, "operators": [[[[1.0, 0]]]]})
+    assert povm_from_wire({"dim": 1, "operators": [[[[1.0, 0]]]]}).dim == 1
 
 
 def test_certificate_round_trip(zero_plus):
@@ -178,5 +197,5 @@ def test_float_round_trip_through_json():
 def test_state_prior_survives_as_float():
     e = pure_ensemble((1 / 3, 2 / 3), (ket(1, 0), ket(0, 1)))
     back = ensemble_from_wire(json.loads(dumps(ensemble_to_wire(e))))
-    assert back.states[0].prior == 1 / 3
-    assert back.states[1].prior == 2 / 3
+    assert back.priors[0] == 1 / 3
+    assert back.priors[1] == 2 / 3

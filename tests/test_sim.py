@@ -52,10 +52,10 @@ def test_born_probabilities_match_trace_loop():
         e = random_ensemble(3, (1, 2, 3, 2), priors=(0.1, 0.2, 0.3, 0.4), seed=3300 + k)
         p = compute_lsm(e)
         cm = born_probabilities(e, p)
-        for i, s in enumerate(e.states):
+        for i, rho in enumerate(e.rhos):
             for j, op in enumerate(p.operators):
-                assert abs(cm.probs[i, j] - np.trace(s.rho @ op).real) <= 1e-14
-        diagonal = sum(s.prior * cm.probs[i, i] for i, s in enumerate(e.states))
+                assert abs(cm.probs[i, j] - np.trace(rho @ op).real) <= 1e-14
+        diagonal = sum(prior * cm.probs[i, i] for i, prior in enumerate(e.priors))
         assert abs(cm.analytic_pd - diagonal) <= 1e-14
 
 

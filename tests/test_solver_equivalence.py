@@ -20,11 +20,11 @@ def reference_certificate(e, ops, x_hat):
     x_hat = hermitian_part(x_hat)
     margins, slacks = [], []
     primal = 0.0
-    for s, op in zip(e.states, ops):
-        diff = x_hat - s.prior * s.rho
+    for prior, rho, op in zip(e.priors, e.rhos, ops):
+        diff = x_hat - prior * rho
         margins.append(float(np.linalg.eigvalsh(hermitian_part(diff))[0]))
         slacks.append(maxabs(diff @ op))
-        primal += s.prior * float(np.trace(s.rho @ op).real)
+        primal += prior * float(np.trace(rho @ op).real)
     dual = float(np.trace(x_hat).real)
     return margins, slacks, dual, dual - primal
 
@@ -36,7 +36,7 @@ def reference_solve(e, tol=1e-8, max_iter=10000):
     the iteration count, whether it converged, and the per-iteration
     (primal, dual, min margin, max slack) records.
     """
-    g = [hermitian_part(s.prior * s.rho) for s in e.states]
+    g = [hermitian_part(prior * rho) for prior, rho in zip(e.priors, e.rhos)]
     ops = [np.array(op) for op in compute_lsm(e).operators]
     history = []
     best_score = np.inf
@@ -49,8 +49,8 @@ def reference_solve(e, tol=1e-8, max_iter=10000):
             acc += gi @ pi
         x_hat = hermitian_part(acc)
         primal = 0.0
-        for s, pi in zip(e.states, ops):
-            primal += s.prior * float(np.trace(s.rho @ pi).real)
+        for prior, rho, pi in zip(e.priors, e.rhos, ops):
+            primal += prior * float(np.trace(rho @ pi).real)
         dual = float(np.trace(x_hat).real)
         min_margin = np.inf
         max_slack = 0.0

@@ -132,7 +132,7 @@ def test_batched_checks_match_per_operator_loops():
                 want = 0.0 if i == j else maxabs(a @ b)
                 assert abs(report.orthogonality_residuals[i, j] - want) <= 1e-14
         pairs = rank_profile(e, p)
-        assert [pair.state_rank for pair in pairs] == [numeric_rank(s.rho) for s in e.states]
+        assert [pair.state_rank for pair in pairs] == [numeric_rank(rho) for rho in e.rhos]
         assert [pair.povm_rank for pair in pairs] == [numeric_rank(op) for op in ops]
         bases = []
         for op in ops:
