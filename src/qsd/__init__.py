@@ -24,12 +24,7 @@ from .errors import (
     SingularMatrixError,
     SpanDeficientError,
 )
-from .linalg import (
-    EigResult,
-    eig_hermitian,
-    numeric_rank,
-    trace_norm,
-)
+from .linalg import eig_hermitian, trace_norm
 from .lsm import Povm, compute_lsm, make_povm
 from .optimal import (
     Certificate,
@@ -45,7 +40,6 @@ from .vnm import (
     RankPair,
     VnmReport,
     check_povm,
-    direct_sum_rank,
     is_projective,
     rank_profile,
     vnm_report,
@@ -60,7 +54,6 @@ __all__ = [
     "ConfusionMatrix",
     "CountMismatchError",
     "DimMismatchError",
-    "EigResult",
     "Ensemble",
     "InvalidEnsembleError",
     "NonSquareError",
@@ -81,13 +74,11 @@ __all__ = [
     "check_povm",
     "compute_lsm",
     "deflate",
-    "direct_sum_rank",
     "eig_hermitian",
     "helstrom_binary",
     "is_linearly_independent",
     "is_projective",
     "make_povm",
-    "numeric_rank",
     "prob_correct",
     "random_ensemble",
     "rank_profile",

@@ -112,8 +112,10 @@ def _build_parser() -> _Parser:
 
 
 def _read_document(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r").read()
-    return json.loads(text)
+    if path == "-":
+        return json.loads(sys.stdin.read())
+    with open(path) as fh:
+        return json.loads(fh.read())
 
 
 def _load_ensemble(path: str):

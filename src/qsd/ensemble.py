@@ -78,16 +78,17 @@ def weighted_states(e: Ensemble) -> np.ndarray:
     return linalg.hermitian_part(e.priors[:, None, None] * e.rhos)
 
 
-def span(g: np.ndarray) -> tuple[linalg.EigResult, int]:
-    """Eigendecomposition of rho_bar, the sum of the weighted states ``g``,
-    and the dimension the states span.
+def span(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenvalues and eigenvectors of rho_bar, the sum of the weighted
+    states ``g``, and the dimension the states span.
 
     This is the package's one decision on whether the states span the space:
-    the rank of rho_bar by :func:`qsd.linalg.psd_rank`, which is also the
-    rank at which the least-squares measurement can invert rho_bar.
+    the rank of rho_bar by :func:`qsd.linalg.spectrum_rank`, the rule every
+    rank in the package uses, which is also the rank at which the
+    least-squares measurement can invert rho_bar.
     """
-    res = linalg.eig_hermitian(g.sum(axis=0))
-    return res, linalg.psd_rank(res.values)
+    w, v = linalg.eig_hermitian(g.sum(axis=0))
+    return w, v, linalg.spectrum_rank(w)
 
 
 def validate(e: Ensemble) -> ValidationReport:
@@ -106,7 +107,7 @@ def validate(e: Ensemble) -> ValidationReport:
     priors = e.priors
     prior_sum_dev = abs(float(priors.sum()) - 1.0)
     min_prior = float(priors.min())
-    span_rank = span(weighted_states(e))[1]
+    span_rank = span(weighted_states(e))[2]
     ok = bool(
         np.all(herm_devs <= linalg.HERMITIAN_ASYMMETRY_TOL * scale)
         and np.all(psd_margins >= -PSD_TOL * scale)
@@ -148,8 +149,8 @@ def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
     and ``total_rank`` is the sum of state ranks; the flag is true iff the
     two agree.
     """
-    span_rank = span(weighted_states(e))[1]
-    total_rank = int(linalg.numeric_rank(e.rhos).sum())
+    span_rank = span(weighted_states(e))[2]
+    total_rank = int(linalg.psd_rank(e.rhos).sum())
     return span_rank == total_rank, span_rank, total_rank
 
 
@@ -199,7 +200,7 @@ def random_ensemble(
     U1 diag(s) U2* from two Haar-random unitaries and singular values drawn
     in [0.35, 1], so the state supports are generically non-orthogonal but
     linearly independent by construction (and well conditioned, keeping every
-    state's numeric rank exact); the ranks must then sum to ``dim``.
+    state's rank exact); the ranks must then sum to ``dim``.
 
     Deterministic for a fixed seed: the PRNG is numpy's PCG64 and the draw
     order is state-index major, matrix-entry minor, real part before
@@ -248,7 +249,7 @@ def deflate(e: Ensemble) -> tuple[Ensemble, np.ndarray]:
     (largest eigenvalue first), so each new density operator is
     ``B* rho B``. The identity deflation (k == n) is allowed and harmless.
     """
-    res, k = span(weighted_states(e))
-    basis = res.vectors[:, ::-1][:, :k]
+    _, v, k = span(weighted_states(e))
+    basis = v[:, ::-1][:, :k]
     rhos = linalg.hermitian_part(basis.conj().T @ e.rhos @ basis)
     return Ensemble(e.priors, rhos), basis

@@ -1,16 +1,14 @@
 """Dense complex Hermitian kernel: stacks of square matrices,
-eigendecompositions, numeric rank, trace norm.
+eigendecompositions, PSD rank, trace norm.
 
 All operations are pure functions on numpy complex128 arrays. Dimensions in
 this problem family are tiny (a few hundred at most), so everything goes
 through full dense decompositions. Tolerances are relative to (1 + max|entry|)
-or to the largest singular value, which keeps them meaningful for
+or to the largest eigenvalue, which keeps them meaningful for
 trace-normalized operators regardless of prior scaling.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +16,8 @@ from .errors import DimMismatchError, NonSquareError, NotHermitianError
 
 # Asymmetry above this (relative to maxabs) means corrupted input, not roundoff.
 HERMITIAN_ASYMMETRY_TOL = 1e-8
-RANK_REL_TOL = 1e-10
 # Eigenvalues of a PSD matrix below this fraction of the largest count as
-# zero for its rank.
+# zero for its rank. This is the package's one rank rule.
 PSD_RANK_REL_TOL = 1e-10
 
 
@@ -79,20 +76,10 @@ def hermitian_part(m, out=None) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
-
-    ``values`` are real and ascending; the columns of ``vectors`` are the
-    matching orthonormal eigenvectors.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_hermitian(m) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix or a stack (..., n, n).
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, vectors)`` of a Hermitian matrix or a
+    stack (..., n, n): the values real and ascending, the columns of
+    ``vectors`` the matching orthonormal eigenvectors.
 
     The input is symmetrized as (M + M*)/2 before decomposition, which removes
     accumulated roundoff asymmetry deterministically. Asymmetry beyond
@@ -109,35 +96,32 @@ def eig_hermitian(m) -> EigResult:
             f"asymmetry {float(asym.max()):.3e} exceeds "
             f"{HERMITIAN_ASYMMETRY_TOL:.0e} * maxabs"
         )
-    w, v = np.linalg.eigh((m + m_h) / 2)
-    return EigResult(values=w, vectors=v)
+    return np.linalg.eigh((m + m_h) / 2)
 
 
-def psd_rank(values, rank_tol: float = PSD_RANK_REL_TOL) -> int:
-    """Number of eigenvalues at or above ``rank_tol`` times the largest.
+def spectrum_rank(values):
+    """Number of positive eigenvalues at or above ``PSD_RANK_REL_TOL`` times
+    the largest, for ascending eigenvalues of shape (..., n).
 
-    ``values`` are the ascending eigenvalues of one Hermitian matrix. A
-    matrix whose largest eigenvalue is not positive has rank 0.
+    Requiring positive values keeps the rank of a subnormal matrix, whose cut
+    underflows to zero, from counting its zero eigenvalues. Values of shape
+    (n,) give an int, a stack an integer array.
     """
-    w_max = float(values[-1])
-    if w_max <= 0.0:
-        return 0
-    return int(np.count_nonzero(values >= rank_tol * w_max))
+    w = np.asarray(values)
+    ranks = np.count_nonzero((w >= PSD_RANK_REL_TOL * w[..., -1:]) & (w > 0.0), axis=-1)
+    return int(ranks) if w.ndim == 1 else ranks
 
 
-def numeric_rank(m, rel_tol: float = RANK_REL_TOL):
-    """Number of singular values above ``rel_tol`` times the largest one.
+def psd_rank(m):
+    """Rank of a PSD matrix, or of each in a stack (..., n, n): the
+    :func:`spectrum_rank` of its Hermitian part.
 
-    The zero matrix has rank 0. A stack of shape (..., n, k) takes one SVD
-    call and gives an integer array with the rank of each matrix.
+    Only positive eigenvalues count, so a Hermitian matrix that is not PSD
+    gets the rank of its positive part.
     """
-    a = _as_stack(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    ranks = np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
-    return int(ranks) if a.ndim == 2 else ranks
+    return spectrum_rank(np.linalg.eigvalsh(hermitian_part(m)))
 
 
 def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    res = eig_hermitian(as_matrix(m))
-    return float(np.abs(res.values).sum())
+    return float(np.abs(eig_hermitian(as_matrix(m))[0]).sum())

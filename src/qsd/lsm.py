@@ -35,8 +35,8 @@ class Povm:
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        """Numeric rank of each operator, measured with one batched SVD."""
-        return tuple(linalg.numeric_rank(self.operators).tolist())
+        """Rank of each operator by :func:`qsd.linalg.psd_rank`."""
+        return tuple(linalg.psd_rank(self.operators).tolist())
 
 
 def make_povm(operators) -> Povm:
@@ -77,8 +77,7 @@ def _lsm_operators(g: np.ndarray) -> np.ndarray:
     projectors, which the product ``W G_i W`` with ``W = rho_bar^{-1/2}``
     misses by a rounding of ``W`` squared.
     """
-    res, _ = span(g)
-    v, w = res.vectors, res.values
+    w, v, _ = span(g)
     scaled = v.conj().T @ g @ v
     scaled /= np.sqrt(np.outer(w, w))
     return linalg.hermitian_part(v @ scaled @ v.conj().T)

@@ -2,8 +2,10 @@
 
 Matrices are row-major with every entry a two-element [re, im] array.
 Serialization goes through ``json.dumps``, whose shortest-repr float encoding
-round-trips IEEE doubles losslessly. Decoders accept only finite numbers in
-matrices and priors, and only a JSON integer as ``dim``.
+round-trips IEEE doubles losslessly. Decoders accept only finite JSON
+numbers where a number is meant and only JSON integers where an integer is
+meant (``dim``, simulation trials, seed and counts); booleans and strings are
+neither.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ def matrix_from_wire(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ValueError("matrix must be a non-empty list of rows")
     # ragged rows raise ValueError here; null, strings and integers too large
-    # for int64 give a non-numeric dtype
+    # for int64 give a non-numeric dtype, and all-boolean entries dtype bool
     a = np.array(data)
-    if a.dtype.kind not in "biuf" or a.ndim != 3 or a.shape[2] != 2:
+    if a.dtype.kind not in "iuf" or a.ndim != 3 or a.shape[2] != 2:
         raise ValueError("matrix must be equal-length rows of [re, im] number pairs")
     a = a.astype(np.float64, copy=False)
     if not np.isfinite(a).all():
@@ -44,19 +46,21 @@ def matrix_from_wire(data) -> np.ndarray:
     return a.view(np.complex128)[..., 0]
 
 
-def _prior_from_wire(x) -> float:
+def _number_from_wire(x, what: str, integer: bool = False):
+    """``x`` as a float, or as an int when ``integer``; raise ``ValueError``
+    unless it is a finite JSON number (a JSON integer when ``integer``)."""
     # bool is an int to Python but not a number on the wire; nan, the
     # infinities and integers beyond the double range all fail the bound
-    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
-        raise ValueError(f"prior must be a finite number, got {x!r}")
-    return float(x)
+    kinds = (int,) if integer else (int, float)
+    if type(x) not in kinds or not abs(x) <= sys.float_info.max:
+        kind = "JSON integer" if integer else "finite number"
+        raise ValueError(f"{what} must be a {kind}, got {x!r}")
+    return x if integer else float(x)
 
 
 def _checked_dim(data, stack_dim: int) -> None:
     """Check the document's declared ``dim`` against its matrices."""
-    dim = data["dim"]
-    if type(dim) is not int:
-        raise ValueError(f"dim must be a JSON integer, got {dim!r}")
+    dim = _number_from_wire(data["dim"], "dim", integer=True)
     if dim != stack_dim:
         raise ValueError(f"declared dim {dim} != matrix dim {stack_dim}")
 
@@ -80,7 +84,7 @@ def ensemble_from_wire(data) -> Ensemble:
     if not all(isinstance(s, dict) and "prior" in s and "rho" in s for s in raw_states):
         raise ValueError("each state needs 'prior' and 'rho'")
     e = Ensemble(
-        [_prior_from_wire(s["prior"]) for s in raw_states],
+        [_number_from_wire(s["prior"], "prior") for s in raw_states],
         [matrix_from_wire(s["rho"]) for s in raw_states],
     )
     _checked_dim(data, e.dim)
@@ -118,10 +122,12 @@ def certificate_from_wire(data) -> Certificate:
     try:
         return Certificate(
             x_hat=matrix_from_wire(data["x_hat"]),
-            dual_value=float(data["dual_value"]),
-            gap=float(data["gap"]),
-            feas_margins=tuple(float(v) for v in data["feas_margins"]),
-            slack_residuals=tuple(float(v) for v in data["slack_residuals"]),
+            dual_value=_number_from_wire(data["dual_value"], "dual_value"),
+            gap=_number_from_wire(data["gap"], "gap"),
+            feas_margins=tuple(_number_from_wire(v, "margin") for v in data["feas_margins"]),
+            slack_residuals=tuple(
+                _number_from_wire(v, "residual") for v in data["slack_residuals"]
+            ),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"certificate document has a missing or bad field: {exc}") from None
@@ -176,11 +182,15 @@ def sim_result_to_wire(r: SimResult) -> dict:
 def sim_result_from_wire(data) -> SimResult:
     try:
         return SimResult(
-            trials=int(data["trials"]),
-            seed=int(data["seed"]),
-            counts=np.array(data["counts"], dtype=np.int64),
-            empirical_pd=float(data["empirical_pd"]),
-            std_error=float(data["std_error"]),
+            trials=_number_from_wire(data["trials"], "trials", integer=True),
+            seed=_number_from_wire(data["seed"], "seed", integer=True),
+            counts=np.array(
+                [[_number_from_wire(v, "count", integer=True) for v in row]
+                 for row in data["counts"]],
+                dtype=np.int64,
+            ),
+            empirical_pd=_number_from_wire(data["empirical_pd"], "empirical_pd"),
+            std_error=_number_from_wire(data["std_error"], "std_error"),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"simulation document has a missing or bad field: {exc}") from None

@@ -2,8 +2,10 @@
 
 A POVM is a Von Neumann measurement when its operators are mutually
 orthogonal projections. These checks make that structural claim executable:
-idempotency and pairwise-orthogonality residuals, rank comparisons against
-the state ranks, and the direct-sum rank of the operator ranges.
+idempotency and pairwise-orthogonality residuals and rank comparisons against
+the state ranks. Ranks follow :func:`qsd.linalg.psd_rank`. For a linearly
+independent ensemble the optimal operators' ranks equal the state ranks and
+sum to the dimension.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from . import linalg
 from .ensemble import Ensemble
 from .lsm import Povm, require_match
 
-# Projector spectra are bimodal (near 0 or 1), so an absolute eigenvalue cut
-# is safe for extracting range bases.
-RANGE_EIG_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class PovmCheck:
@@ -32,12 +30,17 @@ class PovmCheck:
     passed: bool
 
 
+def _completeness_residual(p: Povm) -> float:
+    """Largest entry magnitude of sum_i Pi_i - I."""
+    return linalg.maxabs(p.operators.sum(axis=0) - np.eye(p.dim))
+
+
 def check_povm(p: Povm, tol: float = 1e-8) -> PovmCheck:
     """Verify PSD-ness of each operator and that they sum to the identity."""
     ops = p.operators
     scale = 1 + np.abs(ops).max(axis=(1, 2))
     margins = np.linalg.eigvalsh(linalg.hermitian_part(ops))[:, 0]
-    completeness = linalg.maxabs(ops.sum(axis=0) - np.eye(p.dim))
+    completeness = _completeness_residual(p)
     return PovmCheck(
         psd_margins=tuple(margins.tolist()),
         completeness_residual=completeness,
@@ -82,7 +85,7 @@ def is_projective(p: Povm, tol: float = 1e-6) -> VnmReport:
     # row i is max|Pi_i Pi_j| over j; a product per row keeps memory at m n^2
     orth = np.stack([np.abs(op @ ops).max(axis=(1, 2)) for op in ops])
     np.fill_diagonal(orth, 0.0)
-    completeness = check_povm(p, tol).completeness_residual
+    completeness = _completeness_residual(p)
     verdict = (
         bool(np.all(idem <= tol))
         and float(orth.max(initial=0.0)) <= tol
@@ -101,7 +104,7 @@ def is_projective(p: Povm, tol: float = 1e-6) -> VnmReport:
 def rank_profile(e: Ensemble, p: Povm) -> tuple[RankPair, ...]:
     """Compare each measurement operator's rank against its state's rank."""
     require_match(e, p)
-    state_ranks = linalg.numeric_rank(e.rhos).tolist()
+    state_ranks = linalg.psd_rank(e.rhos).tolist()
     return tuple(
         RankPair(state_rank=r, povm_rank=t, equal=t == r, bounded=t <= r)
         for r, t in zip(state_ranks, p.ranks)
@@ -111,16 +114,3 @@ def rank_profile(e: Ensemble, p: Povm) -> tuple[RankPair, ...]:
 def vnm_report(e: Ensemble, p: Povm, tol: float = 1e-6) -> VnmReport:
     """Full report: projectivity residuals plus the rank comparison."""
     return replace(is_projective(p, tol), rank_pairs=rank_profile(e, p))
-
-
-def direct_sum_rank(p: Povm, eig_tol: float = RANGE_EIG_TOL) -> int:
-    """Rank of the concatenated range bases of all operators.
-
-    Equals the space dimension exactly when the operator ranges decompose the
-    space as a direct sum.
-    """
-    res = linalg.eig_hermitian(p.operators)
-    bases = np.concatenate(
-        [v[:, w > eig_tol] for w, v in zip(res.values, res.vectors)], axis=1
-    )
-    return linalg.numeric_rank(bases) if bases.size else 0

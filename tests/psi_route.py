@@ -8,7 +8,8 @@ for state i is ``mu_i mu_i*`` with ``mu_i = (Psi Psi*)^{-1/2} psi_i``
 2001). ``qsd`` computes the same operators from ``rho_bar = Psi Psi*``
 without any factorization; this route, taken as written, is what it is
 checked against, with :func:`inv_sqrt_psd` as the literal
-``W = rho_bar^{-1/2}``.
+``W = rho_bar^{-1/2}`` and :func:`numeric_rank`, an SVD rank, as the
+independent check on the eigenvalue rank ``qsd`` uses.
 """
 
 from __future__ import annotations
@@ -17,25 +18,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsd import SingularMatrixError, numeric_rank
-from qsd.linalg import PSD_RANK_REL_TOL, as_matrix, eig_hermitian, hermitian_part, psd_rank
+from qsd import SingularMatrixError
+from qsd.linalg import PSD_RANK_REL_TOL, as_matrix, eig_hermitian, hermitian_part, spectrum_rank
+
+# Singular values at or below this fraction of the largest count as zero.
+RANK_REL_TOL = 1e-10
 
 
-def inv_sqrt_psd(m, rank_tol: float = PSD_RANK_REL_TOL) -> np.ndarray:
+def numeric_rank(m):
+    """Number of singular values above ``RANK_REL_TOL`` times the largest one.
+
+    The zero matrix has rank 0. A stack of shape (..., n, k) takes one SVD
+    call and gives an integer array with the rank of each matrix.
+    """
+    a = np.asarray(m, dtype=np.complex128)
+    s = np.linalg.svd(a, compute_uv=False)
+    ranks = np.count_nonzero(s > RANK_REL_TOL * s[..., :1], axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
+
+
+def inv_sqrt_psd(m) -> np.ndarray:
     """Hermitian inverse square root ``W`` of a positive definite matrix.
 
-    Raises ``SingularMatrixError`` when :func:`qsd.linalg.psd_rank` at
-    ``rank_tol`` is below the dimension, i.e. the matrix is not safely
-    invertible.
+    Raises ``SingularMatrixError`` when :func:`qsd.linalg.spectrum_rank` is
+    below the dimension, i.e. the matrix is not safely invertible.
     """
-    res = eig_hermitian(as_matrix(m))
-    w = res.values
-    if psd_rank(w, rank_tol) < len(w):
+    w, v = eig_hermitian(as_matrix(m))
+    if spectrum_rank(w) < len(w):
         raise SingularMatrixError(
             f"min eigenvalue {float(w[0]):.3e} below "
-            f"{rank_tol:.1e} * {float(w[-1]):.3e}"
+            f"{PSD_RANK_REL_TOL:.1e} * {float(w[-1]):.3e}"
         )
-    v = res.vectors
     return hermitian_part((v / np.sqrt(w)) @ v.conj().T)
 
 
@@ -57,11 +70,11 @@ def factorize(e) -> Factorization:
     ranks = []
     for rho in e.rhos:
         r = numeric_rank(rho)
-        res = eig_hermitian(rho)
+        w, v = eig_hermitian(rho)
         # eigh is ascending; keep the top r eigenpairs, largest first
-        idx = np.argsort(res.values)[::-1][:r]
-        vals = np.clip(res.values[idx], 0.0, None)
-        factors.append(res.vectors[:, idx] * np.sqrt(vals))
+        idx = np.argsort(w)[::-1][:r]
+        vals = np.clip(w[idx], 0.0, None)
+        factors.append(v[:, idx] * np.sqrt(vals))
         ranks.append(r)
     return Factorization(factors=tuple(factors), ranks=tuple(ranks))
 

@@ -176,6 +176,8 @@ def test_null_numbers_exit_two(tmp_path):
         {"dim": "2", "states": [{"prior": 1.0, "rho": rho}]},
         {"dim": 2.9, "states": [{"prior": 1.0, "rho": rho}]},
         {"dim": True, "states": [{"prior": 1.0, "rho": [[[1.0, 0]]]}]},
+        # booleans are not numbers
+        {"dim": 1, "states": [{"prior": 1.0, "rho": [[[True, False]]]}]},
     ]
     for doc in docs:
         for command in ("validate", "solve"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ket, near_collinear_pair, projector, pure_ensemble
-from psi_route import build_psi, factorize, inv_sqrt_psd
+from psi_route import build_psi, factorize, inv_sqrt_psd, numeric_rank
 
 from qsd import (
     BadPriorsError,
@@ -13,7 +13,6 @@ from qsd import (
     Ensemble,
     deflate,
     is_linearly_independent,
-    numeric_rank,
     random_ensemble,
     validate,
 )
@@ -75,6 +74,8 @@ def test_span_rank_agrees_with_hstack_rank():
         e = random_ensemble(n, ranks, seed=7000 + k)
         span_rank = validate(e).span_rank
         assert span_rank == numeric_rank(np.hstack(e.rhos))
+        total_rank = sum(numeric_rank(rho) for rho in e.rhos)
+        assert is_linearly_independent(e) == (span_rank == total_rank, span_rank, total_rank)
         deficient += span_rank < n
     assert deficient > 0
 

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from psi_route import inv_sqrt_psd
+from psi_route import inv_sqrt_psd, numeric_rank
 
 from qsd import (
     NonSquareError,
     NotHermitianError,
     SingularMatrixError,
     eig_hermitian,
-    numeric_rank,
     trace_norm,
 )
-from qsd.linalg import hermitian_part, maxabs, psd_rank
+from qsd.linalg import hermitian_part, maxabs, psd_rank, spectrum_rank
 
 np_rng = np.random.default_rng(11)
 
@@ -27,26 +26,26 @@ def rand_psd(n):
 
 
 def test_eig_identity():
-    res = eig_hermitian(np.eye(2))
-    assert np.allclose(res.values, [1.0, 1.0])
-    assert maxabs(res.vectors.conj().T @ res.vectors - np.eye(2)) < 1e-10
+    w, v = eig_hermitian(np.eye(2))
+    assert np.allclose(w, [1.0, 1.0])
+    assert maxabs(v.conj().T @ v - np.eye(2)) < 1e-10
 
 
 def test_eig_diagonal():
-    res = eig_hermitian(np.diag([3.0, -1.0]))
-    assert np.allclose(res.values, [-1.0, 3.0])
+    w, _ = eig_hermitian(np.diag([3.0, -1.0]))
+    assert np.allclose(w, [-1.0, 3.0])
 
 
 def test_eig_symmetric_offdiagonal():
     # characteristic polynomial of [[1,2],[2,1]] gives eigenvalues -1 and 3
     # with eigenvectors (1, -1)/sqrt(2) and (1, 1)/sqrt(2)
     m = np.array([[1.0, 2.0], [2.0, 1.0]])
-    res = eig_hermitian(m)
-    assert np.abs(res.values - np.array([-1.0, 3.0])).max() < 1e-12
+    w, v = eig_hermitian(m)
+    assert np.abs(w - np.array([-1.0, 3.0])).max() < 1e-12
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert abs(abs(minus @ res.vectors[:, 0]) - 1.0) < 1e-12
-    assert abs(abs(plus @ res.vectors[:, 1]) - 1.0) < 1e-12
+    assert abs(abs(minus @ v[:, 0]) - 1.0) < 1e-12
+    assert abs(abs(plus @ v[:, 1]) - 1.0) < 1e-12
 
 
 def test_eig_rejects_nonsquare():
@@ -63,11 +62,11 @@ def test_eig_reconstruction_random():
     for _ in range(100):
         n = int(np_rng.integers(1, 9))
         m = rand_hermitian(n)
-        res = eig_hermitian(m)
-        rebuilt = (res.vectors * res.values) @ res.vectors.conj().T
+        w, v = eig_hermitian(m)
+        rebuilt = (v * w) @ v.conj().T
         assert maxabs(m - rebuilt) <= 1e-9 * (1 + maxabs(m))
-        assert np.all(np.diff(res.values) >= 0)
-        assert maxabs(res.vectors.conj().T @ res.vectors - np.eye(n)) < 1e-10
+        assert np.all(np.diff(w) >= 0)
+        assert maxabs(v.conj().T @ v - np.eye(n)) < 1e-10
 
 
 def test_inv_sqrt_identity():
@@ -96,7 +95,7 @@ def test_sqrt_and_inv_sqrt_random():
 def test_inv_sqrt_raises_exactly_below_full_psd_rank():
     for w in ([1.0, 1e-9], [1.0, 1e-10], [1.0, 0.99e-10], [1.0, 0.0], [0.0, 0.0], [-1.0, -2.0]):
         m = np.diag(w)
-        singular = psd_rank(np.sort(w)) < 2
+        singular = psd_rank(np.diag(w)) < 2
         assert singular == (min(w) < 1e-10 * max(w) or max(w) <= 0.0)
         if singular:
             with pytest.raises(SingularMatrixError):
@@ -107,23 +106,29 @@ def test_inv_sqrt_raises_exactly_below_full_psd_rank():
 
 def test_eig_hermitian_stack_matches_slices():
     stack = np.stack([rand_hermitian(3) for _ in range(4)])
-    res = eig_hermitian(stack)
-    assert res.values.shape == (4, 3) and res.vectors.shape == (4, 3, 3)
+    w, v = eig_hermitian(stack)
+    assert w.shape == (4, 3) and v.shape == (4, 3, 3)
     for k in range(4):
-        one = eig_hermitian(stack[k])
-        assert np.array_equal(res.values[k], one.values)
-        assert np.array_equal(res.vectors[k], one.vectors)
+        w_k, v_k = eig_hermitian(stack[k])
+        assert np.array_equal(w[k], w_k)
+        assert np.array_equal(v[k], v_k)
     stack[2, 0, 1] += 1.0
     with pytest.raises(NotHermitianError):
         eig_hermitian(stack)
 
 
 def test_numeric_rank_cases():
-    assert numeric_rank(np.diag([1.0, 0.0])) == 1
-    assert numeric_rank(np.eye(3)) == 3
+    # psd_rank against the SVD rank of the oracle
     v = np.array([1.0, 1j]) / np.sqrt(2)
-    assert numeric_rank(np.outer(v, v.conj())) == 1
-    assert numeric_rank(np.zeros((3, 3))) == 0
+    for m, r in ((np.diag([1.0, 0.0]), 1), (np.eye(3), 3),
+                 (np.outer(v, v.conj()), 1), (np.zeros((3, 3)), 0)):
+        assert psd_rank(m) == numeric_rank(m) == r
+    # only positive eigenvalues count, at the same cut span uses
+    assert psd_rank(np.diag([1.0, 1e-10, 0.99e-10])) == 2
+    assert psd_rank(np.diag([1.0, -1.0])) == 1
+    assert psd_rank(-np.eye(2)) == 0
+    # a cut that underflows to zero must not count the zero eigenvalue
+    assert psd_rank(np.diag([5e-324, 0.0])) == numeric_rank(np.diag([5e-324, 0.0])) == 1
 
 
 def test_numeric_rank_matches_column_count():
@@ -132,7 +137,7 @@ def test_numeric_rank_matches_column_count():
         r = int(np_rng.integers(1, n + 1))
         a = np_rng.normal(size=(n, r)) + 1j * np_rng.normal(size=(n, r))
         q, _ = np.linalg.qr(a)
-        assert numeric_rank(q @ q.conj().T) == r
+        assert psd_rank(q @ q.conj().T) == numeric_rank(q @ q.conj().T) == r
 
 
 def test_trace_norm_cases():
@@ -179,5 +184,8 @@ def test_hermitian_part_stack_matches_slices():
 
 def test_numeric_rank_stack_matches_slices():
     stack = np.stack([np.diag([1.0, 0.0, 0.0]), np.eye(3), np.zeros((3, 3)), rand_psd(3)])
-    ranks = numeric_rank(stack)
-    assert ranks.tolist() == [numeric_rank(m) for m in stack] == [1, 3, 0, 3]
+    ranks = psd_rank(stack)
+    assert ranks.tolist() == [psd_rank(m) for m in stack] == [1, 3, 0, 3]
+    assert ranks.tolist() == numeric_rank(stack).tolist()
+    w = np.linalg.eigvalsh(stack)
+    assert spectrum_rank(w).tolist() == [spectrum_rank(row) for row in w] == [1, 3, 0, 3]

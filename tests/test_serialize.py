@@ -57,6 +57,7 @@ def test_matrix_wire_shape():
         [[[float("nan"), 0.0]]],
         [[[0.0, float("inf")]]],
         [[[1.0, 0.0], [-float("inf"), 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        [[[True, False]]],
     ],
 )
 def test_matrix_from_wire_rejects_malformed(bad):
@@ -157,6 +158,16 @@ def test_certificate_round_trip(zero_plus):
     # re-certifying from the wire copy reproduces the verdict
     recheck = certify(zero_plus, povm, back.x_hat)
     assert recheck.optimal_at(1e-7)
+    # every number field takes only a finite JSON number
+    for bad in ("1.5", True, float("nan"), float("inf"), None, [0.0]):
+        for key in ("dual_value", "gap"):
+            with pytest.raises(ValueError):
+                certificate_from_wire({**wire, key: bad})
+        for key in ("feas_margins", "slack_residuals"):
+            with pytest.raises(ValueError):
+                certificate_from_wire({**wire, key: [*wire[key][:-1], bad]})
+    with pytest.raises(ValueError):
+        certificate_from_wire({**wire, "feas_margins": 0.0})
 
 
 def test_sim_result_round_trip(zero_plus):
@@ -167,6 +178,21 @@ def test_sim_result_round_trip(zero_plus):
     assert np.array_equal(back.counts, res.counts)
     assert back.empirical_pd == res.empirical_pd
     assert back.std_error == res.std_error
+    # trials, seed and counts take only JSON integers; the rates finite numbers
+    for bad in ("1", True, 2.9, 2.0, float("nan"), None, 10**400):
+        for key in ("trials", "seed"):
+            with pytest.raises(ValueError):
+                sim_result_from_wire({**wire, key: bad})
+        counts = [list(row) for row in wire["counts"]]
+        counts[0][0] = bad
+        with pytest.raises(ValueError):
+            sim_result_from_wire({**wire, "counts": counts})
+    for bad in ("0.5", True, float("nan"), float("inf"), None):
+        for key in ("empirical_pd", "std_error"):
+            with pytest.raises(ValueError):
+                sim_result_from_wire({**wire, key: bad})
+    with pytest.raises(ValueError):
+        sim_result_from_wire({**wire, "counts": [[1, 2], [3]]})
 
 
 def test_solve_result_round_trip(zero_plus):

@@ -8,7 +8,9 @@ iterations, stop for the same reason and land on the same iterate.
 
 import numpy as np
 
-from qsd import certify, compute_lsm, numeric_rank, random_ensemble, solve_optimal
+from psi_route import numeric_rank
+
+from qsd import certify, compute_lsm, random_ensemble, solve_optimal
 from qsd.linalg import hermitian_part, maxabs
 from qsd.optimal import LAMBDA_FLOOR
 

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import projector, trine_vectors
+from psi_route import numeric_rank
 
 from qsd import (
     CountMismatchError,
     check_povm,
     compute_lsm,
-    direct_sum_rank,
     is_projective,
     make_povm,
-    numeric_rank,
     random_ensemble,
     rank_profile,
     solve_optimal,
@@ -95,7 +94,12 @@ def test_direct_sum_rank_of_optimal_measurements():
         e = random_ensemble(dim, ranks, seed=2200 + k, require_independent=True)
         povm, _, diag = solve_optimal(e)
         assert diag.converged
-        assert direct_sum_rank(povm) == dim
+        assert sum(povm.ranks) == dim
+    # the trine is a complete rank-one POVM in dimension 2 whose ranges
+    # are not a direct sum: its ranks add up to 3
+    trine = make_povm([projector(v) * 2 / 3 for v in trine_vectors()])
+    assert check_povm(trine).passed
+    assert sum(trine.ranks) == 3
 
 
 def test_pure_state_specialization_rank_one():
@@ -126,6 +130,7 @@ def test_batched_checks_match_per_operator_loops():
         assert np.allclose(check.psd_margins, margins, rtol=0, atol=1e-14)
         assert abs(check.completeness_residual - maxabs(sum(ops) - np.eye(4))) <= 1e-14
         report = is_projective(p)
+        assert report.completeness_residual == check.completeness_residual
         for i, a in enumerate(ops):
             assert abs(report.idempotency_residuals[i] - maxabs(a @ a - a)) <= 1e-14
             for j, b in enumerate(ops):
@@ -134,8 +139,3 @@ def test_batched_checks_match_per_operator_loops():
         pairs = rank_profile(e, p)
         assert [pair.state_rank for pair in pairs] == [numeric_rank(rho) for rho in e.rhos]
         assert [pair.povm_rank for pair in pairs] == [numeric_rank(op) for op in ops]
-        bases = []
-        for op in ops:
-            w, v = np.linalg.eigh(op)
-            bases.append(v[:, w > 1e-8])
-        assert direct_sum_rank(p) == numeric_rank(np.hstack(bases))
