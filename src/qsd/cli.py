@@ -180,7 +180,8 @@ def _cmd_solve(args):
         _write_json(args.cert, payload["certificate"])
     if diag.converged:
         return payload, 0, ""
-    return payload, 1, f"not converged after {diag.iterations} iterations"
+    note = f"not converged after {diag.iterations} iterations (certified gap {cert.gap:.3e})"
+    return payload, 1, note
 
 
 def _cmd_certify(args):

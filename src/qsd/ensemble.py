@@ -11,6 +11,7 @@ test corpora.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,9 +166,10 @@ def _resolve_priors(priors, m: int) -> tuple[float, ...]:
     vals = tuple(float(p) for p in priors)
     if len(vals) != m:
         raise BadPriorsError(f"got {len(vals)} priors for {m} states")
-    if any(p <= 0.0 for p in vals):
-        raise BadPriorsError("priors must be strictly positive")
-    if abs(sum(vals) - 1.0) > PRIOR_SUM_TOL:
+    # written so that nan fails both tests
+    if not all(0.0 < p < math.inf for p in vals):
+        raise BadPriorsError(f"priors must be finite and strictly positive, got {vals!r}")
+    if not abs(sum(vals) - 1.0) <= PRIOR_SUM_TOL:
         raise BadPriorsError(f"priors sum to {sum(vals)!r}, expected 1")
     return vals
 

@@ -11,15 +11,15 @@ The default solver is a completeness-preserving fixed-point ascent on the
 measurement operators: with G_i = p_i rho_i, form Lambda = sum_j G_j Pi_j G_j
 and update Pi_i <- Lambda^{-1/2} G_i Pi_i G_i Lambda^{-1/2}. The update keeps
 the operators PSD and summing to the identity by construction, and its fixed
-points satisfy the slackness conditions. Iteration stops once the certificate
-built from X = herm(sum_j G_j Pi_j) passes feasibility and slackness at the
-requested tolerance.
+points satisfy the slackness conditions. Each iterate carries the
+certificate built from X = herm(sum_j G_j Pi_j), and iteration stops once it
+passes feasibility and slackness at the requested tolerance.
 
 The weighted states G_i and the operators Pi_i are held as stacked
 ``(m, n, n)`` arrays, so each step of an iteration is one batched numpy call
-rather than a Python loop over the m operators. The certificate is still
-checked in full, at the requested tolerance, on every iteration, by the same
-routine that :func:`certify` uses.
+rather than a Python loop over the m operators. The certificate is checked
+in full on every iteration, by the same routines that :func:`certify` uses,
+and the solver returns the best iterate's own certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .ensemble import Ensemble, require_valid, weighted_states
 from .errors import DimMismatchError, NotBinaryError, SingularMatrixError
-from .lsm import Povm, _lsm_operators, make_povm, require_match
+from .lsm import Povm, _lsm_operators, require_match
 
 # Lambda eigenvalues below this (relative to maxabs) get a 1e-12 identity
 # shift before inversion; guards rank-deficient iterates.
@@ -46,6 +46,12 @@ class Certificate:
     (nonnegative means the dual constraint holds); ``slack_residuals[i]`` is
     the largest entry magnitude of ``(x_hat - p_i rho_i) Pi_i``. A feasible
     and slack certificate proves the measurement globally optimal.
+
+    ``dual_value`` is ``Tr(x_hat)``. ``gap`` is the certified gap
+    ``Tr(x_hat) + n t - P_d`` with ``t = max(0, -min feas_margins)``: since
+    ``x_hat + t I`` is dual feasible, no measurement beats the detection
+    probability ``P_d`` of the certified one by more than ``gap``, whatever
+    Hermitian ``x_hat`` is.
     """
 
     x_hat: np.ndarray
@@ -65,25 +71,10 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class IterateRecord:
-    """One solver iterate's certificate summary, for duality audits."""
-
-    iteration: int
-    primal_value: float
-    dual_value: float
-    gap: float
-    min_feas_margin: float
-    max_slack_residual: float
-
-
-@dataclass(frozen=True)
 class SolveDiagnostics:
     iterations: int
     primal_value: float
-    dual_value: float
-    gap: float
     converged: bool
-    history: tuple[IterateRecord, ...]
 
 
 def prob_correct(e: Ensemble, p: Povm) -> float:
@@ -120,13 +111,19 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
     require_match(e, p)
     x_hat = linalg.hermitian_part(x_hat)
     g = weighted_states(e)
+    primal = _trace_sum(g, p.operators)
+    return _certificate(x_hat, primal, *_residuals(x_hat, g, p.operators, diff=g))
+
+
+def _certificate(x_hat, primal: float, margins, slacks) -> Certificate:
+    """The certificate of Hermitian ``x_hat`` for a measurement of detection
+    probability ``primal``, from its margins and residuals."""
     dual = float(np.trace(x_hat).real)
-    gap = dual - _trace_sum(g, p.operators)
-    margins, slacks = _residuals(x_hat, g, p.operators, diff=g)
+    shift = max(0.0, -float(margins.min()))
     return Certificate(
         x_hat=x_hat,
         dual_value=dual,
-        gap=gap,
+        gap=dual + len(x_hat) * shift - primal,
         feas_margins=tuple(margins.tolist()),
         slack_residuals=tuple(slacks.tolist()),
     )
@@ -147,53 +144,22 @@ def _residuals(x_hat, g, ops, diff=None, prod=None):
     return margins, slacks
 
 
-def _ascend(g: np.ndarray, ops: np.ndarray, tol: float, max_iter: int):
-    """Fixed-point ascent from ``ops``: the best iterate as (operators, x_hat,
-    primal, dual, iteration), whether it converged, the iteration count and
-    the per-iteration records."""
+def _iterates(g: np.ndarray, ops: np.ndarray):
+    """Fixed-point ascent from ``ops``: yield every iterate, ``ops`` first, as
+    (operators, x_hat, primal, margins, slacks). Never stops on its own; a
+    yielded array is never written afterwards, so a consumer may keep it
+    without a copy."""
     # two (m, n, n) work buffers, reused by every iteration
     gp = np.empty_like(g)
     work = np.empty_like(g)
-
-    history: list[IterateRecord] = []
-    best_score = np.inf
-    best: tuple[np.ndarray, np.ndarray, float, float, int] | None = None
-    converged = False
-    iteration = 0
 
     while True:
         np.matmul(g, ops, out=gp)
         x_hat = linalg.hermitian_part(gp.sum(axis=0))
         lam = linalg.hermitian_part(np.matmul(gp, g, out=work).sum(axis=0))
         primal = _trace_sum(g, ops)
-        dual = float(np.trace(x_hat).real)
         margins, slacks = _residuals(x_hat, g, ops, gp, work)
-        min_margin = float(margins.min())
-        max_slack = float(slacks.max())
-
-        history.append(
-            IterateRecord(
-                iteration=iteration,
-                primal_value=primal,
-                dual_value=dual,
-                gap=dual - primal,
-                min_feas_margin=min_margin,
-                max_slack_residual=max_slack,
-            )
-        )
-
-        # an iterate is never written once made, so best keeps it without a copy
-        score = max(-min_margin, max_slack, 0.0)
-        if score < best_score:
-            best_score = score
-            best = (ops, x_hat, primal, dual, iteration)
-
-        if min_margin >= -tol and max_slack <= tol:
-            converged = True
-            best = (ops, x_hat, primal, dual, iteration)
-            break
-        if iteration >= max_iter:
-            break
+        yield ops, x_hat, primal, margins, slacks
 
         w, v = np.linalg.eigh(lam)
         if float(w[0]) < LAMBDA_FLOOR * linalg.maxabs(lam):
@@ -208,9 +174,6 @@ def _ascend(g: np.ndarray, ops: np.ndarray, tol: float, max_iter: int):
         update = np.matmul(work, gp.swapaxes(-1, -2))
         # the new iterate takes over the buffer gp, and the new array becomes gp
         ops, gp = linalg.hermitian_part(update, out=gp), update
-        iteration += 1
-
-    return best, converged, iteration, history
 
 
 def solve_optimal(
@@ -222,25 +185,26 @@ def solve_optimal(
     ensembles, so a fixed point there) and runs the fixed-point ascent until
     the certificate passes at ``tol`` or the iteration budget runs out. On
     exhaustion the best iterate seen is returned with ``converged=False``
-    rather than raising; hard instances are diagnosed, not aborted. An
-    ensemble that fails validation raises as in :func:`qsd.lsm.compute_lsm`,
-    and ``ValueError`` is raised unless ``tol`` is finite and positive and
-    ``max_iter`` is not negative.
+    rather than raising; hard instances are diagnosed, not aborted. Either
+    way the certificate returned is the one the returned iterate was judged
+    by. An ensemble that fails validation raises as in
+    :func:`qsd.lsm.compute_lsm`, and ``ValueError`` is raised unless ``tol``
+    is finite and positive and ``max_iter`` is not negative.
     """
     if not 0.0 < tol < np.inf or max_iter < 0:
         raise ValueError(f"need finite tol > 0 and max_iter >= 0, got {tol!r}, {max_iter!r}")
     require_valid(e)
     g = weighted_states(e)
-    best, converged, iteration, history = _ascend(g, _lsm_operators(g), tol, max_iter)
-    ops_out, x_out, primal_out, dual_out, _ = best
-    povm = make_povm(ops_out)
-    cert = certify(e, povm, x_out, tol)
-    diag = SolveDiagnostics(
-        iterations=iteration,
-        primal_value=primal_out,
-        dual_value=dual_out,
-        gap=dual_out - primal_out,
-        converged=converged,
-        history=tuple(history),
-    )
-    return povm, cert, diag
+    best_score = np.inf
+    for iteration, it in enumerate(_iterates(g, _lsm_operators(g))):
+        _, _, _, margins, slacks = it
+        min_margin, max_slack = float(margins.min()), float(slacks.max())
+        converged = min_margin >= -tol and max_slack <= tol
+        score = max(-min_margin, max_slack, 0.0)
+        if score < best_score or converged:
+            best_score, best = score, it
+        if converged or iteration >= max_iter:
+            break
+    ops, x_hat, primal, margins, slacks = best
+    diag = SolveDiagnostics(iterations=iteration, primal_value=primal, converged=converged)
+    return Povm(ops), _certificate(x_hat, primal, margins, slacks), diag

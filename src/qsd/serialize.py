@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +41,9 @@ def matrix_from_wire(data) -> np.ndarray:
     a = np.array(data)
     if a.dtype.kind not in "iuf" or a.ndim != 3 or a.shape[2] != 2:
         raise ValueError("matrix must be equal-length rows of [re, im] number pairs")
+    # a boolean among numbers takes their dtype, so check the entries' own types
+    if not set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= {int, float}:
+        raise ValueError("matrix entries must be JSON numbers, not booleans")
     a = a.astype(np.float64, copy=False)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -197,12 +201,9 @@ def sim_result_from_wire(data) -> SimResult:
 
 
 def diagnostics_to_wire(d: SolveDiagnostics) -> dict:
-    # Iterate history stays in-process; the wire form is the summary.
     return {
         "iterations": int(d.iterations),
         "primal_value": float(d.primal_value),
-        "dual_value": float(d.dual_value),
-        "gap": float(d.gap),
         "converged": bool(d.converged),
     }
 

@@ -106,8 +106,12 @@ def test_solve_not_converged_exits_one(tmp_path):
     e_path = write_json(tmp_path, "e.json", ensemble_to_wire(e))
     result = dispatch(["solve", e_path, "--max-iter", "1"])
     assert result.exit_code == 1
-    assert json.loads(result.stdout)["diagnostics"]["converged"] is False
-    assert "not converged" in result.stderr
+    wire = json.loads(result.stdout)
+    assert set(wire["diagnostics"]) == {"iterations", "primal_value", "converged"}
+    assert wire["diagnostics"]["converged"] is False
+    gap = wire["certificate"]["gap"]
+    assert gap > 0
+    assert result.stderr == f"not converged after 1 iterations (certified gap {gap:.3e})"
 
 
 def test_validate_failure_exits_one(tmp_path):
@@ -176,8 +180,9 @@ def test_null_numbers_exit_two(tmp_path):
         {"dim": "2", "states": [{"prior": 1.0, "rho": rho}]},
         {"dim": 2.9, "states": [{"prior": 1.0, "rho": rho}]},
         {"dim": True, "states": [{"prior": 1.0, "rho": [[[1.0, 0]]]}]},
-        # booleans are not numbers
+        # booleans are not numbers, alone or among numbers
         {"dim": 1, "states": [{"prior": 1.0, "rho": [[[True, False]]]}]},
+        {"dim": 1, "states": [{"prior": 1.0, "rho": [[[True, 0.0]]]}]},
     ]
     for doc in docs:
         for command in ("validate", "solve"):
@@ -222,6 +227,13 @@ def test_gen_bad_ranks_exits_two():
 def test_gen_bad_rank_format_exits_two():
     result = dispatch(["gen", "--dim", "2", "--ranks", "a,b", "--seed", "0"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("priors", ["nan,1", "1,nan", "inf,1"])
+def test_gen_non_finite_priors_exit_two(priors):
+    result = dispatch(["gen", "--dim", "2", "--ranks", "1,1", "--priors", priors, "--seed", "0"])
+    assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr.startswith("error:")
 
 
 def test_gen_explicit_priors(tmp_path):

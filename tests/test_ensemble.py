@@ -169,6 +169,11 @@ def test_random_ensemble_bad_priors():
         random_ensemble(2, (1, 1), priors=(0.7, 0.7), seed=0)
     with pytest.raises(BadPriorsError):
         random_ensemble(2, (1, 1), priors="weird", seed=0)
+    # nan fails every comparison, so it must be rejected, not let through
+    for bad in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
+                (0.5, float("inf")), (float("nan"),) * 2):
+        with pytest.raises(BadPriorsError):
+            random_ensemble(2, (1, 1), priors=bad, seed=0)
 
 
 def test_random_ensemble_deterministic():

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from qsd import (
     rank_profile,
     solve_optimal,
 )
-from qsd.linalg import maxabs
+from qsd.ensemble import weighted_states
+from qsd.linalg import PSD_RANK_REL_TOL, maxabs
+from qsd.optimal import _certificate, _iterates
 
 # 1/2 + sqrt(2)/4, the two-state optimum for |0>, |+> with equal priors
 ZERO_PLUS_OPTIMUM = 0.8535533905932737
@@ -162,9 +166,53 @@ def test_weak_duality_on_iterate_history():
     e = pure_ensemble((0.7, 0.3), (ket(1, 0), ket(1, 1)))
     povm, cert, diag = solve_optimal(e)
     assert diag.converged and diag.iterations > 0
-    for rec in diag.history:
-        assert rec.dual_value >= rec.primal_value - 1e-9
-    assert abs(diag.gap) <= 1e-7
+    optimum = helstrom_binary(e)
+    # every iterate's certificate bounds the optimum from above
+    iterates = _iterates(weighted_states(e), compute_lsm(e).operators)
+    for _, x_hat, primal, margins, slacks in islice(iterates, diag.iterations + 1):
+        assert primal <= optimum + 1e-12
+        assert primal + _certificate(x_hat, primal, margins, slacks).gap >= optimum - 1e-12
+    assert -1e-12 <= cert.gap <= e.dim * 1e-8
+    assert diag.primal_value + cert.gap >= optimum - 1e-12
+
+
+def test_certified_gap_bounds_the_optimum_for_any_hermitian_x():
+    rng = np.random.default_rng(5150)
+    for e in binary_corpus(20):
+        optimum = helstrom_binary(e)
+        for povm in (solve_optimal(e)[0], compute_lsm(e)):
+            pd = prob_correct(e, povm)
+            for scale in (0.01, 0.1, 1.0):
+                z = rng.standard_normal((e.dim, e.dim)) + 1j * rng.standard_normal((e.dim, e.dim))
+                x = scale * (z + z.conj().T) / 2
+                assert pd + certify(e, povm, x).gap >= optimum - 1e-12
+
+
+def geometrically_uniform(n, m, seed):
+    """m equiprobable pure states ``psi_i = U^i psi_0`` in dimension n, where
+    U has n distinct m-th roots of unity as eigenvalues, in a random basis."""
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.choice(m, size=n, replace=False) / m)
+    basis = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    psi0 = ket(*(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    vectors = np.array([basis @ (phases**i * psi0) for i in range(m)])
+    return pure_ensemble((1 / m,) * m, vectors), vectors
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 3), (3, 5), (4, 7)])
+def test_geometrically_uniform_states_match_closed_form(n, m):
+    # the least-squares measurement is optimal, with
+    # P_d = ((1/m) sum_k sqrt(lambda_k))^2 over the Gram matrix's eigenvalues
+    # (Ban, Kurokawa, Momose & Hirota 1997; Eldar & Forney 2001); eigenvalues
+    # at roundoff level, which m > n leaves, are dropped at the rank cut
+    e, kets = geometrically_uniform(n, m, seed=7000 + 10 * n + m)
+    lam = np.linalg.eigvalsh(kets.conj() @ kets.T)
+    lam = lam[lam >= PSD_RANK_REL_TOL * lam[-1]]
+    oracle = (np.sqrt(lam).sum() / m) ** 2
+    povm, cert, diag = solve_optimal(e)
+    assert diag.converged and diag.iterations == 0
+    assert abs(diag.primal_value - oracle) <= 1e-12
+    assert abs(prob_correct(e, compute_lsm(e)) - oracle) <= 1e-12
 
 
 def test_binary_agreement_sample():

@@ -58,6 +58,8 @@ def test_matrix_wire_shape():
         [[[0.0, float("inf")]]],
         [[[1.0, 0.0], [-float("inf"), 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         [[[True, False]]],
+        [[[True, 0.5]]],
+        [[[1, False]]],
     ],
 )
 def test_matrix_from_wire_rejects_malformed(bad):

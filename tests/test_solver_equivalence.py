@@ -2,23 +2,28 @@
 
 ``reference_solve`` and ``reference_certificate`` are the fixed-point loop
 and the certificate check written one operator at a time, as the formulas
-read. They are the oracle: the batched ``solve_optimal`` must take the same
-iterations, stop for the same reason and land on the same iterate.
+read. They are the oracle: the batched iterates of ``_iterates`` must match
+the reference's one by one, and ``solve_optimal`` must stop for the same
+reason and land on the same iterate.
 """
+
+from itertools import islice
 
 import numpy as np
 
 from psi_route import numeric_rank
 
 from qsd import certify, compute_lsm, random_ensemble, solve_optimal
+from qsd.ensemble import weighted_states
 from qsd.linalg import hermitian_part, maxabs
-from qsd.optimal import LAMBDA_FLOOR
+from qsd.optimal import LAMBDA_FLOOR, _iterates
 
 MAX_ITER = 300
 
 
 def reference_certificate(e, ops, x_hat):
-    """Per-operator margins, residuals, dual value and gap of ``x_hat``."""
+    """Per-operator margins, residuals, dual value and certified gap of
+    ``x_hat``: ``Tr X + n max(0, -min margin) - P_d``."""
     x_hat = hermitian_part(x_hat)
     margins, slacks = [], []
     primal = 0.0
@@ -28,7 +33,7 @@ def reference_certificate(e, ops, x_hat):
         slacks.append(maxabs(diff @ op))
         primal += prior * float(np.trace(rho @ op).real)
     dual = float(np.trace(x_hat).real)
-    return margins, slacks, dual, dual - primal
+    return margins, slacks, dual, dual + e.dim * max(0.0, -min(margins)) - primal
 
 
 def reference_solve(e, tol=1e-8, max_iter=10000):
@@ -121,17 +126,21 @@ def assert_matches_reference(e, max_iter):
     assert diag.iterations == iterations
     assert diag.converged == converged
     assert abs(diag.primal_value - primal) <= 1e-12
-    assert len(diag.history) == len(history)
-    for rec, (p, d, margin, slack) in zip(diag.history, history):
-        assert abs(rec.primal_value - p) <= 1e-12
-        assert abs(rec.dual_value - d) <= 1e-12
-        assert abs(rec.min_feas_margin - margin) <= 1e-10
-        assert abs(rec.max_slack_residual - slack) <= 1e-10
+    g = weighted_states(e)
+    iterates = list(islice(_iterates(g, compute_lsm(e).operators), len(history)))
+    assert len(iterates) == len(history)
+    for (_, x_k, p_k, margins_k, slacks_k), (p, d, margin, slack) in zip(iterates, history):
+        assert abs(p_k - p) <= 1e-12
+        assert abs(float(np.trace(x_k).real) - d) <= 1e-12
+        assert abs(float(margins_k.min()) - margin) <= 1e-10
+        assert abs(float(slacks_k.max()) - slack) <= 1e-10
     for got, want in zip(povm.operators, ops):
         assert maxabs(got - want) <= 1e-10
     margins, slacks, dual, gap = reference_certificate(e, ops, x_hat)
     assert np.allclose(cert.feas_margins, margins, rtol=0, atol=1e-10)
     assert np.allclose(cert.slack_residuals, slacks, rtol=0, atol=1e-10)
+    assert abs(cert.dual_value - dual) <= 1e-12
+    assert abs(cert.gap - gap) <= 1e-12
 
     # certify on the returned measurement follows the per-operator formula
     recheck = certify(e, povm, cert.x_hat)
