@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,8 @@ class Ensemble:
     space, stacked as float64 ``(m,)`` and complex128 ``(m, n, n)`` arrays.
 
     The constructor copies both into read-only arrays, so neither the caller's
-    arrays nor writes through ``e.priors`` or ``e.rhos`` can change it.
+    arrays nor writes through ``e.priors`` or ``e.rhos`` can change it. Derived
+    quantities wait for first use, so invalid input still reaches ``validate``.
     """
 
     priors: np.ndarray
@@ -47,7 +49,6 @@ class Ensemble:
         if priors.shape != rhos.shape[:1]:
             raise ValueError(f"got priors of shape {priors.shape} for {len(rhos)} states")
         priors.flags.writeable = False
-        rhos.flags.writeable = False
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "rhos", rhos)
 
@@ -58,6 +59,29 @@ class Ensemble:
     @property
     def num_states(self) -> int:
         return len(self.rhos)
+
+    @cached_property
+    def weighted_states(self) -> np.ndarray:
+        """Read-only stack of herm(p_i rho_i), shape (m, n, n); its sum is rho_bar."""
+        g = linalg.hermitian_part(self.priors[:, None, None] * self.rhos)
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def span(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Read-only eigenvalues and eigenvectors of rho_bar, and the dimension
+        the states span.
+
+        This is the package's one decision on whether the states span the space:
+        the rank of rho_bar by :func:`qsd.linalg.spectrum_rank`, the rule every
+        rank in the package uses, which is also the rank at which the
+        least-squares measurement can invert rho_bar. rho_bar, a sum of exactly
+        Hermitian matrices, is exactly Hermitian, so it needs no symmetrizing.
+        """
+        w, v = np.linalg.eigh(self.weighted_states.sum(axis=0))
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return w, v, linalg.spectrum_rank(w)
 
 
 @dataclass(frozen=True)
@@ -72,24 +96,6 @@ class ValidationReport:
     span_rank: int
     dim: int
     passed: bool
-
-
-def weighted_states(e: Ensemble) -> np.ndarray:
-    """The stack of herm(p_i rho_i), shape (m, n, n); its sum is rho_bar."""
-    return linalg.hermitian_part(e.priors[:, None, None] * e.rhos)
-
-
-def span(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenvalues and eigenvectors of rho_bar, the sum of the weighted
-    states ``g``, and the dimension the states span.
-
-    This is the package's one decision on whether the states span the space:
-    the rank of rho_bar by :func:`qsd.linalg.spectrum_rank`, the rule every
-    rank in the package uses, which is also the rank at which the
-    least-squares measurement can invert rho_bar.
-    """
-    w, v = linalg.eig_hermitian(g.sum(axis=0))
-    return w, v, linalg.spectrum_rank(w)
 
 
 def validate(e: Ensemble) -> ValidationReport:
@@ -108,7 +114,7 @@ def validate(e: Ensemble) -> ValidationReport:
     priors = e.priors
     prior_sum_dev = abs(float(priors.sum()) - 1.0)
     min_prior = float(priors.min())
-    span_rank = span(weighted_states(e))[2]
+    span_rank = e.span[2]
     ok = bool(
         np.all(herm_devs <= linalg.HERMITIAN_ASYMMETRY_TOL * scale)
         and np.all(psd_margins >= -PSD_TOL * scale)
@@ -150,7 +156,7 @@ def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
     and ``total_rank`` is the sum of state ranks; the flag is true iff the
     two agree.
     """
-    span_rank = span(weighted_states(e))[2]
+    span_rank = e.span[2]
     total_rank = int(linalg.psd_rank(e.rhos).sum())
     return span_rank == total_rank, span_rank, total_rank
 
@@ -202,7 +208,8 @@ def random_ensemble(
     U1 diag(s) U2* from two Haar-random unitaries and singular values drawn
     in [0.35, 1], so the state supports are generically non-orthogonal but
     linearly independent by construction (and well conditioned, keeping every
-    state's rank exact); the ranks must then sum to ``dim``.
+    state's rank exact); the ranks must then sum to ``dim``. Raises
+    ``BadRanksError`` unless ``dim >= 1`` and every rank lies in [1, dim].
 
     Deterministic for a fixed seed: the PRNG is numpy's PCG64 and the draw
     order is state-index major, matrix-entry minor, real part before
@@ -210,8 +217,8 @@ def random_ensemble(
     first unitary, then singular values, then second unitary).
     """
     ranks = tuple(int(r) for r in ranks)
-    if not ranks or any(r < 1 for r in ranks):
-        raise BadRanksError(f"ranks must all be >= 1, got {ranks}")
+    if not ranks or any(not 1 <= r <= dim for r in ranks):
+        raise BadRanksError(f"need dim >= 1 and every rank in [1, dim], got {dim}, {ranks}")
     if require_independent and sum(ranks) != dim:
         raise BadRanksError(
             f"independent ensembles need ranks summing to dim={dim}, "
@@ -246,12 +253,12 @@ def random_ensemble(
 def deflate(e: Ensemble) -> tuple[Ensemble, np.ndarray]:
     """Re-express an ensemble on the subspace its states actually span.
 
-    Returns the reduced ensemble together with the n x k orthonormal basis B
-    of the spanned subspace, the eigenvectors of rho_bar above the span cut
-    (largest eigenvalue first), so each new density operator is
+    Returns the reduced ensemble together with the read-only n x k orthonormal
+    basis B of the spanned subspace, the eigenvectors of rho_bar above the span
+    cut (largest eigenvalue first), so each new density operator is
     ``B* rho B``. The identity deflation (k == n) is allowed and harmless.
     """
-    _, v, k = span(weighted_states(e))
+    _, v, k = e.span
     basis = v[:, ::-1][:, :k]
     rhos = linalg.hermitian_part(basis.conj().T @ e.rhos @ basis)
     return Ensemble(e.priors, rhos), basis

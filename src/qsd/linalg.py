@@ -37,7 +37,7 @@ def maxabs(m) -> float:
 
 def square_stack(mats) -> np.ndarray:
     """Copy a non-empty sequence of square matrices of one shape into a new
-    complex128 array of shape (m, n, n).
+    read-only complex128 array of shape (m, n, n).
 
     Raises ``DimMismatchError`` when the shapes differ or are not square and
     ``ValueError`` when there is no matrix.
@@ -49,7 +49,9 @@ def square_stack(mats) -> np.ndarray:
     if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ms):
         shapes = sorted({a.shape for a in ms})
         raise DimMismatchError(f"expected square matrices of one shape, got {shapes}")
-    return np.stack(ms)
+    stack = np.stack(ms)
+    stack.flags.writeable = False
+    return stack
 
 
 def _as_stack(m) -> np.ndarray:
@@ -65,12 +67,11 @@ def _require_square(m: np.ndarray) -> None:
         raise NonSquareError(f"matrix is {m.shape[-2]}x{m.shape[-1]}")
 
 
-def hermitian_part(m, out=None) -> np.ndarray:
-    """Return (M + M*)/2, matrix by matrix for a stack of shape (..., n, n),
-    in ``out`` if given (complex128, same shape, not overlapping M)."""
+def hermitian_part(m) -> np.ndarray:
+    """Return (M + M*)/2, matrix by matrix for a stack of shape (..., n, n)."""
     m = _as_stack(m)
     _require_square(m)
-    h = np.conjugate(m.swapaxes(-1, -2), out=out, order="C")
+    h = np.conjugate(m.swapaxes(-1, -2), order="C")
     h += m
     h /= 2
     return h

@@ -15,15 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import Ensemble, require_valid, span, weighted_states
+from .ensemble import Ensemble, require_valid
 from .errors import CountMismatchError, DimMismatchError
 
 
 @dataclass(frozen=True)
 class Povm:
-    """PSD operators summing to the identity, stacked as an (m, n, n) array."""
+    """Square operators of one shape, copied into a read-only (m, n, n) stack;
+    other shapes raise ``DimMismatchError``. Completeness and positivity are
+    checked separately, so that broken candidate POVMs can still be inspected.
+    """
 
     operators: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "operators", linalg.square_stack(self.operators))
 
     @property
     def dim(self) -> int:
@@ -40,12 +46,8 @@ class Povm:
 
 
 def make_povm(operators) -> Povm:
-    """Stack square operators of one shape into a Povm.
-
-    Only shapes are enforced here; completeness and positivity are verified
-    separately so that broken candidate POVMs can still be inspected.
-    """
-    return Povm(linalg.square_stack(operators))
+    """The :class:`Povm` of the square operators ``operators``."""
+    return Povm(operators)
 
 
 def require_match(e: Ensemble, p: Povm) -> None:
@@ -65,19 +67,19 @@ def compute_lsm(e: Ensemble) -> Povm:
     and ``InvalidEnsembleError`` when the ensemble fails validation otherwise.
     """
     require_valid(e)
-    return make_povm(_lsm_operators(weighted_states(e)))
+    return make_povm(_lsm_operators(e))
 
 
-def _lsm_operators(g: np.ndarray) -> np.ndarray:
-    """``rho_bar^{-1/2} G_i rho_bar^{-1/2}`` over the (m, n, n) stack ``g``
-    of weighted states of a validated ensemble (so rho_bar is invertible).
+def _lsm_operators(e: Ensemble) -> np.ndarray:
+    """``rho_bar^{-1/2} G_i rho_bar^{-1/2}`` over the weighted states G_i of
+    a validated ensemble (so rho_bar is invertible).
 
     The scaling is done in the eigenbasis of rho_bar, where each diagonal
     entry is divided by its eigenvalue exactly: orthogonal states get exact
     projectors, which the product ``W G_i W`` with ``W = rho_bar^{-1/2}``
     misses by a rounding of ``W`` squared.
     """
-    w, v, _ = span(g)
-    scaled = v.conj().T @ g @ v
+    w, v, _ = e.span
+    scaled = v.conj().T @ e.weighted_states @ v
     scaled /= np.sqrt(np.outer(w, w))
     return linalg.hermitian_part(v @ scaled @ v.conj().T)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ensemble import Ensemble, require_valid, weighted_states
+from .ensemble import Ensemble, require_valid
 from .errors import DimMismatchError, NotBinaryError, SingularMatrixError
 from .lsm import Povm, _lsm_operators, require_match
 
@@ -80,7 +80,7 @@ class SolveDiagnostics:
 def prob_correct(e: Ensemble, p: Povm) -> float:
     """Probability of correct detection: sum_i p_i Tr(rho_i Pi_i)."""
     require_match(e, p)
-    return _trace_sum(weighted_states(e), p.operators)
+    return _trace_sum(e.weighted_states, p.operators)
 
 
 def helstrom_binary(e: Ensemble) -> float:
@@ -108,11 +108,9 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
         raise DimMismatchError(
             f"dual operator has shape {x_hat.shape}, expected ({e.dim}, {e.dim})"
         )
-    require_match(e, p)
     x_hat = linalg.hermitian_part(x_hat)
-    g = weighted_states(e)
-    primal = _trace_sum(g, p.operators)
-    return _certificate(x_hat, primal, *_residuals(x_hat, g, p.operators, diff=g))
+    primal = prob_correct(e, p)
+    return _certificate(x_hat, primal, *_residuals(x_hat, e.weighted_states, p.operators))
 
 
 def _certificate(x_hat, primal: float, margins, slacks) -> Certificate:
@@ -134,13 +132,12 @@ def _trace_sum(g: np.ndarray, ops: np.ndarray) -> float:
     return float(np.einsum("ijk,ikj->", g, ops).real)
 
 
-def _residuals(x_hat, g, ops, diff=None, prod=None):
+def _residuals(x_hat, g, ops):
     """Smallest eigenvalue of each x_hat - G_i and largest entry magnitude of
-    each (x_hat - G_i) Pi_i. ``diff`` and ``prod`` are optional (m, n, n)
-    output buffers; ``diff`` may be ``g`` itself, which is then overwritten."""
-    diff = np.subtract(x_hat, g, out=diff)
+    each (x_hat - G_i) Pi_i."""
+    diff = x_hat - g
     margins = np.linalg.eigvalsh(diff)[:, 0]
-    slacks = np.abs(np.matmul(diff, ops, out=prod)).max(axis=(1, 2))
+    slacks = np.abs(diff @ ops).max(axis=(1, 2))
     return margins, slacks
 
 
@@ -149,16 +146,12 @@ def _iterates(g: np.ndarray, ops: np.ndarray):
     (operators, x_hat, primal, margins, slacks). Never stops on its own; a
     yielded array is never written afterwards, so a consumer may keep it
     without a copy."""
-    # two (m, n, n) work buffers, reused by every iteration
-    gp = np.empty_like(g)
-    work = np.empty_like(g)
-
     while True:
-        np.matmul(g, ops, out=gp)
+        gp = g @ ops
         x_hat = linalg.hermitian_part(gp.sum(axis=0))
-        lam = linalg.hermitian_part(np.matmul(gp, g, out=work).sum(axis=0))
+        lam = linalg.hermitian_part((gp @ g).sum(axis=0))
         primal = _trace_sum(g, ops)
-        margins, slacks = _residuals(x_hat, g, ops, gp, work)
+        margins, slacks = _residuals(x_hat, g, ops)
         yield ops, x_hat, primal, margins, slacks
 
         w, v = np.linalg.eigh(lam)
@@ -167,13 +160,10 @@ def _iterates(g: np.ndarray, ops: np.ndarray):
         if float(w[0]) <= 0.0:
             raise SingularMatrixError("iteration map collapsed to a singular operator")
         s_inv = linalg.hermitian_part((v / np.sqrt(w)) @ v.conj().T)
-        np.matmul(s_inv, g, out=gp)
-        np.matmul(gp, ops, out=work)
-        # G_i S is (S G_i)*, as S and G_i are Hermitian
-        np.conj(gp, out=gp)
-        update = np.matmul(work, gp.swapaxes(-1, -2))
-        # the new iterate takes over the buffer gp, and the new array becomes gp
-        ops, gp = linalg.hermitian_part(update, out=gp), update
+        sg = s_inv @ g
+        # B Pi_i B* with B = S G_i, as G_i S = B*; unlike S (G_i Pi_i G_i) S, whose
+        # rounding |S|^2 amplifies, it keeps a projective Pi_i's null space
+        ops = linalg.hermitian_part(sg @ ops @ np.conj(sg).swapaxes(-1, -2))
 
 
 def solve_optimal(
@@ -194,9 +184,8 @@ def solve_optimal(
     if not 0.0 < tol < np.inf or max_iter < 0:
         raise ValueError(f"need finite tol > 0 and max_iter >= 0, got {tol!r}, {max_iter!r}")
     require_valid(e)
-    g = weighted_states(e)
     best_score = np.inf
-    for iteration, it in enumerate(_iterates(g, _lsm_operators(g))):
+    for iteration, it in enumerate(_iterates(e.weighted_states, _lsm_operators(e))):
         _, _, _, margins, slacks = it
         min_margin, max_slack = float(margins.min()), float(slacks.max())
         converged = min_margin >= -tol and max_slack <= tol

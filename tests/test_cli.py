@@ -222,6 +222,11 @@ def test_gen_bad_ranks_exits_two():
         ["gen", "--dim", "2", "--ranks", "1,1,1", "--seed", "0", "--independent"]
     )
     assert result.exit_code == 2
+    # a rank outside [1, dim], or no dimension at all, is no ensemble
+    for dim, ranks in (("0", "1"), ("2", "3,5")):
+        result = dispatch(["gen", "--dim", dim, "--ranks", ranks, "--seed", "0"])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "dim" in result.stderr
 
 
 def test_gen_bad_rank_format_exits_two():

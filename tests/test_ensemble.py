@@ -162,6 +162,9 @@ def test_random_ensemble_bad_ranks():
         random_ensemble(2, (1, 1, 1), seed=0, require_independent=True)
     with pytest.raises(BadRanksError):
         random_ensemble(2, (1, 0), seed=0)
+    for dim, ranks in ((0, (1,)), (2, (3, 5)), (2, (1, 3))):
+        with pytest.raises(BadRanksError, match=r"dim >= 1 and every rank in \[1, dim\]"):
+            random_ensemble(dim, ranks, seed=0)
 
 
 def test_random_ensemble_bad_priors():
@@ -273,8 +276,8 @@ def test_ensemble_stacks_and_copies():
     assert e.priors[0] == 0.25 and e.rhos[0, 0, 0] == 1.0
     stack = np.stack(rhos)
     assert not np.shares_memory(Ensemble(priors, stack).rhos, stack)
-    # and stored read-only
-    for arr in (e.priors, e.rhos):
+    # and stored read-only, as are the quantities derived from them
+    for arr in (e.priors, e.rhos, e.weighted_states, *e.span[:2]):
         with pytest.raises(ValueError):
             arr[0] = 0
 

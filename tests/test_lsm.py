@@ -7,6 +7,7 @@ from psi_route import build_psi, factorize, psi_route_lsm
 from qsd import (
     DimMismatchError,
     InvalidEnsembleError,
+    Povm,
     SpanDeficientError,
     check_povm,
     compute_lsm,
@@ -212,3 +213,15 @@ def test_make_povm_rejects_mixed_shapes():
         make_povm([np.zeros((2, 3))])
     with pytest.raises(ValueError):
         make_povm([])
+
+
+def test_povm_checks_its_shape_and_copies():
+    for bad in (np.eye(2), np.zeros((2, 2, 3))):
+        with pytest.raises(DimMismatchError):
+            Povm(bad)
+    ops = np.stack([np.eye(2), np.zeros((2, 2))])
+    povm = Povm(ops)
+    ops[0] = 0
+    assert povm.operators[0, 0, 0] == 1
+    with pytest.raises(ValueError):
+        povm.operators[0] = 0

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import islice
 
 import numpy as np
@@ -18,7 +19,6 @@ from qsd import (
     rank_profile,
     solve_optimal,
 )
-from qsd.ensemble import weighted_states
 from qsd.linalg import PSD_RANK_REL_TOL, maxabs
 from qsd.optimal import _certificate, _iterates
 
@@ -162,13 +162,54 @@ def test_solver_certificates_on_random_independent():
         assert diag.primal_value >= float(e.priors.max()) - 1e-9
 
 
+def test_work_per_solve(monkeypatch):
+    """rho_bar is decomposed once per solve, by validation, and the LSM reads
+    that decomposition: eigh runs once for rho_bar and once per update, and
+    eigvalsh once for validation and once per iterate's certificate."""
+    calls = Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def li():
+        return random_ensemble(16, (4,) * 4, seed=0, require_independent=True)
+
+    for e in (li(), random_ensemble(3, (2, 2, 1, 2), seed=1)):
+        calls.clear()
+        _, _, diag = solve_optimal(e)
+        assert diag.converged and diag.iterations > 0
+        assert calls == {"eigh": diag.iterations + 1, "eigvalsh": diag.iterations + 2}
+    calls.clear()
+    compute_lsm(li())
+    assert calls["eigh"] == 1
+
+
+def test_update_keeps_the_null_space_of_projective_iterates():
+    """Skewed priors make Lambda ill-conditioned. The optimal operators of an
+    LI ensemble must still be projectors of the state ranks, with null
+    eigenvalues at rounding level: the update S (G_i Pi_i G_i) S, whose
+    rounding |Lambda^{-1/2}|^2 amplifies, leaves about 1e-12 here."""
+    for n in (16, 32):
+        for seed in range(3):
+            e = random_ensemble(n, (n // 4,) * 4, priors=(0.97, 0.01, 0.01, 0.01),
+                                seed=seed, require_independent=True)
+            povm, _, diag = solve_optimal(e)
+            assert diag.converged
+            null = np.linalg.eigvalsh(povm.operators)[:, : n - n // 4]
+            assert np.abs(null).max() <= 1e-14
+            assert povm.ranks == (n // 4,) * 4
+
+
 def test_weak_duality_on_iterate_history():
     e = pure_ensemble((0.7, 0.3), (ket(1, 0), ket(1, 1)))
     povm, cert, diag = solve_optimal(e)
     assert diag.converged and diag.iterations > 0
     optimum = helstrom_binary(e)
     # every iterate's certificate bounds the optimum from above
-    iterates = _iterates(weighted_states(e), compute_lsm(e).operators)
+    iterates = _iterates(e.weighted_states, compute_lsm(e).operators)
     for _, x_hat, primal, margins, slacks in islice(iterates, diag.iterations + 1):
         assert primal <= optimum + 1e-12
         assert primal + _certificate(x_hat, primal, margins, slacks).gap >= optimum - 1e-12

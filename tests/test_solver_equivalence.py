@@ -14,7 +14,6 @@ import numpy as np
 from psi_route import numeric_rank
 
 from qsd import certify, compute_lsm, random_ensemble, solve_optimal
-from qsd.ensemble import weighted_states
 from qsd.linalg import hermitian_part, maxabs
 from qsd.optimal import LAMBDA_FLOOR, _iterates
 
@@ -126,8 +125,7 @@ def assert_matches_reference(e, max_iter):
     assert diag.iterations == iterations
     assert diag.converged == converged
     assert abs(diag.primal_value - primal) <= 1e-12
-    g = weighted_states(e)
-    iterates = list(islice(_iterates(g, compute_lsm(e).operators), len(history)))
+    iterates = list(islice(_iterates(e.weighted_states, compute_lsm(e).operators), len(history)))
     assert len(iterates) == len(history)
     for (_, x_k, p_k, margins_k, slacks_k), (p, d, margin, slack) in zip(iterates, history):
         assert abs(p_k - p) <= 1e-12
