@@ -86,7 +86,11 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-state and global diagnostics from :func:`validate`."""
+    """Per-state and global diagnostics from :func:`validate`.
+
+    ``states_passed`` holds when every check but the span passes, and
+    ``passed`` when the states also span the space.
+    """
 
     psd_margins: tuple[float, ...]
     trace_deviations: tuple[float, ...]
@@ -95,6 +99,7 @@ class ValidationReport:
     min_prior: float
     span_rank: int
     dim: int
+    states_passed: bool
     passed: bool
 
 
@@ -115,13 +120,12 @@ def validate(e: Ensemble) -> ValidationReport:
     prior_sum_dev = abs(float(priors.sum()) - 1.0)
     min_prior = float(priors.min())
     span_rank = e.span[2]
-    ok = bool(
+    states_ok = bool(
         np.all(herm_devs <= linalg.HERMITIAN_ASYMMETRY_TOL * scale)
         and np.all(psd_margins >= -PSD_TOL * scale)
         and np.all(trace_devs <= TRACE_TOL)
         and prior_sum_dev <= PRIOR_SUM_TOL
         and min_prior > 0.0
-        and span_rank == e.dim
     )
     return ValidationReport(
         psd_margins=tuple(psd_margins.tolist()),
@@ -131,21 +135,24 @@ def validate(e: Ensemble) -> ValidationReport:
         min_prior=min_prior,
         span_rank=span_rank,
         dim=e.dim,
-        passed=ok,
+        states_passed=states_ok,
+        passed=states_ok and span_rank == e.dim,
     )
 
 
 def require_valid(e: Ensemble) -> None:
     """Raise unless :func:`validate` passes the ensemble.
 
-    ``SpanDeficientError`` when the states do not span the space, otherwise
-    ``InvalidEnsembleError``; both carry the validation report.
+    ``SpanDeficientError`` when the states are valid but do not span the
+    space, otherwise ``InvalidEnsembleError``; both carry the validation
+    report. The span of invalid states means nothing: NaN or indefinite
+    states can make ``rho_bar`` look rank-deficient.
     """
     report = validate(e)
-    if report.span_rank < report.dim:
-        raise SpanDeficientError(report)
-    if not report.passed:
+    if not report.states_passed:
         raise InvalidEnsembleError(report)
+    if not report.passed:
+        raise SpanDeficientError(report)
 
 
 def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:

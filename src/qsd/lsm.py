@@ -62,7 +62,7 @@ def require_match(e: Ensemble, p: Povm) -> None:
 def compute_lsm(e: Ensemble) -> Povm:
     """Least-squares measurement of an ensemble.
 
-    Raises ``SpanDeficientError`` when the states do not span the space
+    Raises ``SpanDeficientError`` when valid states do not span the space
     (rho_bar singular; use :func:`qsd.ensemble.deflate` first in that case)
     and ``InvalidEnsembleError`` when the ensemble fails validation otherwise.
     """

@@ -17,14 +17,19 @@ passes feasibility and slackness at the requested tolerance.
 
 The weighted states G_i and the operators Pi_i are held as stacked
 ``(m, n, n)`` arrays, so each step of an iteration is one batched numpy call
-rather than a Python loop over the m operators. The certificate is checked
-in full on every iteration, by the same routines that :func:`certify` uses,
-and the solver returns the best iterate's own certificate.
+rather than a Python loop over the m operators. Slackness is checked on every
+iterate; the feasibility margins, one batched eigenvalue decomposition, are
+taken only on iterates whose slackness passes, since only there can they
+decide convergence. Both are computed by the same routines that
+:func:`certify` uses, and the solver returns the chosen iterate's own
+certificate. A solve that exhausts its budget replays the deterministic loop
+with margins on every iterate to pick the best one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -132,27 +137,31 @@ def _trace_sum(g: np.ndarray, ops: np.ndarray) -> float:
     return float(np.einsum("ijk,ikj->", g, ops).real)
 
 
+def _margins(diff):
+    """Smallest eigenvalue of each x_hat - G_i, from the stack ``diff = x_hat - G``."""
+    return np.linalg.eigvalsh(diff)[:, 0]
+
+
+def _slacks(diff, ops):
+    """Largest entry magnitude of each (x_hat - G_i) Pi_i."""
+    return np.abs(diff @ ops).max(axis=(1, 2))
+
+
 def _residuals(x_hat, g, ops):
-    """Smallest eigenvalue of each x_hat - G_i and largest entry magnitude of
-    each (x_hat - G_i) Pi_i."""
+    """Feasibility margins and slackness residuals of ``x_hat``."""
     diff = x_hat - g
-    margins = np.linalg.eigvalsh(diff)[:, 0]
-    slacks = np.abs(diff @ ops).max(axis=(1, 2))
-    return margins, slacks
+    return _margins(diff), _slacks(diff, ops)
 
 
 def _iterates(g: np.ndarray, ops: np.ndarray):
     """Fixed-point ascent from ``ops``: yield every iterate, ``ops`` first, as
-    (operators, x_hat, primal, margins, slacks). Never stops on its own; a
-    yielded array is never written afterwards, so a consumer may keep it
-    without a copy."""
+    (operators, x_hat, slacks). Never stops on its own; a yielded array is
+    never written afterwards, so a consumer may keep it without a copy."""
     while True:
         gp = g @ ops
         x_hat = linalg.hermitian_part(gp.sum(axis=0))
         lam = linalg.hermitian_part((gp @ g).sum(axis=0))
-        primal = _trace_sum(g, ops)
-        margins, slacks = _residuals(x_hat, g, ops)
-        yield ops, x_hat, primal, margins, slacks
+        yield ops, x_hat, _slacks(x_hat - g, ops)
 
         w, v = np.linalg.eigh(lam)
         if float(w[0]) < LAMBDA_FLOOR * linalg.maxabs(lam):
@@ -184,16 +193,28 @@ def solve_optimal(
     if not 0.0 < tol < np.inf or max_iter < 0:
         raise ValueError(f"need finite tol > 0 and max_iter >= 0, got {tol!r}, {max_iter!r}")
     require_valid(e)
+    g = e.weighted_states
+    # margins can make an iterate converge only where slackness passes
+    iterates = islice(_iterates(g, _lsm_operators(e)), max_iter + 1)
+    for iteration, (ops, x_hat, slacks) in enumerate(iterates):
+        if float(slacks.max()) <= tol:
+            margins = _margins(x_hat - g)
+            if float(margins.min()) >= -tol:
+                return _solution(g, ops, x_hat, margins, slacks, iteration, True)
+    # The budget ran out. The loop is deterministic, so replaying it with
+    # margins on every iterate finds the iterate with the best certificate.
+    # The start is rebuilt rather than held, so a solve keeps no extra stack.
     best_score = np.inf
-    for iteration, it in enumerate(_iterates(e.weighted_states, _lsm_operators(e))):
-        _, _, _, margins, slacks = it
-        min_margin, max_slack = float(margins.min()), float(slacks.max())
-        converged = min_margin >= -tol and max_slack <= tol
-        score = max(-min_margin, max_slack, 0.0)
-        if score < best_score or converged:
-            best_score, best = score, it
-        if converged or iteration >= max_iter:
-            break
-    ops, x_hat, primal, margins, slacks = best
-    diag = SolveDiagnostics(iterations=iteration, primal_value=primal, converged=converged)
+    for ops, x_hat, slacks in islice(_iterates(g, _lsm_operators(e)), max_iter + 1):
+        margins = _margins(x_hat - g)
+        score = max(-float(margins.min()), float(slacks.max()), 0.0)
+        if score < best_score:
+            best_score, best = score, (ops, x_hat, margins, slacks)
+    return _solution(g, *best, max_iter, False)
+
+
+def _solution(g, ops, x_hat, margins, slacks, iterations: int, converged: bool):
+    """The returned measurement, its certificate and the solve's diagnostics."""
+    primal = _trace_sum(g, ops)
+    diag = SolveDiagnostics(iterations=iterations, primal_value=primal, converged=converged)
     return Povm(ops), _certificate(x_hat, primal, margins, slacks), diag

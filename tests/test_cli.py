@@ -10,7 +10,7 @@ import pytest
 
 from conftest import ket, near_collinear_pair, pure_ensemble
 
-from qsd import compute_lsm, validate
+from qsd import Ensemble, compute_lsm, validate
 from qsd.cli import dispatch
 from qsd.serialize import (
     certificate_to_wire,
@@ -156,6 +156,16 @@ def test_near_collinear_pair_fails_validation(tmp_path, command):
     assert result.exit_code == 1
     assert json.loads(result.stdout) == validation_report_to_wire(validate(e))
     assert json.loads(result.stdout)["span_rank"] == 1
+    assert result.stderr == "ensemble failed validation"
+
+
+def test_solve_indefinite_state_reports_validation(tmp_path):
+    """rho_bar of this ensemble has rank 1, but the report is what fails."""
+    e = Ensemble([0.5, 0.5], [np.diag([1.5, -0.5]), np.eye(2) / 2])
+    e_path = write_json(tmp_path, "e.json", ensemble_to_wire(e))
+    result = dispatch(["solve", e_path])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout) == validation_report_to_wire(validate(e))
     assert result.stderr == "ensemble failed validation"
 
 

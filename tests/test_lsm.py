@@ -6,6 +6,7 @@ from psi_route import build_psi, factorize, psi_route_lsm
 
 from qsd import (
     DimMismatchError,
+    Ensemble,
     InvalidEnsembleError,
     Povm,
     SpanDeficientError,
@@ -15,6 +16,7 @@ from qsd import (
     is_projective,
     make_povm,
     random_ensemble,
+    solve_optimal,
     validate,
 )
 from qsd.linalg import maxabs
@@ -95,6 +97,20 @@ def test_lsm_span_deficient():
         compute_lsm(e)
     assert exc_info.value.span_rank == 2
     assert exc_info.value.dim == 3
+    assert exc_info.value.report.states_passed
+
+
+@pytest.mark.parametrize("solve", [compute_lsm, solve_optimal])
+@pytest.mark.parametrize("bad", [np.diag([np.nan, 1.0]), np.diag([1.5, -0.5])])
+def test_invalid_states_are_not_called_span_deficient(solve, bad):
+    """NaN or indefinite states can make rho_bar look rank-deficient; the
+    error names what is wrong with the states, not their span."""
+    e = Ensemble([0.5, 0.5], [bad, np.eye(2) / 2])
+    with pytest.raises(InvalidEnsembleError) as exc_info:
+        solve(e)
+    assert not isinstance(exc_info.value, SpanDeficientError)
+    report = exc_info.value.report
+    assert report.span_rank == 1 and not report.states_passed and not report.passed
 
 
 def test_lsm_projectivity_and_ranks_random_independent():

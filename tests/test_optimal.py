@@ -10,14 +10,17 @@ from qsd import (
     CountMismatchError,
     DimMismatchError,
     NotBinaryError,
+    Povm,
     certify,
     compute_lsm,
     helstrom_binary,
+    is_linearly_independent,
     make_povm,
     prob_correct,
     random_ensemble,
     rank_profile,
     solve_optimal,
+    validate,
 )
 from qsd.linalg import PSD_RANK_REL_TOL, maxabs
 from qsd.optimal import _certificate, _iterates
@@ -164,8 +167,11 @@ def test_solver_certificates_on_random_independent():
 
 def test_work_per_solve(monkeypatch):
     """rho_bar is decomposed once per solve, by validation, and the LSM reads
-    that decomposition: eigh runs once for rho_bar and once per update, and
-    eigvalsh once for validation and once per iterate's certificate."""
+    that decomposition: eigh runs once for rho_bar and once per update.
+    eigvalsh runs once for validation and once for the margins of the
+    converging iterate, the only iterate whose slackness passes here. A solve
+    that exhausts its budget replays its updates and takes margins on every
+    iterate of the replay."""
     calls = Counter()
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -181,7 +187,11 @@ def test_work_per_solve(monkeypatch):
         calls.clear()
         _, _, diag = solve_optimal(e)
         assert diag.converged and diag.iterations > 0
-        assert calls == {"eigh": diag.iterations + 1, "eigvalsh": diag.iterations + 2}
+        assert calls == {"eigh": diag.iterations + 1, "eigvalsh": 2}
+    calls.clear()
+    _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
+    assert not diag.converged and diag.iterations == 5
+    assert calls == {"eigh": 1 + 2 * 5, "eigvalsh": 1 + 6}
     calls.clear()
     compute_lsm(li())
     assert calls["eigh"] == 1
@@ -209,8 +219,11 @@ def test_weak_duality_on_iterate_history():
     assert diag.converged and diag.iterations > 0
     optimum = helstrom_binary(e)
     # every iterate's certificate bounds the optimum from above
-    iterates = _iterates(e.weighted_states, compute_lsm(e).operators)
-    for _, x_hat, primal, margins, slacks in islice(iterates, diag.iterations + 1):
+    g = e.weighted_states
+    iterates = _iterates(g, compute_lsm(e).operators)
+    for ops, x_hat, slacks in islice(iterates, diag.iterations + 1):
+        primal = prob_correct(e, Povm(ops))
+        margins = np.linalg.eigvalsh(x_hat - g)[:, 0]
         assert primal <= optimum + 1e-12
         assert primal + _certificate(x_hat, primal, margins, slacks).gap >= optimum - 1e-12
     assert -1e-12 <= cert.gap <= e.dim * 1e-8
@@ -303,3 +316,33 @@ def test_solve_rejects_negative_budget(zero_plus):
         solve_optimal(zero_plus, max_iter=-1)
     _, _, diag = solve_optimal(zero_plus, max_iter=0)
     assert diag.iterations == 0
+
+
+def test_lsm_is_within_the_square_of_the_optimum():
+    """Barnum & Knill: the least-squares (pretty good) measurement detects
+    with probability at least the square of the optimum, P_opt^2 <= P_LSM <=
+    P_opt, on seeded spanning linearly dependent ensembles of 3 to 7 states.
+    P_opt is the certified upper bound on the optimum, the detection
+    probability of a converged solve plus its gap, so a loose ``tol`` keeps
+    the check rigorous."""
+    checked = 0
+    for k in range(400):
+        rng = np.random.default_rng([4242, k])
+        n, m = 2 + k % 5, 3 + (k // 5) % 5
+        ranks = [int(r) for r in rng.integers(1, n + 1, size=m)]
+        priors = "uniform"
+        if k % 2:
+            p = rng.dirichlet(np.ones(m))
+            priors = (*p[:-1], 1.0 - p[:-1].sum())
+        e = random_ensemble(n, ranks, priors=priors, seed=int(rng.integers(2**31)))
+        if not validate(e).passed or is_linearly_independent(e)[0]:
+            continue
+        _, cert, diag = solve_optimal(e, tol=1e-6, max_iter=1000)
+        if not diag.converged:
+            continue
+        p_opt = diag.primal_value + cert.gap
+        assert p_opt**2 <= prob_correct(e, compute_lsm(e)) <= p_opt
+        checked += 1
+        if checked == 200:
+            break
+    assert checked == 200

@@ -13,9 +13,9 @@ import numpy as np
 
 from psi_route import numeric_rank
 
-from qsd import certify, compute_lsm, random_ensemble, solve_optimal
+from qsd import Povm, certify, compute_lsm, prob_correct, random_ensemble, solve_optimal
 from qsd.linalg import hermitian_part, maxabs
-from qsd.optimal import LAMBDA_FLOOR, _iterates
+from qsd.optimal import LAMBDA_FLOOR, _certificate, _iterates
 
 MAX_ITER = 300
 
@@ -125,12 +125,13 @@ def assert_matches_reference(e, max_iter):
     assert diag.iterations == iterations
     assert diag.converged == converged
     assert abs(diag.primal_value - primal) <= 1e-12
-    iterates = list(islice(_iterates(e.weighted_states, compute_lsm(e).operators), len(history)))
+    g = e.weighted_states
+    iterates = list(islice(_iterates(g, compute_lsm(e).operators), len(history)))
     assert len(iterates) == len(history)
-    for (_, x_k, p_k, margins_k, slacks_k), (p, d, margin, slack) in zip(iterates, history):
-        assert abs(p_k - p) <= 1e-12
+    for (ops_k, x_k, slacks_k), (p, d, margin, slack) in zip(iterates, history):
+        assert abs(prob_correct(e, Povm(ops_k)) - p) <= 1e-12
         assert abs(float(np.trace(x_k).real) - d) <= 1e-12
-        assert abs(float(margins_k.min()) - margin) <= 1e-10
+        assert abs(float(np.linalg.eigvalsh(x_k - g)[:, 0].min()) - margin) <= 1e-10
         assert abs(float(slacks_k.max()) - slack) <= 1e-10
     for got, want in zip(povm.operators, ops):
         assert maxabs(got - want) <= 1e-10
@@ -167,3 +168,42 @@ def test_stacked_solver_matches_per_operator_loop():
     assert worse_steps
     for e, k in worse_steps:
         assert not assert_matches_reference(e, k)[0]
+
+
+def scored_iterates(e, count):
+    """The first ``count`` iterates of the loop, each with its margins and its
+    certificate score ``max(-min margin, max slack, 0)``."""
+    g = e.weighted_states
+    for ops, x_hat, slacks in islice(_iterates(g, compute_lsm(e).operators), count):
+        margins = np.linalg.eigvalsh(x_hat - g)[:, 0]
+        yield max(-float(margins.min()), float(slacks.max()), 0.0), (ops, x_hat, margins, slacks)
+
+
+def test_exhausted_budget_returns_the_best_scored_iterate_exactly():
+    """Out of budget, ``solve_optimal`` returns the first iterate of least
+    score among the ``max_iter + 1`` it ran, with that iterate's own
+    certificate, bit for bit. The budgets include ones that end just after a
+    step that raised the score, so the best iterate is not the last."""
+    not_last = 0
+    for e, _ in dependent_corpus():
+        scores = [score for score, _ in scored_iterates(e, 31)]
+        rises = [k for k in range(1, len(scores)) if scores[k] > scores[k - 1]]
+        for max_iter in (10, *rises[:1]):
+            povm, cert, diag = solve_optimal(e, max_iter=max_iter)
+            if diag.converged:
+                continue
+            best_score = np.inf
+            for index, (score, it) in enumerate(scored_iterates(e, max_iter + 1)):
+                if score < best_score:
+                    best_score, best, best_index = score, it, index
+            not_last += best_index < max_iter
+            ops, x_hat, margins, slacks = best
+            primal = prob_correct(e, Povm(ops))
+            want = _certificate(x_hat, primal, margins, slacks)
+            assert np.array_equal(povm.operators, ops)
+            assert np.array_equal(cert.x_hat, x_hat)
+            assert cert.feas_margins == want.feas_margins
+            assert cert.slack_residuals == want.slack_residuals
+            assert (cert.dual_value, cert.gap) == (want.dual_value, want.gap)
+            assert (diag.iterations, diag.primal_value) == (max_iter, primal)
+    assert not_last >= 3
