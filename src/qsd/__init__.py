@@ -17,14 +17,12 @@ from .errors import (
     CountMismatchError,
     DimMismatchError,
     InvalidEnsembleError,
-    NonSquareError,
     NotBinaryError,
-    NotHermitianError,
     QsdError,
     SingularMatrixError,
     SpanDeficientError,
 )
-from .linalg import eig_hermitian, trace_norm
+from .linalg import trace_norm
 from .lsm import Povm, compute_lsm, make_povm
 from .optimal import (
     Certificate,
@@ -56,9 +54,7 @@ __all__ = [
     "DimMismatchError",
     "Ensemble",
     "InvalidEnsembleError",
-    "NonSquareError",
     "NotBinaryError",
-    "NotHermitianError",
     "Povm",
     "PovmCheck",
     "QsdError",
@@ -74,7 +70,6 @@ __all__ = [
     "check_povm",
     "compute_lsm",
     "deflate",
-    "eig_hermitian",
     "helstrom_binary",
     "is_linearly_independent",
     "is_projective",

@@ -2,8 +2,9 @@
 
 Machine-first: JSON on stdout, human diagnostics on stderr. Exit 0 on
 success, 1 on domain failure (validation/check failed, not converged,
-infeasible certificate), 2 on usage or format errors. Stdout is valid JSON
-whenever the exit code is 0 or 1. A ``-`` file argument reads stdin.
+infeasible certificate, a certified measurement that is not a POVM), 2 on
+usage or format errors. Stdout is valid JSON whenever the exit code is 0 or
+1. A ``-`` file argument reads stdin.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 from .lsm import compute_lsm
 from .optimal import certify, prob_correct, solve_optimal
 from .sim import simulate
-from .vnm import vnm_report
+from .vnm import check_povm, vnm_report
 
 
 @dataclass(frozen=True)
@@ -190,13 +191,20 @@ def _cmd_certify(args):
     given = serialize.certificate_from_wire(_read_document(args.cert))
     cert = certify(e, p, given.x_hat, tol=args.tol)
     payload = serialize.certificate_to_wire(cert)
-    if cert.optimal_at(args.tol):
-        return payload, 0, "certificate is feasible and slack"
+    # the certificate bounds P_d only over PSD operators that sum to I
+    check = check_povm(p, tol=args.tol)
     parts = []
+    if not check.passed:
+        parts.append(
+            f"not a POVM (completeness residual {check.completeness_residual:.3e}, "
+            f"min operator margin {min(check.psd_margins):.3e})"
+        )
     if not cert.feasible_at(args.tol):
         parts.append(f"infeasible (min margin {min(cert.feas_margins):.3e})")
     if not cert.slack_at(args.tol):
         parts.append(f"slack violated (max residual {max(cert.slack_residuals):.3e})")
+    if not parts:
+        return payload, 0, "certificate is feasible and slack"
     return payload, 1, "; ".join(parts)
 
 

@@ -28,6 +28,8 @@ from .errors import (
 PRIOR_SUM_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
+# Asymmetry above this (relative to 1 + maxabs) means corrupted input, not roundoff.
+HERMITIAN_ASYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -115,13 +117,15 @@ def validate(e: Ensemble) -> ValidationReport:
     scale = 1 + np.abs(rhos).max(axis=(1, 2))
     herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
     psd_margins = np.linalg.eigvalsh(linalg.hermitian_part(rhos))[:, 0]
+    # eigvalsh can return finite values for a non-finite matrix, which has none
+    psd_margins[~np.isfinite(rhos).all(axis=(1, 2))] = np.nan
     trace_devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
     priors = e.priors
     prior_sum_dev = abs(float(priors.sum()) - 1.0)
     min_prior = float(priors.min())
     span_rank = e.span[2]
     states_ok = bool(
-        np.all(herm_devs <= linalg.HERMITIAN_ASYMMETRY_TOL * scale)
+        np.all(herm_devs <= HERMITIAN_ASYMMETRY_TOL * scale)
         and np.all(psd_margins >= -PSD_TOL * scale)
         and np.all(trace_devs <= TRACE_TOL)
         and prior_sum_dev <= PRIOR_SUM_TOL

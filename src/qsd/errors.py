@@ -7,14 +7,6 @@ class QsdError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonSquareError(QsdError):
-    """A square matrix was required."""
-
-
-class NotHermitianError(QsdError):
-    """Asymmetry exceeds the Hermitian tolerance; the input is corrupted."""
-
-
 class SingularMatrixError(QsdError):
     """Matrix is numerically singular; no inverse square root exists."""
 

@@ -1,21 +1,19 @@
-"""Dense complex Hermitian kernel: stacks of square matrices,
-eigendecompositions, PSD rank, trace norm.
+"""Dense complex Hermitian kernel: stacks of square matrices, Hermitian
+parts, PSD rank, trace norm.
 
 All operations are pure functions on numpy complex128 arrays. Dimensions in
 this problem family are tiny (a few hundred at most), so everything goes
-through full dense decompositions. Tolerances are relative to (1 + max|entry|)
-or to the largest eigenvalue, which keeps them meaningful for
-trace-normalized operators regardless of prior scaling.
+through full dense decompositions. The rank cut is relative to the largest
+eigenvalue, which keeps it meaningful for trace-normalized operators
+regardless of prior scaling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatchError, NonSquareError, NotHermitianError
+from .errors import DimMismatchError
 
-# Asymmetry above this (relative to maxabs) means corrupted input, not roundoff.
-HERMITIAN_ASYMMETRY_TOL = 1e-8
 # Eigenvalues of a PSD matrix below this fraction of the largest count as
 # zero for its rank. This is the package's one rank rule.
 PSD_RANK_REL_TOL = 1e-10
@@ -54,50 +52,16 @@ def square_stack(mats) -> np.ndarray:
     return stack
 
 
-def _as_stack(m) -> np.ndarray:
-    """Coerce to a complex128 matrix or stack of matrices, shape (..., n, k)."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2:
-        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
-    return a
-
-
-def _require_square(m: np.ndarray) -> None:
-    if m.shape[-2] != m.shape[-1]:
-        raise NonSquareError(f"matrix is {m.shape[-2]}x{m.shape[-1]}")
-
-
 def hermitian_part(m) -> np.ndarray:
-    """Return (M + M*)/2, matrix by matrix for a stack of shape (..., n, n)."""
-    m = _as_stack(m)
-    _require_square(m)
+    """Return (M + M*)/2, matrix by matrix for a stack of shape (..., n, n).
+
+    Input that is not a square matrix or a stack of them raises ``ValueError``.
+    """
+    m = np.asarray(m, dtype=np.complex128)
     h = np.conjugate(m.swapaxes(-1, -2), order="C")
     h += m
     h /= 2
     return h
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition ``(values, vectors)`` of a Hermitian matrix or a
-    stack (..., n, n): the values real and ascending, the columns of
-    ``vectors`` the matching orthonormal eigenvectors.
-
-    The input is symmetrized as (M + M*)/2 before decomposition, which removes
-    accumulated roundoff asymmetry deterministically. Asymmetry beyond
-    ``HERMITIAN_ASYMMETRY_TOL * maxabs(M)`` in any matrix raises
-    ``NotHermitianError``.
-    """
-    m = _as_stack(m)
-    _require_square(m)
-    m_h = np.conjugate(m.swapaxes(-1, -2))
-    asym = np.abs(m - m_h).max(axis=(-2, -1), initial=0.0)
-    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    if np.any(asym > HERMITIAN_ASYMMETRY_TOL * scale):
-        raise NotHermitianError(
-            f"asymmetry {float(asym.max()):.3e} exceeds "
-            f"{HERMITIAN_ASYMMETRY_TOL:.0e} * maxabs"
-        )
-    return np.linalg.eigh((m + m_h) / 2)
 
 
 def spectrum_rank(values):
@@ -124,5 +88,5 @@ def psd_rank(m):
 
 
 def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(eig_hermitian(as_matrix(m))[0]).sum())
+    """Sum of absolute eigenvalues of the Hermitian part of a square matrix."""
+    return float(np.abs(np.linalg.eigvalsh(hermitian_part(as_matrix(m)))).sum())

@@ -50,7 +50,9 @@ class Certificate:
     ``feas_margins[i]`` is the smallest eigenvalue of ``x_hat - p_i rho_i``
     (nonnegative means the dual constraint holds); ``slack_residuals[i]`` is
     the largest entry magnitude of ``(x_hat - p_i rho_i) Pi_i``. A feasible
-    and slack certificate proves the measurement globally optimal.
+    and slack certificate proves the measurement globally optimal, provided
+    its operators are PSD and sum to the identity (see
+    :func:`qsd.vnm.check_povm`); the certificate does not check that.
 
     ``dual_value`` is ``Tr(x_hat)``. ``gap`` is the certified gap
     ``Tr(x_hat) + n t - P_d`` with ``t = max(0, -min feas_margins)``: since
@@ -107,6 +109,10 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
     Computes all feasibility margins and slackness residuals without mutating
     the inputs. ``tol`` is only a convenience for callers that immediately
     test ``optimal_at``; the certificate itself carries raw residuals.
+
+    A passing certificate proves ``p`` optimal only if ``p`` is a POVM. That
+    is not checked here, so a broken candidate can still be inspected;
+    :func:`qsd.vnm.check_povm` checks it, and ``qsd certify`` does both.
     """
     x_hat = linalg.as_matrix(x_hat)
     if x_hat.shape != (e.dim, e.dim):

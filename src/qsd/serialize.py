@@ -4,8 +4,7 @@ Matrices are row-major with every entry a two-element [re, im] array.
 Serialization goes through ``json.dumps``, whose shortest-repr float encoding
 round-trips IEEE doubles losslessly. Decoders accept only finite JSON
 numbers where a number is meant and only JSON integers where an integer is
-meant (``dim``, simulation trials, seed and counts); booleans and strings are
-neither.
+meant (``dim``); booleans and strings are neither.
 """
 
 from __future__ import annotations
@@ -50,21 +49,20 @@ def matrix_from_wire(data) -> np.ndarray:
     return a.view(np.complex128)[..., 0]
 
 
-def _number_from_wire(x, what: str, integer: bool = False):
-    """``x`` as a float, or as an int when ``integer``; raise ``ValueError``
-    unless it is a finite JSON number (a JSON integer when ``integer``)."""
+def _number_from_wire(x, what: str) -> float:
+    """``x`` as a float; raise ``ValueError`` unless it is a finite JSON number."""
     # bool is an int to Python but not a number on the wire; nan, the
     # infinities and integers beyond the double range all fail the bound
-    kinds = (int,) if integer else (int, float)
-    if type(x) not in kinds or not abs(x) <= sys.float_info.max:
-        kind = "JSON integer" if integer else "finite number"
-        raise ValueError(f"{what} must be a {kind}, got {x!r}")
-    return x if integer else float(x)
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
 
 
 def _checked_dim(data, stack_dim: int) -> None:
-    """Check the document's declared ``dim`` against its matrices."""
-    dim = _number_from_wire(data["dim"], "dim", integer=True)
+    """Check the document's declared ``dim``, a JSON integer, against its matrices."""
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim must be a JSON integer, got {dim!r}")
     if dim != stack_dim:
         raise ValueError(f"declared dim {dim} != matrix dim {stack_dim}")
 
@@ -183,23 +181,6 @@ def sim_result_to_wire(r: SimResult) -> dict:
     }
 
 
-def sim_result_from_wire(data) -> SimResult:
-    try:
-        return SimResult(
-            trials=_number_from_wire(data["trials"], "trials", integer=True),
-            seed=_number_from_wire(data["seed"], "seed", integer=True),
-            counts=np.array(
-                [[_number_from_wire(v, "count", integer=True) for v in row]
-                 for row in data["counts"]],
-                dtype=np.int64,
-            ),
-            empirical_pd=_number_from_wire(data["empirical_pd"], "empirical_pd"),
-            std_error=_number_from_wire(data["std_error"], "std_error"),
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"simulation document has a missing or bad field: {exc}") from None
-
-
 def diagnostics_to_wire(d: SolveDiagnostics) -> dict:
     return {
         "iterations": int(d.iterations),
@@ -215,15 +196,3 @@ def solve_result_to_wire(p: Povm, c: Certificate, d: SolveDiagnostics) -> dict:
         "diagnostics": diagnostics_to_wire(d),
     }
 
-
-def solve_result_from_wire(data) -> tuple[Povm, Certificate, dict]:
-    if not isinstance(data, dict):
-        raise ValueError("solve document must be a JSON object")
-    try:
-        return (
-            povm_from_wire(data["povm"]),
-            certificate_from_wire(data["certificate"]),
-            dict(data["diagnostics"]),
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"solve document has a missing or bad field: {exc}") from None

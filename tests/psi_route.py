@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qsd import SingularMatrixError
-from qsd.linalg import PSD_RANK_REL_TOL, as_matrix, eig_hermitian, hermitian_part, spectrum_rank
+from qsd.linalg import PSD_RANK_REL_TOL, as_matrix, hermitian_part, spectrum_rank
 
 # Singular values at or below this fraction of the largest count as zero.
 RANK_REL_TOL = 1e-10
@@ -43,7 +43,7 @@ def inv_sqrt_psd(m) -> np.ndarray:
     Raises ``SingularMatrixError`` when :func:`qsd.linalg.spectrum_rank` is
     below the dimension, i.e. the matrix is not safely invertible.
     """
-    w, v = eig_hermitian(as_matrix(m))
+    w, v = np.linalg.eigh(hermitian_part(as_matrix(m)))
     if spectrum_rank(w) < len(w):
         raise SingularMatrixError(
             f"min eigenvalue {float(w[0]):.3e} below "
@@ -70,7 +70,7 @@ def factorize(e) -> Factorization:
     ranks = []
     for rho in e.rhos:
         r = numeric_rank(rho)
-        w, v = eig_hermitian(rho)
+        w, v = np.linalg.eigh(hermitian_part(rho))
         # eigh is ascending; keep the top r eigenpairs, largest first
         idx = np.argsort(w)[::-1][:r]
         vals = np.clip(w[idx], 0.0, None)

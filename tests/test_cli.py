@@ -10,7 +10,7 @@ import pytest
 
 from conftest import ket, near_collinear_pair, pure_ensemble
 
-from qsd import Ensemble, compute_lsm, validate
+from qsd import Ensemble, Povm, compute_lsm, random_ensemble, solve_optimal, validate
 from qsd.cli import dispatch
 from qsd.serialize import (
     certificate_to_wire,
@@ -19,8 +19,6 @@ from qsd.serialize import (
     ensemble_to_wire,
     povm_from_wire,
     povm_to_wire,
-    sim_result_from_wire,
-    solve_result_from_wire,
     validation_report_to_wire,
 )
 
@@ -91,14 +89,31 @@ def test_solve_then_certify_self_consistent(tmp_path):
         ["solve", e_path, "--out", out_path, "--cert", cert_path]
     )
     assert solved.exit_code == 0
-    povm, cert, diag = solve_result_from_wire(json.loads(solved.stdout))
-    assert diag["converged"] is True
+    assert json.loads(solved.stdout)["diagnostics"]["converged"] is True
 
     recheck = dispatch(
         ["certify", e_path, out_path, cert_path, "--tol", "1e-8"]
     )
     assert recheck.exit_code == 0, recheck.stderr
     assert "feasible and slack" in recheck.stderr
+
+
+@pytest.mark.parametrize("broken", ["zero", "half"])
+def test_certify_rejects_a_non_povm(tmp_path, broken):
+    # the solver's own certificate is feasible, and slack with any operators
+    # that vanish where it is tight; it proves nothing unless they form a POVM
+    e = random_ensemble(4, (2, 1, 1), seed=7, require_independent=True)
+    povm, cert, _ = solve_optimal(e)
+    ops = np.zeros((3, 4, 4)) if broken == "zero" else 0.5 * povm.operators
+    e_path = write_json(tmp_path, "e.json", ensemble_to_wire(e))
+    p_path = write_json(tmp_path, "p.json", povm_to_wire(Povm(ops)))
+    c_path = write_json(tmp_path, "c.json", certificate_to_wire(cert))
+    result = dispatch(["certify", e_path, p_path, c_path])
+    assert result.exit_code == 1
+    assert min(json.loads(result.stdout)["feas_margins"]) >= -1e-7
+    residual = 1.0 if broken == "zero" else 0.5
+    assert result.stderr.startswith(f"not a POVM (completeness residual {residual:.3e}")
+    assert "infeasible" not in result.stderr
 
 
 def test_solve_not_converged_exits_one(tmp_path):
@@ -135,8 +150,8 @@ def test_simulate_cli(tmp_path):
         ["simulate", e_path, p_path, "--trials", "200", "--seed", "9"]
     )
     assert result.exit_code == 0
-    res = sim_result_from_wire(json.loads(result.stdout))
-    assert res.trials == 200 and res.empirical_pd == 1.0
+    res = json.loads(result.stdout)
+    assert res["trials"] == 200 and res["empirical_pd"] == 1.0
 
 
 def test_span_deficient_is_domain_failure(tmp_path):

@@ -43,6 +43,15 @@ def test_validate_flags_trace():
     assert abs(report.trace_deviations[0] - 1.0) < 1e-12
 
 
+def test_validate_gives_a_nonfinite_state_no_psd_margin():
+    # eigvalsh(diag(nan, 1)) returns [0, -0], which would read as PSD
+    half = np.eye(2) / 2
+    for bad in (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]])):
+        report = validate(Ensemble([0.5, 0.5], [bad, half]))
+        assert np.isnan(report.psd_margins[0]) and report.psd_margins[1] == 0.5
+        assert not report.states_passed and not report.passed
+
+
 def test_validate_flags_span_deficiency():
     # two copies of |0><0| only span one dimension of a qubit space
     e = pure_ensemble((0.5, 0.5), (ket(1, 0), ket(1, 0)))

@@ -2,12 +2,15 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import qsd
 from qsd.serialize import diagnostics_to_wire
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def test_public_api():
@@ -18,10 +21,22 @@ def test_public_api():
     for gone in ("Factorization", "factorize", "BlockMatrix", "build_psi", "selector",
                  "NotConvergedError", "NotPsdError", "sqrt_psd", "is_psd",
                  "lsm_is_projective_expected", "State", "inv_sqrt_psd",
-                 "numeric_rank", "direct_sum_rank", "EigResult", "IterateRecord"):
+                 "numeric_rank", "direct_sum_rank", "EigResult", "IterateRecord",
+                 "eig_hermitian", "NotHermitianError", "NonSquareError"):
         assert not hasattr(qsd, gone), gone
+    # nothing in the package reads a simulation or solve document
+    for gone in ("sim_result_from_wire", "solve_result_from_wire"):
+        assert not hasattr(qsd.serialize, gone), gone
     fields = [f.name for f in dataclasses.fields(qsd.SolveDiagnostics)]
     assert fields == ["iterations", "primal_value", "converged"]
+
+
+def test_readme_library_example_runs():
+    """The README's Python example runs, and uses only the public API."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    assert set(re.findall(r"\bqsd\.(\w+)", blocks[0])) <= set(qsd.__all__)
+    exec(compile(blocks[0], str(README), "exec"), {})
 
 
 def test_benchmark_hooks_exist():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ket, pure_ensemble
 
-from qsd import certify, compute_lsm, random_ensemble, simulate, solve_optimal, validate
+from qsd import certify, compute_lsm, random_ensemble, solve_optimal, validate
 from qsd.linalg import maxabs
 from qsd.serialize import (
     certificate_from_wire,
@@ -17,10 +17,6 @@ from qsd.serialize import (
     matrix_to_wire,
     povm_from_wire,
     povm_to_wire,
-    sim_result_from_wire,
-    sim_result_to_wire,
-    solve_result_from_wire,
-    solve_result_to_wire,
     validation_report_to_wire,
     vnm_report_to_wire,
 )
@@ -170,40 +166,6 @@ def test_certificate_round_trip(zero_plus):
                 certificate_from_wire({**wire, key: [*wire[key][:-1], bad]})
     with pytest.raises(ValueError):
         certificate_from_wire({**wire, "feas_margins": 0.0})
-
-
-def test_sim_result_round_trip(zero_plus):
-    res = simulate(zero_plus, compute_lsm(zero_plus), 1000, seed=2)
-    wire = json.loads(dumps(sim_result_to_wire(res)))
-    back = sim_result_from_wire(wire)
-    assert back.trials == res.trials and back.seed == res.seed
-    assert np.array_equal(back.counts, res.counts)
-    assert back.empirical_pd == res.empirical_pd
-    assert back.std_error == res.std_error
-    # trials, seed and counts take only JSON integers; the rates finite numbers
-    for bad in ("1", True, 2.9, 2.0, float("nan"), None, 10**400):
-        for key in ("trials", "seed"):
-            with pytest.raises(ValueError):
-                sim_result_from_wire({**wire, key: bad})
-        counts = [list(row) for row in wire["counts"]]
-        counts[0][0] = bad
-        with pytest.raises(ValueError):
-            sim_result_from_wire({**wire, "counts": counts})
-    for bad in ("0.5", True, float("nan"), float("inf"), None):
-        for key in ("empirical_pd", "std_error"):
-            with pytest.raises(ValueError):
-                sim_result_from_wire({**wire, key: bad})
-    with pytest.raises(ValueError):
-        sim_result_from_wire({**wire, "counts": [[1, 2], [3]]})
-
-
-def test_solve_result_round_trip(zero_plus):
-    povm, cert, diag = solve_optimal(zero_plus)
-    wire = json.loads(dumps(solve_result_to_wire(povm, cert, diag)))
-    back_povm, back_cert, back_diag = solve_result_from_wire(wire)
-    assert back_povm.dim == povm.dim
-    assert back_cert.dual_value == cert.dual_value
-    assert back_diag["converged"] is True
 
 
 def test_report_wires_are_json_safe(trine):
