@@ -1,12 +1,13 @@
 """Quantum state ensembles.
 
 An ensemble is a finite set of density operators with strictly positive priors
-summing to one. Everything here rests on the weighted states ``p_i rho_i`` and
-their sum, the average state ``rho_bar``. This module validates ensembles,
-decides whether the states span the space from the spectrum of ``rho_bar`` (the
-one span decision of the package), tests linear independence, restricts an
-ensemble to the subspace it spans, and generates seeded random ensembles for
-test corpora.
+summing to one. Everything here rests on the weighted states ``p_i rho_i``,
+their sum, the average state ``rho_bar``, and the eigendecomposition of each
+state, which gives its rank and its thin factor. This module validates
+ensembles, decides whether the states span the space from the spectrum of
+``rho_bar`` (the one span decision of the package), tests linear
+independence, restricts an ensemble to the subspace it spans, and generates
+seeded random ensembles for test corpora.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class Ensemble:
     @cached_property
     def weighted_states(self) -> np.ndarray:
         """Read-only stack of herm(p_i rho_i), shape (m, n, n); its sum is rho_bar."""
-        g = linalg.hermitian_part(self.priors[:, None, None] * self.rhos)
+        # an infinite entry makes inf * 0 here, which validation reports as NaN
+        with np.errstate(invalid="ignore"):
+            g = linalg.hermitian_part(self.priors[:, None, None] * self.rhos)
         g.flags.writeable = False
         return g
 
@@ -84,6 +87,26 @@ class Ensemble:
         w.flags.writeable = False
         v.flags.writeable = False
         return w, v, linalg.spectrum_rank(w)
+
+    @cached_property
+    def state_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ascending eigenvalues ``(m, n)`` and eigenvectors
+        ``(m, n, n)`` of each herm(rho_i), and each state's rank by
+        :func:`qsd.linalg.spectrum_rank`.
+
+        This is the package's one decomposition of the states: validation
+        reads their PSD margins from it, every state rank comes from it, and
+        so do the thin factors of :func:`qsd.lsm._lsm_factors`. A state with a
+        non-finite entry has no spectrum: its eigenvalues read NaN and its
+        rank 0.
+        """
+        with np.errstate(invalid="ignore"):
+            w, v = np.linalg.eigh(linalg.hermitian_part(self.rhos))
+        w[~np.isfinite(self.rhos).all(axis=(1, 2))] = np.nan
+        ranks = linalg.spectrum_rank(w)
+        for a in (w, v, ranks):
+            a.flags.writeable = False
+        return w, v, ranks
 
 
 @dataclass(frozen=True)
@@ -115,15 +138,15 @@ def validate(e: Ensemble) -> ValidationReport:
     """
     rhos = e.rhos
     scale = 1 + np.abs(rhos).max(axis=(1, 2))
-    herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
-    psd_margins = np.linalg.eigvalsh(linalg.hermitian_part(rhos))[:, 0]
-    # eigvalsh can return finite values for a non-finite matrix, which has none
-    psd_margins[~np.isfinite(rhos).all(axis=(1, 2))] = np.nan
-    trace_devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    psd_margins = e.state_spectra[0][:, 0]
+    # an infinite entry makes inf - inf here, which is a failing report, not an error
+    with np.errstate(invalid="ignore"):
+        herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
+        trace_devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+        span_rank = e.span[2]
     priors = e.priors
     prior_sum_dev = abs(float(priors.sum()) - 1.0)
     min_prior = float(priors.min())
-    span_rank = e.span[2]
     states_ok = bool(
         np.all(herm_devs <= HERMITIAN_ASYMMETRY_TOL * scale)
         and np.all(psd_margins >= -PSD_TOL * scale)
@@ -164,11 +187,11 @@ def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
 
     Returns ``(flag, span_rank, total_rank)`` where ``span_rank`` is the
     dimension the states span (the rank of rho_bar, as in :func:`validate`)
-    and ``total_rank`` is the sum of state ranks; the flag is true iff the
-    two agree.
+    and ``total_rank`` is the sum of the state ranks of
+    :attr:`Ensemble.state_spectra`; the flag is true iff the two agree.
     """
     span_rank = e.span[2]
-    total_rank = int(linalg.psd_rank(e.rhos).sum())
+    total_rank = int(e.state_spectra[2].sum())
     return span_rank == total_rank, span_rank, total_rank
 
 

@@ -1,5 +1,5 @@
 """Dense complex Hermitian kernel: stacks of square matrices, Hermitian
-parts, PSD rank, trace norm.
+parts, products of thin factors, PSD rank, trace norm.
 
 All operations are pure functions on numpy complex128 arrays. Dimensions in
 this problem family are tiny (a few hundred at most), so everything goes
@@ -62,6 +62,12 @@ def hermitian_part(m) -> np.ndarray:
     h += m
     h /= 2
     return h
+
+
+def factor_products(k) -> np.ndarray:
+    """herm(K K*) for a matrix K of shape (n, r), or for each in a stack
+    (..., n, r): the PSD matrix of which K is a thin factor."""
+    return hermitian_part(k @ np.conj(k).swapaxes(-1, -2))
 
 
 def spectrum_rank(values):

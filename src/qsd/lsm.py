@@ -3,8 +3,11 @@
 With the average state rho_bar = sum_i p_i rho_i, the measurement operator for
 state i is ``Pi_i = rho_bar^{-1/2} p_i rho_i rho_bar^{-1/2}``. This is the
 ``(Psi Psi*)^{-1/2} psi_i`` form of Eldar & Forney, "On quantum detection and
-the square-root measurement" (2001), since ``Psi Psi* = rho_bar``; no state
-needs to be factorized. For linearly independent ensembles this measurement is
+the square-root measurement" (2001), since ``Psi Psi* = rho_bar``. It is
+computed as ``K_i K_i*`` with ``K_i = rho_bar^{-1/2} F_i``, where the thin
+factor ``F_i`` of the weighted state has ``F_i F_i* = p_i rho_i`` up to
+eigenvalues too small to count; ``K`` is also where the optimal solver
+starts. For linearly independent ensembles this measurement is
 projective; in general it is only a valid POVM.
 """
 
@@ -67,19 +70,46 @@ def compute_lsm(e: Ensemble) -> Povm:
     and ``InvalidEnsembleError`` when the ensemble fails validation otherwise.
     """
     require_valid(e)
-    return make_povm(_lsm_operators(e))
+    return make_povm(linalg.factor_products(_lsm_factors(e)))
 
 
-def _lsm_operators(e: Ensemble) -> np.ndarray:
-    """``rho_bar^{-1/2} G_i rho_bar^{-1/2}`` over the weighted states G_i of
-    a validated ensemble (so rho_bar is invertible).
+def _weighted_factors(e: Ensemble) -> np.ndarray:
+    """Thin factors ``F_i`` with ``F_i F_i* = p_i rho_i`` up to small
+    eigenvalues, over a validated ensemble, as an ``(m, n, r)`` stack.
 
-    The scaling is done in the eigenbasis of rho_bar, where each diagonal
-    entry is divided by its eigenvalue exactly: orthogonal states get exact
-    projectors, which the product ``W G_i W`` with ``W = rho_bar^{-1/2}``
-    misses by a rounding of ``W`` squared.
+    ``F_i`` holds top eigenvectors of state i from
+    :attr:`qsd.ensemble.Ensemble.state_spectra`, each scaled by
+    ``sqrt(p_i w)`` for its eigenvalue w, and is zero-padded to the ``r``
+    columns of the widest factor. It keeps the state's rank of them, and
+    also every eigenvalue below the state's rank cut whose share
+    ``p_i w / w_min`` of a least-squares operator, with w_min the smallest
+    eigenvalue of rho_bar, that cut would count. Dropping such an eigenvalue
+    could leave the operators short of the identity, even short of spanning
+    the space; each one dropped moves an operator by less than the rank cut.
+    """
+    w_min = e.span[0][0]
+    values, vectors, ranks = e.state_spectra
+    weighted = e.priors[:, None] * values
+    shares = np.count_nonzero(weighted >= linalg.PSD_RANK_REL_TOL * w_min, axis=1)
+    widths = np.maximum(ranks, shares)
+    r = int(widths.max())
+    top = e.dim - r
+    keep = np.arange(r) >= r - widths[:, None]
+    return vectors[:, :, top:] * np.sqrt(np.where(keep, weighted[:, top:], 0.0))[:, None, :]
+
+
+def _lsm_factors(e: Ensemble) -> np.ndarray:
+    """The ``(m, n, r)`` stack ``K_i = rho_bar^{-1/2} F_i`` over the
+    :func:`_weighted_factors` of a validated ensemble (so rho_bar is
+    invertible); the least-squares operators are ``K_i K_i*``.
+
+    The scaling is done in the eigenbasis ``V`` of rho_bar, as
+    ``V diag(w^{-1/2}) V* F_i``, where each row is divided by the square root
+    of its eigenvalue exactly: orthogonal states get exact projectors, which
+    the product ``W F_i`` with ``W = rho_bar^{-1/2}`` misses by the rounding
+    of ``W``.
     """
     w, v, _ = e.span
-    scaled = v.conj().T @ e.weighted_states @ v
-    scaled /= np.sqrt(np.outer(w, w))
-    return linalg.hermitian_part(v @ scaled @ v.conj().T)
+    k = v.conj().T @ _weighted_factors(e)
+    k /= np.sqrt(w)[:, None]
+    return v @ k

@@ -15,8 +15,23 @@ points satisfy the slackness conditions. Each iterate carries the
 certificate built from X = herm(sum_j G_j Pi_j), and iteration stops once it
 passes feasibility and slackness at the requested tolerance.
 
-The weighted states G_i and the operators Pi_i are held as stacked
-``(m, n, n)`` arrays, so each step of an iteration is one batched numpy call
+The update never raises the rank of Pi_i above that of G_i, so the loop
+carries each operator as a thin factor, Pi_i = K_i K_i* with K_i of shape
+(n, r) and r the widest factor, starting from the least-squares factors
+``rho_bar^{-1/2} F_i`` of :func:`qsd.lsm._lsm_factors`. With W_i = G_i K_i,
+an iteration is X = herm(sum_i W_i K_i*), the slackness residuals of
+((X - G_i) K_i) K_i* against the true G_i, and K_i <- Lambda^{-1/2} W_i with
+Lambda = sum_i W_i W_i*, which is B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i
+written in factors. The update is taken from the SVD W = U s V* of the block
+row [W_1 ... W_m] as U V*, whose operators sum to the identity at rounding
+level however ill-conditioned Lambda is. K_i keeps its r columns, so a projective
+Pi_i keeps its null space, and every product is thin: for linearly
+independent states, whose ranks sum to n, an iteration costs a few n x n
+products and one n x n SVD rather than a few stacks of m products.
+Pi_i = herm(K_i K_i*) is formed only for the returned iterate.
+
+The weighted states and the factors are held as stacked ``(m, n, n)`` and
+``(m, n, r)`` arrays, so each step of an iteration is one batched numpy call
 rather than a Python loop over the m operators. Slackness is checked on every
 iterate; the feasibility margins, one batched eigenvalue decomposition, are
 taken only on iterates whose slackness passes, since only there can they
@@ -36,10 +51,11 @@ import numpy as np
 from . import linalg
 from .ensemble import Ensemble, require_valid
 from .errors import DimMismatchError, NotBinaryError, SingularMatrixError
-from .lsm import Povm, _lsm_operators, require_match
+from .lsm import Povm, _lsm_factors, require_match
 
-# Lambda eigenvalues below this (relative to maxabs) get a 1e-12 identity
-# shift before inversion; guards rank-deficient iterates.
+# When Lambda's smallest eigenvalue is below this fraction of its largest,
+# all of them get a 1e-12 identity shift before inversion; guards
+# rank-deficient iterates.
 LAMBDA_FLOOR = 1e-12
 
 
@@ -148,9 +164,11 @@ def _margins(diff):
     return np.linalg.eigvalsh(diff)[:, 0]
 
 
-def _slacks(diff, ops):
-    """Largest entry magnitude of each (x_hat - G_i) Pi_i."""
-    return np.abs(diff @ ops).max(axis=(1, 2))
+def _slacks(a, b):
+    """Largest entry magnitude of each product a_i b_i: of (x_hat - G_i) Pi_i
+    for ``a = x_hat - G`` and the operators ``b``, or of
+    ((x_hat - G_i) K_i) K_i* for their factors."""
+    return np.abs(a @ b).max(axis=(1, 2))
 
 
 def _residuals(x_hat, g, ops):
@@ -159,26 +177,33 @@ def _residuals(x_hat, g, ops):
     return _margins(diff), _slacks(diff, ops)
 
 
-def _iterates(g: np.ndarray, ops: np.ndarray):
-    """Fixed-point ascent from ``ops``: yield every iterate, ``ops`` first, as
-    (operators, x_hat, slacks). Never stops on its own; a yielded array is
-    never written afterwards, so a consumer may keep it without a copy."""
+def _iterates(g: np.ndarray, k: np.ndarray):
+    """Fixed-point ascent from the factors ``k``, an (m, n, r) stack with
+    Pi_i = K_i K_i*: yield every iterate, ``k`` first, as (factors, x_hat,
+    slacks). Never stops on its own; a yielded array is never written
+    afterwards, so a consumer may keep it without a copy."""
+    m, n, r = k.shape
     while True:
-        gp = g @ ops
-        x_hat = linalg.hermitian_part(gp.sum(axis=0))
-        lam = linalg.hermitian_part((gp @ g).sum(axis=0))
-        yield ops, x_hat, _slacks(x_hat - g, ops)
+        gk = g @ k
+        kh = np.conj(k).swapaxes(-1, -2)
+        x_hat = linalg.hermitian_part((gk @ kh).sum(axis=0))
+        yield k, x_hat, _slacks((x_hat - g) @ k, kh)
 
-        w, v = np.linalg.eigh(lam)
-        if float(w[0]) < LAMBDA_FLOOR * linalg.maxabs(lam):
-            w = w + LAMBDA_FLOOR
-        if float(w[0]) <= 0.0:
+        # Lambda = sum_i W_i W_i* = U s^2 U* for the SVD W = U s V* of the
+        # (n, m r) block row [W_1 ... W_m], so K <- Lambda^{-1/2} W is U V*
+        # unless the floor applies. Its factors sum to the identity at rounding
+        # level, where Lambda^{-1/2} from eigh(Lambda) misses by rounding times
+        # the condition number of Lambda.
+        u, s, vh = np.linalg.svd(gk.transpose(1, 0, 2).reshape(n, m * r), full_matrices=False)
+        lam = s * s
+        if not float(lam[0]) > 0.0:
             raise SingularMatrixError("iteration map collapsed to a singular operator")
-        s_inv = linalg.hermitian_part((v / np.sqrt(w)) @ v.conj().T)
-        sg = s_inv @ g
-        # B Pi_i B* with B = S G_i, as G_i S = B*; unlike S (G_i Pi_i G_i) S, whose
-        # rounding |S|^2 amplifies, it keeps a projective Pi_i's null space
-        ops = linalg.hermitian_part(sg @ ops @ np.conj(sg).swapaxes(-1, -2))
+        if lam.size < n or float(lam[-1]) < LAMBDA_FLOOR * float(lam[0]):
+            lam = lam + LAMBDA_FLOOR
+        # B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i, in factors: K_i keeps its
+        # r columns, so unlike S (G_i Pi_i G_i) S, whose rounding |S|^2
+        # amplifies, it keeps a projective Pi_i's null space
+        k = ((u * (s / np.sqrt(lam))) @ vh).reshape(n, m, r).transpose(1, 0, 2)
 
 
 def solve_optimal(
@@ -201,26 +226,28 @@ def solve_optimal(
     require_valid(e)
     g = e.weighted_states
     # margins can make an iterate converge only where slackness passes
-    iterates = islice(_iterates(g, _lsm_operators(e)), max_iter + 1)
-    for iteration, (ops, x_hat, slacks) in enumerate(iterates):
+    iterates = islice(_iterates(g, _lsm_factors(e)), max_iter + 1)
+    for iteration, (k, x_hat, slacks) in enumerate(iterates):
         if float(slacks.max()) <= tol:
             margins = _margins(x_hat - g)
             if float(margins.min()) >= -tol:
-                return _solution(g, ops, x_hat, margins, slacks, iteration, True)
+                return _solution(g, k, x_hat, margins, slacks, iteration, True)
     # The budget ran out. The loop is deterministic, so replaying it with
     # margins on every iterate finds the iterate with the best certificate.
     # The start is rebuilt rather than held, so a solve keeps no extra stack.
     best_score = np.inf
-    for ops, x_hat, slacks in islice(_iterates(g, _lsm_operators(e)), max_iter + 1):
+    for k, x_hat, slacks in islice(_iterates(g, _lsm_factors(e)), max_iter + 1):
         margins = _margins(x_hat - g)
         score = max(-float(margins.min()), float(slacks.max()), 0.0)
         if score < best_score:
-            best_score, best = score, (ops, x_hat, margins, slacks)
+            best_score, best = score, (k, x_hat, margins, slacks)
     return _solution(g, *best, max_iter, False)
 
 
-def _solution(g, ops, x_hat, margins, slacks, iterations: int, converged: bool):
-    """The returned measurement, its certificate and the solve's diagnostics."""
+def _solution(g, k, x_hat, margins, slacks, iterations: int, converged: bool):
+    """The returned measurement, its certificate and the solve's diagnostics,
+    from the factors ``k`` of the chosen iterate."""
+    ops = linalg.factor_products(k)
     primal = _trace_sum(g, ops)
     diag = SolveDiagnostics(iterations=iterations, primal_value=primal, converged=converged)
     return Povm(ops), _certificate(x_hat, primal, margins, slacks), diag

@@ -3,7 +3,9 @@
 A POVM is a Von Neumann measurement when its operators are mutually
 orthogonal projections. These checks make that structural claim executable:
 idempotency and pairwise-orthogonality residuals and rank comparisons against
-the state ranks. Ranks follow :func:`qsd.linalg.psd_rank`. For a linearly
+the state ranks. Ranks follow the one rank rule,
+:func:`qsd.linalg.spectrum_rank`: an operator's from its own eigenvalues, a
+state's from :attr:`qsd.ensemble.Ensemble.state_spectra`. For a linearly
 independent ensemble the optimal operators' ranks equal the state ranks and
 sum to the dimension.
 """
@@ -102,9 +104,10 @@ def is_projective(p: Povm, tol: float = 1e-6) -> VnmReport:
 
 
 def rank_profile(e: Ensemble, p: Povm) -> tuple[RankPair, ...]:
-    """Compare each measurement operator's rank against its state's rank."""
+    """Compare each measurement operator's rank against its state's rank,
+    the rank of :attr:`qsd.ensemble.Ensemble.state_spectra`."""
     require_match(e, p)
-    state_ranks = linalg.psd_rank(e.rhos).tolist()
+    state_ranks = e.state_spectra[2].tolist()
     return tuple(
         RankPair(state_rank=r, povm_rank=t, equal=t == r, bounded=t <= r)
         for r, t in zip(state_ranks, p.ranks)

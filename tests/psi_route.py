@@ -5,11 +5,12 @@ Each density operator is factored into scaled eigenvector columns,
 sit side by side in the block matrix ``Psi``, and the measurement operator
 for state i is ``mu_i mu_i*`` with ``mu_i = (Psi Psi*)^{-1/2} psi_i``
 (Eldar & Forney, "On quantum detection and the square-root measurement",
-2001). ``qsd`` computes the same operators from ``rho_bar = Psi Psi*``
-without any factorization; this route, taken as written, is what it is
-checked against, with :func:`inv_sqrt_psd` as the literal
-``W = rho_bar^{-1/2}`` and :func:`numeric_rank`, an SVD rank, as the
-independent check on the eigenvalue rank ``qsd`` uses.
+2001). ``qsd`` computes the same operators from its thin factors of the
+weighted states, scaled in the eigenbasis of ``rho_bar = Psi Psi*``; this
+route, taken as written, is what it is checked against, with
+:func:`inv_sqrt_psd` as the literal ``W = rho_bar^{-1/2}`` and
+:func:`numeric_rank`, an SVD rank, as the independent check on the
+eigenvalue rank ``qsd`` uses.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qsd import (
     validate,
 )
 from qsd.linalg import maxabs
+from qsd.lsm import _weighted_factors
 
 np_rng = np.random.default_rng(23)
 
@@ -50,6 +52,43 @@ def test_validate_gives_a_nonfinite_state_no_psd_margin():
         report = validate(Ensemble([0.5, 0.5], [bad, half]))
         assert np.isnan(report.psd_margins[0]) and report.psd_margins[1] == 0.5
         assert not report.states_passed and not report.passed
+
+
+def test_validate_reports_an_infinite_state_under_warnings_as_errors():
+    # inf - inf in the Hermitian deviation and the trace and inf * 0 in the
+    # weighted states are invalid operations, which -W error turns into
+    # exceptions
+    half = np.eye(2) / 2
+    for bad in (np.diag([np.inf, 1.0]), np.array([[0.5, np.inf], [0.0, 0.5]]),
+                np.array([[0.5, np.inf], [np.inf, 0.5]]), np.diag([np.inf, -np.inf])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, _, ranks = Ensemble([0.5, 0.5], [bad, half]).state_spectra
+            Ensemble([0.5, 0.5], [bad, half]).weighted_states
+            report = validate(Ensemble([0.5, 0.5], [bad, half]))
+        assert np.isnan(w[0]).all() and ranks.tolist() == [0, 2]
+        assert np.isnan(report.psd_margins[0]) and report.psd_margins[1] == 0.5
+        assert not report.states_passed and not report.passed
+
+
+def test_weighted_factors_match_the_weighted_states_and_the_oracle_ranks():
+    ensembles = [random_ensemble(n, (n // 4,) * 4, seed=n, require_independent=True)
+                 for n in (16, 32, 64)]
+    for k in range(40):
+        rng = np.random.default_rng([3100, k])
+        n, m = 2 + k % 5, 2 + (k // 5) % 6
+        e = random_ensemble(n, rng.integers(1, n + 1, size=m), seed=k)
+        if e.span[2] == n:
+            ensembles.append(e)
+    assert len(ensembles) > 30
+    for e in ensembles:
+        f = _weighted_factors(e)
+        oracle = factorize(e).ranks
+        assert f.shape == (e.num_states, e.dim, max(oracle))
+        # a factor's width is its count of nonzero columns; the padding is zero
+        widths = np.count_nonzero(np.abs(f).max(axis=1), axis=1)
+        assert tuple(widths.tolist()) == oracle == tuple(e.state_spectra[2].tolist())
+        assert maxabs(f @ np.conj(f).swapaxes(1, 2) - e.weighted_states) <= 1e-12
 
 
 def test_validate_flags_span_deficiency():

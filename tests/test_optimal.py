@@ -9,9 +9,12 @@ from conftest import ket, projector, pure_ensemble, trine_vectors
 from qsd import (
     CountMismatchError,
     DimMismatchError,
+    Ensemble,
     NotBinaryError,
+    SingularMatrixError,
     Povm,
     certify,
+    check_povm,
     compute_lsm,
     helstrom_binary,
     is_linearly_independent,
@@ -22,7 +25,8 @@ from qsd import (
     solve_optimal,
     validate,
 )
-from qsd.linalg import PSD_RANK_REL_TOL, maxabs
+from qsd.linalg import PSD_RANK_REL_TOL, factor_products, maxabs
+from qsd.lsm import _lsm_factors, _weighted_factors
 from qsd.optimal import _certificate, _iterates
 
 # 1/2 + sqrt(2)/4, the two-state optimum for |0>, |+> with equal priors
@@ -166,14 +170,15 @@ def test_solver_certificates_on_random_independent():
 
 
 def test_work_per_solve(monkeypatch):
-    """rho_bar is decomposed once per solve, by validation, and the LSM reads
-    that decomposition: eigh runs once for rho_bar and once per update.
-    eigvalsh runs once for validation and once for the margins of the
-    converging iterate, the only iterate whose slackness passes here. A solve
-    that exhausts its budget replays its updates and takes margins on every
-    iterate of the replay."""
+    """The states and rho_bar are decomposed once per solve, and validation,
+    the state ranks and the least-squares factors read those decompositions:
+    eigh runs once for the states and once for rho_bar, and svd once per
+    update. eigvalsh runs once, for the margins of the converging iterate,
+    the only iterate whose slackness passes here. A solve that exhausts its
+    budget replays its updates and takes margins on every iterate of the
+    replay."""
     calls = Counter()
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -187,14 +192,14 @@ def test_work_per_solve(monkeypatch):
         calls.clear()
         _, _, diag = solve_optimal(e)
         assert diag.converged and diag.iterations > 0
-        assert calls == {"eigh": diag.iterations + 1, "eigvalsh": 2}
+        assert calls == {"eigh": 2, "svd": diag.iterations, "eigvalsh": 1}
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
     assert not diag.converged and diag.iterations == 5
-    assert calls == {"eigh": 1 + 2 * 5, "eigvalsh": 1 + 6}
+    assert calls == {"eigh": 2, "svd": 2 * 5, "eigvalsh": 6}
     calls.clear()
     compute_lsm(li())
-    assert calls["eigh"] == 1
+    assert calls == {"eigh": 2}
 
 
 def test_update_keeps_the_null_space_of_projective_iterates():
@@ -213,6 +218,91 @@ def test_update_keeps_the_null_space_of_projective_iterates():
             assert povm.ranks == (n // 4,) * 4
 
 
+def test_update_refuses_a_vanishing_lambda():
+    g = np.zeros((2, 2, 2), dtype=complex)
+    iterates = _iterates(g, np.ones((2, 2, 1), dtype=complex))
+    next(iterates)
+    with pytest.raises(SingularMatrixError):
+        next(iterates)
+
+
+def test_every_factored_iterate_resolves_the_identity():
+    """The loop carries Pi_i = K_i K_i*; every iterate's operators sum to the
+    identity, so each one is a measurement."""
+    ensembles = [
+        random_ensemble(n, (n // 4,) * 4, priors=(0.7, 0.1, 0.1, 0.1), seed=n,
+                        require_independent=True)
+        for n in (16, 32, 64)
+    ]
+    for j in range(60):
+        rng = np.random.default_rng([4300, j])
+        n, m = 2 + j % 5, 2 + (j // 5) % 6
+        e = random_ensemble(n, rng.integers(1, n + 1, size=m), seed=j)
+        if e.span[2] == n:
+            ensembles.append(e)
+    assert len(ensembles) > 50
+    for e in ensembles:
+        for k, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 50):
+            assert k.shape[:2] == (e.num_states, e.dim)
+            assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
+
+
+def test_states_near_the_rank_cut_converge_and_certify():
+    """States with eigenvalues from 1e-14 to 1e-8 where an independent
+    ensemble has none: the factors keep an eigenvalue at or above the rank
+    cut and drop one below it, and the loop still runs against the true
+    weighted states, so every solve converges to a certified POVM."""
+    full_rank = set()
+    for j in range(40):
+        rng = np.random.default_rng([7100, j])
+        n = (4, 8, 12, 16)[j % 4]
+        e = random_ensemble(n, (n // 4,) * 4, seed=int(rng.integers(2**31)),
+                            require_independent=True)
+        eps = 10.0 ** rng.uniform(-14, -8)
+        rhos = []
+        for rho in e.rhos:
+            null = np.linalg.eigh(rho)[1][:, : n - n // 4]
+            rho = rho + eps * null @ null.conj().T
+            rhos.append(rho / np.trace(rho).real)
+        e = Ensemble(e.priors, rhos)
+        full_rank.add(int(e.state_spectra[2].max()) == n)
+        povm, cert, diag = solve_optimal(e)
+        assert diag.converged
+        assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+        assert check_povm(povm).passed
+    assert full_rank == {True, False}
+
+
+def test_sub_cut_eigenvalues_that_rho_bar_counts_stay_in_the_factors():
+    """Each state's third eigenvalue, 9e-11 of its largest, is below its
+    rank cut, so both states have rank 1; but rho_bar's third eigenvalue is
+    above its own cut, so the states span the space. The factors keep those
+    eigenvalues, or the measurement could not resolve the identity."""
+    eps = 9e-11
+    e = Ensemble([0.5, 0.5], [np.diag([1 - eps, 0, eps]), np.diag([0, 1 - eps, eps])])
+    assert validate(e).passed and e.state_spectra[2].tolist() == [1, 1]
+    widths = np.count_nonzero(np.abs(_weighted_factors(e)).max(axis=1), axis=1)
+    assert widths.tolist() == [2, 2]
+    assert check_povm(compute_lsm(e)).passed
+    povm, cert, diag = solve_optimal(e)
+    assert diag.converged
+    assert check_povm(povm).passed
+    assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+
+
+def test_ill_conditioned_solve_resolves_the_identity():
+    """rho_bar's condition number is about 5e4 here, Lambda's larger still;
+    inverting Lambda through its eigenvalues left these operators 2e-8 short
+    of the identity, which the SVD update keeps at rounding level."""
+    priors = (0.008429904443290398, 0.5624776270942011, 0.4290924684625085)
+    e = random_ensemble(5, (2, 2, 1), priors=priors, seed=354878086)
+    povm, cert, diag = solve_optimal(e)
+    assert diag.converged
+    assert check_povm(povm).passed
+    assert maxabs(povm.operators.sum(axis=0) - np.eye(5)) <= 1e-12
+    assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+
+
 def test_weak_duality_on_iterate_history():
     e = pure_ensemble((0.7, 0.3), (ket(1, 0), ket(1, 1)))
     povm, cert, diag = solve_optimal(e)
@@ -220,9 +310,9 @@ def test_weak_duality_on_iterate_history():
     optimum = helstrom_binary(e)
     # every iterate's certificate bounds the optimum from above
     g = e.weighted_states
-    iterates = _iterates(g, compute_lsm(e).operators)
-    for ops, x_hat, slacks in islice(iterates, diag.iterations + 1):
-        primal = prob_correct(e, Povm(ops))
+    iterates = _iterates(g, _lsm_factors(e))
+    for k, x_hat, slacks in islice(iterates, diag.iterations + 1):
+        primal = prob_correct(e, Povm(factor_products(k)))
         margins = np.linalg.eigvalsh(x_hat - g)[:, 0]
         assert primal <= optimum + 1e-12
         assert primal + _certificate(x_hat, primal, margins, slacks).gap >= optimum - 1e-12

@@ -2,9 +2,10 @@
 
 ``reference_solve`` and ``reference_certificate`` are the fixed-point loop
 and the certificate check written one operator at a time, as the formulas
-read. They are the oracle: the batched iterates of ``_iterates`` must match
-the reference's one by one, and ``solve_optimal`` must stop for the same
-reason and land on the same iterate.
+read. They are the oracle: the batched iterates of ``_iterates``, whose
+operators are ``herm(K_i K_i*)`` of its factors, must match the reference's
+one by one, and ``solve_optimal`` must stop for the same reason and land on
+the same iterate.
 """
 
 from itertools import islice
@@ -14,7 +15,8 @@ import numpy as np
 from psi_route import numeric_rank
 
 from qsd import Povm, certify, compute_lsm, prob_correct, random_ensemble, solve_optimal
-from qsd.linalg import hermitian_part, maxabs
+from qsd.linalg import factor_products, hermitian_part, maxabs
+from qsd.lsm import _lsm_factors
 from qsd.optimal import LAMBDA_FLOOR, _certificate, _iterates
 
 MAX_ITER = 300
@@ -126,10 +128,10 @@ def assert_matches_reference(e, max_iter):
     assert diag.converged == converged
     assert abs(diag.primal_value - primal) <= 1e-12
     g = e.weighted_states
-    iterates = list(islice(_iterates(g, compute_lsm(e).operators), len(history)))
+    iterates = list(islice(_iterates(g, _lsm_factors(e)), len(history)))
     assert len(iterates) == len(history)
-    for (ops_k, x_k, slacks_k), (p, d, margin, slack) in zip(iterates, history):
-        assert abs(prob_correct(e, Povm(ops_k)) - p) <= 1e-12
+    for (k_k, x_k, slacks_k), (p, d, margin, slack) in zip(iterates, history):
+        assert abs(prob_correct(e, Povm(factor_products(k_k))) - p) <= 1e-12
         assert abs(float(np.trace(x_k).real) - d) <= 1e-12
         assert abs(float(np.linalg.eigvalsh(x_k - g)[:, 0].min()) - margin) <= 1e-10
         assert abs(float(slacks_k.max()) - slack) <= 1e-10
@@ -174,9 +176,9 @@ def scored_iterates(e, count):
     """The first ``count`` iterates of the loop, each with its margins and its
     certificate score ``max(-min margin, max slack, 0)``."""
     g = e.weighted_states
-    for ops, x_hat, slacks in islice(_iterates(g, compute_lsm(e).operators), count):
+    for k, x_hat, slacks in islice(_iterates(g, _lsm_factors(e)), count):
         margins = np.linalg.eigvalsh(x_hat - g)[:, 0]
-        yield max(-float(margins.min()), float(slacks.max()), 0.0), (ops, x_hat, margins, slacks)
+        yield max(-float(margins.min()), float(slacks.max()), 0.0), (k, x_hat, margins, slacks)
 
 
 def test_exhausted_budget_returns_the_best_scored_iterate_exactly():
@@ -197,7 +199,8 @@ def test_exhausted_budget_returns_the_best_scored_iterate_exactly():
                 if score < best_score:
                     best_score, best, best_index = score, it, index
             not_last += best_index < max_iter
-            ops, x_hat, margins, slacks = best
+            k, x_hat, margins, slacks = best
+            ops = factor_products(k)
             primal = prob_correct(e, Povm(ops))
             want = _certificate(x_hat, primal, margins, slacks)
             assert np.array_equal(povm.operators, ops)

@@ -8,6 +8,7 @@ from qsd import (
     CountMismatchError,
     check_povm,
     compute_lsm,
+    is_linearly_independent,
     is_projective,
     make_povm,
     random_ensemble,
@@ -16,6 +17,7 @@ from qsd import (
     vnm_report,
 )
 from qsd.linalg import maxabs
+from qsd.lsm import _weighted_factors
 
 
 def test_check_povm_projector_pair(orthonormal_pair_povm):
@@ -80,6 +82,27 @@ def test_rank_profile_trine_optimum(trine):
     # rank equality can hold even though the measurement is not projective
     assert all(pair == (1, 1, True, True) for pair in pairs)
     assert not is_projective(povm, 1e-6).is_von_neumann
+
+
+def test_rank_profile_reads_the_factor_widths():
+    """rank_profile's state ranks come from the one decomposition of the
+    states that also sets the widths of the solver's factors."""
+    ensembles = [random_ensemble(n, (n // 4,) * 4, seed=n, require_independent=True)
+                 for n in (16, 32, 64, 96, 128)]
+    k = 0
+    while len(ensembles) < 205:
+        rng = np.random.default_rng([3300, k])
+        n, m = 2 + k % 5, 2 + (k // 5) % 6
+        e = random_ensemble(n, rng.integers(1, n + 1, size=m), seed=k)
+        k += 1
+        if e.span[2] == n:
+            ensembles.append(e)
+    for e in ensembles:
+        f = _weighted_factors(e)
+        widths = np.count_nonzero(np.abs(f).max(axis=1), axis=1).tolist()
+        guess = make_povm([np.eye(e.dim) / e.num_states] * e.num_states)
+        assert [pair.state_rank for pair in rank_profile(e, guess)] == widths
+        assert is_linearly_independent(e)[2] == sum(widths)
 
 
 def test_rank_profile_count_mismatch(trine, orthonormal_pair_povm):
