@@ -19,7 +19,6 @@ from .errors import (
     InvalidEnsembleError,
     NotBinaryError,
     QsdError,
-    SingularMatrixError,
     SpanDeficientError,
 )
 from .linalg import trace_norm
@@ -60,7 +59,6 @@ __all__ = [
     "QsdError",
     "RankPair",
     "SimResult",
-    "SingularMatrixError",
     "SolveDiagnostics",
     "SpanDeficientError",
     "ValidationReport",

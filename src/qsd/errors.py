@@ -7,10 +7,6 @@ class QsdError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SingularMatrixError(QsdError):
-    """Matrix is numerically singular; no inverse square root exists."""
-
-
 class InvalidEnsembleError(QsdError, ValueError):
     """An ensemble failed validation.
 

@@ -22,10 +22,19 @@ carries each operator as a thin factor, Pi_i = K_i K_i* with K_i of shape
 an iteration is X = herm(sum_i W_i K_i*), the slackness residuals of
 ((X - G_i) K_i) K_i* against the true G_i, and K_i <- Lambda^{-1/2} W_i with
 Lambda = sum_i W_i W_i*, which is B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i
-written in factors. The update is taken from the SVD W = U s V* of the block
-row [W_1 ... W_m] as U V*, whose operators sum to the identity at rounding
-level however ill-conditioned Lambda is. K_i keeps its r columns, so a projective
-Pi_i keeps its null space, and every product is thin: for linearly
+written in factors. Lambda^{-1/2} W is the unitary polar factor U V* of the
+block row W = [W_1 ... W_m] = U s V*, and that is the update: U is square,
+so sum_i K_i K_i* = U V* V U* = I for any W, and every iterate is a POVM at
+rounding level however ill-conditioned Lambda is. U is square because the
+kept factor columns span the space, so m r >= n: otherwise some unit y would
+be orthogonal to all of them, and since every eigenvalue the factors drop
+has p_i w < 1e-10 w_min (w_min the smallest eigenvalue of rho_bar),
+y* rho_bar y < m 1e-10 w_min < w_min, which no unit y can reach.
+W = 0 is the only input with no unique polar factor, and U V* is a POVM even
+there; no valid ensemble reaches it in exact arithmetic, since each W_i is
+nonzero at the start and the next G_i K_i = G_i M W_i with M = Lambda^{-1/2}
+positive definite is zero only if W_i* M W_i is. K_i keeps its r columns, so a
+projective Pi_i keeps its null space, and every product is thin: for linearly
 independent states, whose ranks sum to n, an iteration costs a few n x n
 products and one n x n SVD rather than a few stacks of m products.
 Pi_i = herm(K_i K_i*) is formed only for the returned iterate.
@@ -50,13 +59,8 @@ import numpy as np
 
 from . import linalg
 from .ensemble import Ensemble, require_valid
-from .errors import DimMismatchError, NotBinaryError, SingularMatrixError
+from .errors import DimMismatchError, NotBinaryError
 from .lsm import Povm, _lsm_factors, require_match
-
-# When Lambda's smallest eigenvalue is below this fraction of its largest,
-# all of them get a 1e-12 identity shift before inversion; guards
-# rank-deficient iterates.
-LAMBDA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,21 +193,13 @@ def _iterates(g: np.ndarray, k: np.ndarray):
         x_hat = linalg.hermitian_part((gk @ kh).sum(axis=0))
         yield k, x_hat, _slacks((x_hat - g) @ k, kh)
 
-        # Lambda = sum_i W_i W_i* = U s^2 U* for the SVD W = U s V* of the
-        # (n, m r) block row [W_1 ... W_m], so K <- Lambda^{-1/2} W is U V*
-        # unless the floor applies. Its factors sum to the identity at rounding
-        # level, where Lambda^{-1/2} from eigh(Lambda) misses by rounding times
-        # the condition number of Lambda.
-        u, s, vh = np.linalg.svd(gk.transpose(1, 0, 2).reshape(n, m * r), full_matrices=False)
-        lam = s * s
-        if not float(lam[0]) > 0.0:
-            raise SingularMatrixError("iteration map collapsed to a singular operator")
-        if lam.size < n or float(lam[-1]) < LAMBDA_FLOOR * float(lam[0]):
-            lam = lam + LAMBDA_FLOOR
-        # B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i, in factors: K_i keeps its
-        # r columns, so unlike S (G_i Pi_i G_i) S, whose rounding |S|^2
-        # amplifies, it keeps a projective Pi_i's null space
-        k = ((u * (s / np.sqrt(lam))) @ vh).reshape(n, m, r).transpose(1, 0, 2)
+        # K <- Lambda^{-1/2} W is the polar factor U V* of the (n, m r) block
+        # row W = [W_1 ... W_m] = U s V*; U is square, so the K_i K_i* sum to
+        # the identity for any W. It is B_i Pi_i B_i* with B_i = Lambda^{-1/2}
+        # G_i in factors: K_i keeps its r columns, so unlike S (G_i Pi_i G_i) S,
+        # whose rounding |S|^2 amplifies, it keeps a projective Pi_i's null space
+        u, _, vh = np.linalg.svd(gk.transpose(1, 0, 2).reshape(n, m * r), full_matrices=False)
+        k = (u @ vh).reshape(n, m, r).transpose(1, 0, 2)
 
 
 def solve_optimal(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsd import SingularMatrixError
 from qsd.linalg import PSD_RANK_REL_TOL, as_matrix, hermitian_part, spectrum_rank
 
 # Singular values at or below this fraction of the largest count as zero.
@@ -41,12 +40,12 @@ def numeric_rank(m):
 def inv_sqrt_psd(m) -> np.ndarray:
     """Hermitian inverse square root ``W`` of a positive definite matrix.
 
-    Raises ``SingularMatrixError`` when :func:`qsd.linalg.spectrum_rank` is
-    below the dimension, i.e. the matrix is not safely invertible.
+    Raises ``ValueError`` when :func:`qsd.linalg.spectrum_rank` is below the
+    dimension, i.e. the matrix is not safely invertible.
     """
     w, v = np.linalg.eigh(hermitian_part(as_matrix(m)))
     if spectrum_rank(w) < len(w):
-        raise SingularMatrixError(
+        raise ValueError(
             f"min eigenvalue {float(w[0]):.3e} below "
             f"{PSD_RANK_REL_TOL:.1e} * {float(w[-1]):.3e}"
         )

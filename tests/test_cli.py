@@ -81,21 +81,32 @@ def test_certify_zero_dual_exits_one(tmp_path):
 
 
 def test_solve_then_certify_self_consistent(tmp_path):
-    e = pure_ensemble((0.7, 0.3), (ket(1, 0), ket(1, 1)))
-    e_path = write_json(tmp_path, "e.json", ensemble_to_wire(e))
-    out_path = str(tmp_path / "povm.json")
-    cert_path = str(tmp_path / "cert.json")
-    solved = dispatch(
-        ["solve", e_path, "--out", out_path, "--cert", cert_path]
+    # priors down to 1e-8 make the update's Lambda near singular; the solved
+    # measurement must still sum to the identity for certify and check-vnm
+    skewed = dispatch(
+        ["gen", "--dim", "8", "--ranks", "2,2,2,2", "--priors",
+         "0.99999997,1e-8,1e-8,1e-8", "--seed", "3", "--independent"]
     )
-    assert solved.exit_code == 0
-    assert json.loads(solved.stdout)["diagnostics"]["converged"] is True
+    assert skewed.exit_code == 0
+    pair = ensemble_to_wire(pure_ensemble((0.7, 0.3), (ket(1, 0), ket(1, 1))))
+    for name, doc in (("pair", pair), ("skewed", json.loads(skewed.stdout))):
+        e_path = write_json(tmp_path, f"{name}.json", doc)
+        out_path = str(tmp_path / f"{name}_povm.json")
+        cert_path = str(tmp_path / f"{name}_cert.json")
+        solved = dispatch(
+            ["solve", e_path, "--out", out_path, "--cert", cert_path]
+        )
+        assert solved.exit_code == 0
+        assert json.loads(solved.stdout)["diagnostics"]["converged"] is True
 
-    recheck = dispatch(
-        ["certify", e_path, out_path, cert_path, "--tol", "1e-8"]
-    )
-    assert recheck.exit_code == 0, recheck.stderr
-    assert "feasible and slack" in recheck.stderr
+        recheck = dispatch(
+            ["certify", e_path, out_path, cert_path, "--tol", "1e-8"]
+        )
+        assert recheck.exit_code == 0, recheck.stderr
+        assert "feasible and slack" in recheck.stderr
+        check = dispatch(["check-vnm", e_path, out_path])
+        assert check.exit_code == 0, check.stderr
+        assert json.loads(check.stdout)["is_von_neumann"] is True
 
 
 @pytest.mark.parametrize("broken", ["zero", "half"])

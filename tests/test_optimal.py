@@ -11,7 +11,6 @@ from qsd import (
     DimMismatchError,
     Ensemble,
     NotBinaryError,
-    SingularMatrixError,
     Povm,
     certify,
     check_povm,
@@ -24,6 +23,7 @@ from qsd import (
     rank_profile,
     solve_optimal,
     validate,
+    vnm_report,
 )
 from qsd.linalg import PSD_RANK_REL_TOL, factor_products, maxabs
 from qsd.lsm import _lsm_factors, _weighted_factors
@@ -218,17 +218,25 @@ def test_update_keeps_the_null_space_of_projective_iterates():
             assert povm.ranks == (n // 4,) * 4
 
 
-def test_update_refuses_a_vanishing_lambda():
-    g = np.zeros((2, 2, 2), dtype=complex)
-    iterates = _iterates(g, np.ones((2, 2, 1), dtype=complex))
-    next(iterates)
-    with pytest.raises(SingularMatrixError):
-        next(iterates)
+def skewed_pure_pair(eps):
+    """|0> and |+> with priors 1 - eps and eps: Lambda's weak direction is
+    about eps^2 of its strong one."""
+    return pure_ensemble((1 - eps, eps), (ket(1, 0), ket(1, 1)))
+
+
+def skewed_independent_draw():
+    """Four rank-2 states spanning n = 8, three of them with prior 1e-8."""
+    return random_ensemble(8, (2,) * 4, priors=(1 - 3e-8, 1e-8, 1e-8, 1e-8), seed=3,
+                           require_independent=True)
+
+
+SKEWED_EPS = (1e-7, 1e-8, 1e-9)
 
 
 def test_every_factored_iterate_resolves_the_identity():
     """The loop carries Pi_i = K_i K_i*; every iterate's operators sum to the
-    identity, so each one is a measurement."""
+    identity, so each one is a measurement, also where Lambda is near
+    singular."""
     ensembles = [
         random_ensemble(n, (n // 4,) * 4, priors=(0.7, 0.1, 0.1, 0.1), seed=n,
                         require_independent=True)
@@ -244,6 +252,13 @@ def test_every_factored_iterate_resolves_the_identity():
     for e in ensembles:
         for k, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 50):
             assert k.shape[:2] == (e.num_states, e.dim)
+            assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
+    # The start is the least-squares measurement, which scales by rho_bar^{-1/2}
+    # and so misses the identity by rounding times rho_bar's condition number,
+    # 1.7e-8 on the skewed independent draw; every update after it is U V*.
+    skewed = [skewed_pure_pair(eps) for eps in SKEWED_EPS] + [skewed_independent_draw()]
+    for e in skewed:
+        for k, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 1, 50):
             assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
 
 
@@ -291,16 +306,27 @@ def test_sub_cut_eigenvalues_that_rho_bar_counts_stay_in_the_factors():
 
 
 def test_ill_conditioned_solve_resolves_the_identity():
-    """rho_bar's condition number is about 5e4 here, Lambda's larger still;
-    inverting Lambda through its eigenvalues left these operators 2e-8 short
-    of the identity, which the SVD update keeps at rounding level."""
+    """rho_bar's condition number is about 5e4 on the first draw, Lambda's
+    larger still; inverting Lambda through its eigenvalues leaves these
+    operators 2e-8 short of the identity. On the skewed pairs and the skewed
+    independent draw, Lambda's weak directions are below 1e-12 of its strong
+    one, so any floor on its eigenvalues would leave the operators short by
+    up to 1. The polar-factor update keeps all of them at rounding level."""
     priors = (0.008429904443290398, 0.5624776270942011, 0.4290924684625085)
-    e = random_ensemble(5, (2, 2, 1), priors=priors, seed=354878086)
-    povm, cert, diag = solve_optimal(e)
-    assert diag.converged
-    assert check_povm(povm).passed
-    assert maxabs(povm.operators.sum(axis=0) - np.eye(5)) <= 1e-12
-    assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+    ensembles = [random_ensemble(5, (2, 2, 1), priors=priors, seed=354878086)]
+    ensembles += [skewed_pure_pair(eps) for eps in SKEWED_EPS]
+    ensembles.append(skewed_independent_draw())
+    for e in ensembles:
+        povm, cert, diag = solve_optimal(e)
+        assert diag.converged
+        assert check_povm(povm).passed
+        assert maxabs(povm.operators.sum(axis=0) - np.eye(e.dim)) <= 1e-12
+        assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+        if e.num_states == 2:
+            assert abs(diag.primal_value - helstrom_binary(e)) <= 1e-12
+    report = vnm_report(e, povm)  # the last one, the skewed independent draw
+    assert report.is_von_neumann
+    assert all(pair.equal for pair in report.rank_pairs)
 
 
 def test_weak_duality_on_iterate_history():

@@ -22,7 +22,8 @@ def test_public_api():
                  "NotConvergedError", "NotPsdError", "sqrt_psd", "is_psd",
                  "lsm_is_projective_expected", "State", "inv_sqrt_psd",
                  "numeric_rank", "direct_sum_rank", "EigResult", "IterateRecord",
-                 "eig_hermitian", "NotHermitianError", "NonSquareError"):
+                 "eig_hermitian", "NotHermitianError", "NonSquareError",
+                 "SingularMatrixError"):
         assert not hasattr(qsd, gone), gone
     # nothing in the package reads a simulation or solve document
     for gone in ("sim_result_from_wire", "solve_result_from_wire"):

@@ -17,9 +17,13 @@ from psi_route import numeric_rank
 from qsd import Povm, certify, compute_lsm, prob_correct, random_ensemble, solve_optimal
 from qsd.linalg import factor_products, hermitian_part, maxabs
 from qsd.lsm import _lsm_factors
-from qsd.optimal import LAMBDA_FLOOR, _certificate, _iterates
+from qsd.optimal import _certificate, _iterates
 
 MAX_ITER = 300
+# The reference's shift of Lambda's eigenvalues when the smallest is below
+# this fraction of the largest, as the formula was first transcribed. The
+# solver needs none: its update U V* is a POVM for any Lambda.
+LAMBDA_FLOOR = 1e-12
 
 
 def reference_certificate(e, ops, x_hat):
