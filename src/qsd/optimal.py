@@ -39,6 +39,20 @@ independent states, whose ranks sum to n, an iteration costs a few n x n
 products and one n x n SVD rather than a few stacks of m products.
 Pi_i = herm(K_i K_i*) is formed only for the returned iterate.
 
+The plain map K <- T(K) = U V* converges sublinearly on linearly dependent
+ensembles, so after 8 plain steps the loop takes type-II Anderson steps
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of depth 5 on vec(K), with
+the residual T(K) - K. It mixes the factors, not the operators: an affine
+combination of PSD Pi_i need not be PSD, while any K gives PSD K_i K_i*, and
+the polar step U V* of the mixed factors restores completeness, so every
+candidate is a POVM. T(K Q) = T(K) Q for block-diagonal unitary
+Q = diag(Q_i), so the iterates share one gauge and combining their factors
+is well defined. A candidate is taken only if its P_d is at least the
+current iterate's, so a mixed step never lowers P_d; otherwise the step is
+plain and the mixing history starts over. The linearly independent
+ensembles measured converge within the plain steps, in 3 to 7, and a solve
+that stops there is the plain loop's bit for bit.
+
 The weighted states and the factors are held as stacked ``(m, n, n)`` and
 ``(m, n, r)`` arrays, so each step of an iteration is one batched numpy call
 rather than a Python loop over the m operators. Slackness is checked on every
@@ -52,8 +66,9 @@ with margins on every iterate to pick the best one.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -61,6 +76,11 @@ from . import linalg
 from .ensemble import Ensemble, require_valid
 from .errors import DimMismatchError, NotBinaryError
 from .lsm import Povm, _lsm_factors, require_match
+
+# Anderson mixing of the fixed point: a mixed step combines the last DEPTH + 1
+# iterates, and the first PLAIN_STEPS steps are plain.
+DEPTH = 5
+PLAIN_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -181,25 +201,63 @@ def _residuals(x_hat, g, ops):
     return _margins(diff), _slacks(diff, ops)
 
 
+def _update(w: np.ndarray) -> np.ndarray:
+    """The polar factor U V* of the (n, m r) block row [W_1 ... W_m] = U s V*
+    of the (m, n, r) stack ``w``, returned as a stack of the same shape.
+
+    U is square, so the factors K_i of the result satisfy sum_i K_i K_i* =
+    U V* V U* = I for any ``w``. Applied to W = G K, it is the plain step
+    K_i <- Lambda^{-1/2} G_i K_i, which is B_i Pi_i B_i* with B_i =
+    Lambda^{-1/2} G_i in factors: K_i keeps its r columns, so unlike
+    S (G_i Pi_i G_i) S, whose rounding |S|^2 amplifies, it keeps a projective
+    Pi_i's null space."""
+    m, n, r = w.shape
+    u, _, vh = np.linalg.svd(w.transpose(1, 0, 2).reshape(n, m * r), full_matrices=False)
+    return (u @ vh).reshape(n, m, r).transpose(1, 0, 2)
+
+
 def _iterates(g: np.ndarray, k: np.ndarray):
     """Fixed-point ascent from the factors ``k``, an (m, n, r) stack with
     Pi_i = K_i K_i*: yield every iterate, ``k`` first, as (factors, x_hat,
     slacks). Never stops on its own; a yielded array is never written
-    afterwards, so a consumer may keep it without a copy."""
-    m, n, r = k.shape
-    while True:
-        gk = g @ k
+    afterwards, so a consumer may keep it without a copy.
+
+    The plain step is K <- T(K) = _update(G K). After PLAIN_STEPS of them,
+    each step is type-II Anderson mixing of depth DEPTH on vec(K) with the
+    residual T(K) - K: the point sum_j a_j T(K_j), sum_j a_j = 1, over the
+    last DEPTH + 1 iterates, whose residual combination sum_j a_j (T(K_j) -
+    K_j) is least in norm. Mixing factors rather than operators keeps a POVM:
+    the mixed K_i K_i* are PSD, and _update of the mixed factors makes them
+    sum to the identity. The candidate is taken only if its P_d =
+    sum_i Tr(K_i* G_i K_i) is at least the current iterate's Tr x_hat, and
+    its G K is the next iterate's; otherwise the step is plain and the
+    history is cleared. T(K Q) = T(K) Q for block-diagonal unitary
+    Q = diag(Q_i), so the iterates share one gauge and their factors can be
+    combined.
+    """
+    # T(K_j) and T(K_j) - K_j of the last DEPTH + 1 iterates, flattened
+    ts, fs = deque(maxlen=DEPTH + 1), deque(maxlen=DEPTH + 1)
+    gk = g @ k
+    for step in count():
         kh = np.conj(k).swapaxes(-1, -2)
         x_hat = linalg.hermitian_part((gk @ kh).sum(axis=0))
         yield k, x_hat, _slacks((x_hat - g) @ k, kh)
 
-        # K <- Lambda^{-1/2} W is the polar factor U V* of the (n, m r) block
-        # row W = [W_1 ... W_m] = U s V*; U is square, so the K_i K_i* sum to
-        # the identity for any W. It is B_i Pi_i B_i* with B_i = Lambda^{-1/2}
-        # G_i in factors: K_i keeps its r columns, so unlike S (G_i Pi_i G_i) S,
-        # whose rounding |S|^2 amplifies, it keeps a projective Pi_i's null space
-        u, _, vh = np.linalg.svd(gk.transpose(1, 0, 2).reshape(n, m * r), full_matrices=False)
-        k = (u @ vh).reshape(n, m, r).transpose(1, 0, 2)
+        t = _update(gk)
+        if step >= PLAIN_STEPS - DEPTH:
+            ts.append(t.ravel())
+            fs.append(ts[-1] - k.ravel())
+        if step >= PLAIN_STEPS and len(fs) > 1:
+            gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
+            mixed = _update((ts[-1] - np.diff(ts, axis=0).T @ gamma).reshape(k.shape))
+            g_mixed = g @ mixed
+            if np.vdot(mixed, g_mixed).real >= np.trace(x_hat).real:
+                k, gk = mixed, g_mixed
+                continue
+            ts.clear()
+            fs.clear()
+        k = t
+        gk = g @ k
 
 
 def solve_optimal(

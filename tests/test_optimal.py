@@ -27,7 +27,7 @@ from qsd import (
 )
 from qsd.linalg import PSD_RANK_REL_TOL, factor_products, maxabs
 from qsd.lsm import _lsm_factors, _weighted_factors
-from qsd.optimal import _certificate, _iterates
+from qsd.optimal import PLAIN_STEPS, _certificate, _iterates
 
 # 1/2 + sqrt(2)/4, the two-state optimum for |0>, |+> with equal priors
 ZERO_PLUS_OPTIMUM = 0.8535533905932737
@@ -173,10 +173,10 @@ def test_work_per_solve(monkeypatch):
     """The states and rho_bar are decomposed once per solve, and validation,
     the state ranks and the least-squares factors read those decompositions:
     eigh runs once for the states and once for rho_bar, and svd once per
-    update. eigvalsh runs once, for the margins of the converging iterate,
-    the only iterate whose slackness passes here. A solve that exhausts its
-    budget replays its updates and takes margins on every iterate of the
-    replay."""
+    plain update and twice per mixed one. eigvalsh runs once, for the margins
+    of the converging iterate, the only iterate whose slackness passes here.
+    A solve that exhausts its budget replays its updates and takes margins on
+    every iterate of the replay."""
     calls = Counter()
     for name in ("eigh", "eigvalsh", "svd"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -188,11 +188,16 @@ def test_work_per_solve(monkeypatch):
     def li():
         return random_ensemble(16, (4,) * 4, seed=0, require_independent=True)
 
-    for e in (li(), random_ensemble(3, (2, 2, 1, 2), seed=1)):
-        calls.clear()
-        _, _, diag = solve_optimal(e)
-        assert diag.converged and diag.iterations > 0
-        assert calls == {"eigh": 2, "svd": diag.iterations, "eigvalsh": 1}
+    calls.clear()
+    _, _, diag = solve_optimal(li())
+    assert diag.converged and 0 < diag.iterations <= PLAIN_STEPS
+    assert calls == {"eigh": 2, "svd": diag.iterations, "eigvalsh": 1}
+    # past the plain steps, a mixed step takes a second svd to normalize
+    # the mixed factors
+    calls.clear()
+    _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1))
+    assert diag.converged and diag.iterations == 11
+    assert calls == {"eigh": 2, "svd": 14, "eigvalsh": 1}
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
     assert not diag.converged and diag.iterations == 5

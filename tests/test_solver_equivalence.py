@@ -1,29 +1,60 @@
-"""The stacked solver against the per-operator loop it replaced.
+"""The stacked solver against the per-operator loop it replaced, and the
+accelerated loop against the plain one.
 
 ``reference_solve`` and ``reference_certificate`` are the fixed-point loop
 and the certificate check written one operator at a time, as the formulas
-read. They are the oracle: the batched iterates of ``_iterates``, whose
-operators are ``herm(K_i K_i*)`` of its factors, must match the reference's
-one by one, and ``solve_optimal`` must stop for the same reason and land on
-the same iterate.
+read. They are the oracle for ``plain_iterates``, the stacked loop without
+Anderson mixing, in which every step is ``_update(G K)``: its iterates,
+whose operators are ``herm(K_i K_i*)`` of its factors, must match the
+reference's one by one, and ``solve_optimal`` driven by it must stop for the
+same reason and land on the same iterate. The mixed iterates of
+``_iterates`` take other paths to the optimum, so they are held to the
+certificate and to the plain loop's certified answer instead.
 """
 
 from itertools import islice
 
 import numpy as np
+import pytest
 
 from psi_route import numeric_rank
 
-from qsd import Povm, certify, compute_lsm, prob_correct, random_ensemble, solve_optimal
+import qsd.optimal
+from qsd import (
+    Povm,
+    certify,
+    check_povm,
+    compute_lsm,
+    prob_correct,
+    random_ensemble,
+    solve_optimal,
+)
 from qsd.linalg import factor_products, hermitian_part, maxabs
 from qsd.lsm import _lsm_factors
-from qsd.optimal import _certificate, _iterates
+from qsd.optimal import _certificate, _iterates, _slacks, _update
 
 MAX_ITER = 300
 # The reference's shift of Lambda's eigenvalues when the smallest is below
 # this fraction of the largest, as the formula was first transcribed. The
 # solver needs none: its update U V* is a POVM for any Lambda.
 LAMBDA_FLOOR = 1e-12
+
+
+def plain_iterates(g, k):
+    """``_iterates`` without Anderson mixing: every step is K <- _update(G K)."""
+    while True:
+        gk = g @ k
+        kh = np.conj(k).swapaxes(-1, -2)
+        x_hat = hermitian_part((gk @ kh).sum(axis=0))
+        yield k, x_hat, _slacks((x_hat - g) @ k, kh)
+        k = _update(gk)
+
+
+def solve_plain(e, **kwargs):
+    """``solve_optimal`` with its loop replaced by ``plain_iterates``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsd.optimal, "_iterates", plain_iterates)
+        return solve_optimal(e, **kwargs)
 
 
 def reference_certificate(e, ops, x_hat):
@@ -126,13 +157,13 @@ def independent_corpus():
 
 def assert_matches_reference(e, max_iter):
     """Solve both ways and compare; return the reference's stop and history."""
-    povm, cert, diag = solve_optimal(e, max_iter=max_iter)
+    povm, cert, diag = solve_plain(e, max_iter=max_iter)
     ops, x_hat, primal, iterations, converged, history = reference_solve(e, max_iter=max_iter)
     assert diag.iterations == iterations
     assert diag.converged == converged
     assert abs(diag.primal_value - primal) <= 1e-12
     g = e.weighted_states
-    iterates = list(islice(_iterates(g, _lsm_factors(e)), len(history)))
+    iterates = list(islice(plain_iterates(g, _lsm_factors(e)), len(history)))
     assert len(iterates) == len(history)
     for (k_k, x_k, slacks_k), (p, d, margin, slack) in zip(iterates, history):
         assert abs(prob_correct(e, Povm(factor_products(k_k))) - p) <= 1e-12
@@ -214,3 +245,42 @@ def test_exhausted_budget_returns_the_best_scored_iterate_exactly():
             assert (cert.dual_value, cert.gap) == (want.dual_value, want.gap)
             assert (diag.iterations, diag.primal_value) == (max_iter, primal)
     assert not_last >= 3
+
+
+# rounding in evaluating two detection probabilities and their certified gaps
+GAP_ROUNDING = 1e-13
+
+
+def test_accelerated_loop_agrees_with_the_plain_loop_in_fewer_iterations():
+    """On 120 seeded dependent draws, every accelerated solve converges to a
+    certified measurement whose P_d lies within the two certified gaps of the
+    plain loop's, in at most half the plain loop's summed iterations. Every
+    iterate on the way, the mixed ones included, is a measurement: after the
+    start its operators sum to the identity, and P_d never falls from one
+    iterate to the next beyond rounding."""
+    corpus = [e for e, _ in dependent_corpus(120)]
+    assert {(e.dim, e.num_states) for e in corpus} == {
+        (n, m) for n in range(2, 7) for m in range(2, 8)
+    }
+    iterations = {"plain": 0, "accelerated": 0}
+    for e in corpus:
+        povm, cert, diag = solve_optimal(e)
+        assert diag.converged
+        assert check_povm(povm).passed
+        assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+        _, plain_cert, plain_diag = solve_plain(e)
+        assert abs(diag.primal_value - plain_diag.primal_value) <= (
+            cert.gap + plain_cert.gap + GAP_ROUNDING
+        )
+        iterations["plain"] += plain_diag.iterations
+        iterations["accelerated"] += diag.iterations
+
+        g = e.weighted_states
+        primal = -np.inf
+        iterates = islice(_iterates(g, _lsm_factors(e)), diag.iterations + 1)
+        for step, (k, x_hat, _) in enumerate(iterates):
+            if step:
+                assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
+            assert float(np.trace(x_hat).real) >= primal - 1e-12
+            primal = float(np.trace(x_hat).real)
+    assert 2 * iterations["accelerated"] <= iterations["plain"]
