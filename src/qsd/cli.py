@@ -127,9 +127,10 @@ def _load_povm(path: str):
     return serialize.povm_from_wire(_read_document(path))
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, text: str) -> None:
+    """Write the encoded document ``text`` to ``path``, newline-terminated."""
     with open(path, "w") as fh:
-        fh.write(serialize.dumps(payload) + "\n")
+        fh.write(text + "\n")
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -165,20 +166,25 @@ def _cmd_gen(args):
 
 
 def _cmd_lsm(args):
-    payload = serialize.povm_to_wire(compute_lsm(_load_ensemble(args.ensemble)))
+    text = serialize.dumps(serialize.povm_to_wire(compute_lsm(_load_ensemble(args.ensemble))))
     if args.out:
-        _write_json(args.out, payload)
-    return payload, 0, ""
+        _write_json(args.out, text)
+    return text, 0, ""
 
 
 def _cmd_solve(args):
     e = _load_ensemble(args.ensemble)
     povm, cert, diag = solve_optimal(e, tol=args.tol, max_iter=args.max_iter)
-    payload = serialize.solve_result_to_wire(povm, cert, diag)
+    # each part is encoded once, for its file and for stdout alike
+    texts = {
+        key: serialize.dumps(part)
+        for key, part in serialize.solve_result_to_wire(povm, cert, diag).items()
+    }
     if args.out:
-        _write_json(args.out, payload["povm"])
+        _write_json(args.out, texts["povm"])
     if args.cert:
-        _write_json(args.cert, payload["certificate"])
+        _write_json(args.cert, texts["certificate"])
+    payload = "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in texts.items()) + "}"
     if diag.converged:
         return payload, 0, ""
     note = f"not converged after {diag.iterations} iterations (certified gap {cert.gap:.3e})"
@@ -261,6 +267,7 @@ def dispatch(argv) -> CommandResult:
     except _UsageError as exc:
         return CommandResult(2, "", f"error: {exc}")
     try:
+        # a handler returns its payload as a wire dict, or as text already encoded
         payload, code, note = _HANDLERS[args.command](args)
     except _UsageError as exc:
         return CommandResult(2, "", f"error: {exc}")
@@ -272,7 +279,8 @@ def dispatch(argv) -> CommandResult:
     except QsdError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         return CommandResult(1, serialize.dumps(payload), str(exc))
-    return CommandResult(code, serialize.dumps(payload), note)
+    stdout = payload if isinstance(payload, str) else serialize.dumps(payload)
+    return CommandResult(code, stdout, note)
 
 
 def main() -> None:

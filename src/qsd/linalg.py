@@ -40,14 +40,16 @@ def square_stack(mats) -> np.ndarray:
     Raises ``DimMismatchError`` when the shapes differ or are not square and
     ``ValueError`` when there is no matrix.
     """
-    ms = [np.asarray(a, dtype=np.complex128) for a in mats]
-    if not ms:
-        raise ValueError("expected at least one matrix")
-    shape = ms[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ms):
+    try:
+        stack = np.array(mats, dtype=np.complex128)
+    except ValueError:
+        stack = None  # ragged; the shapes are reported below
+    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
+        ms = [np.asarray(a, dtype=np.complex128) for a in mats]
+        if not ms:
+            raise ValueError("expected at least one matrix")
         shapes = sorted({a.shape for a in ms})
         raise DimMismatchError(f"expected square matrices of one shape, got {shapes}")
-    stack = np.stack(ms)
     stack.flags.writeable = False
     return stack
 

@@ -20,7 +20,7 @@ carries each operator as a thin factor, Pi_i = K_i K_i* with K_i of shape
 (n, r) and r the widest factor, starting from the least-squares factors
 ``rho_bar^{-1/2} F_i`` of :func:`qsd.lsm._lsm_factors`. With W_i = G_i K_i,
 an iteration is X = herm(sum_i W_i K_i*), the slackness residuals of
-((X - G_i) K_i) K_i* against the true G_i, and K_i <- Lambda^{-1/2} W_i with
+(X K_i - W_i) K_i* against the true G_i, and K_i <- Lambda^{-1/2} W_i with
 Lambda = sum_i W_i W_i*, which is B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i
 written in factors. Lambda^{-1/2} W is the unitary polar factor U V* of the
 block row W = [W_1 ... W_m] = U s V*, and that is the update: U is square,
@@ -42,10 +42,14 @@ Pi_i = herm(K_i K_i*) is formed only for the returned iterate.
 The plain map K <- T(K) = U V* converges sublinearly on linearly dependent
 ensembles, so after 8 plain steps the loop takes type-II Anderson steps
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of depth 5 on vec(K), with
-the residual T(K) - K. It mixes the factors, not the operators: an affine
-combination of PSD Pi_i need not be PSD, while any K gives PSD K_i K_i*, and
-the polar step U V* of the mixed factors restores completeness, so every
-candidate is a POVM. T(K Q) = T(K) Q for block-diagonal unitary
+the residual T(K) - K. Its weights solve a least-squares problem in at most
+5 unknowns, over the differences of T(K) - K between the last 6 iterates;
+the loop takes them from the Gram system of its normal equations, one
+``np.linalg.solve`` of at most 5 x 5, and a singular system or a solution
+that is not finite gives the plain step. It mixes the factors, not the
+operators: an affine combination of PSD Pi_i need not be PSD, while any K
+gives PSD K_i K_i*, and the polar step U V* of the mixed factors restores
+completeness, so every candidate is a POVM. T(K Q) = T(K) Q for block-diagonal unitary
 Q = diag(Q_i), so the iterates share one gauge and combining their factors
 is well defined. A candidate is taken only if its P_d is at least the
 current iterate's, so a mixed step never lowers P_d; otherwise the step is
@@ -53,9 +57,14 @@ plain and the mixing history starts over. The linearly independent
 ensembles measured converge within the plain steps, in 3 to 7, and a solve
 that stops there is the plain loop's bit for bit.
 
-The weighted states and the factors are held as stacked ``(m, n, n)`` and
-``(m, n, r)`` arrays, so each step of an iteration is one batched numpy call
-rather than a Python loop over the m operators. Slackness is checked on every
+The weighted states are held as a stacked ``(m, n, n)`` array, and the
+factors as the adjoint K* = [K_1 ... K_m]* of the ``(n, m r)`` block row
+that the polar step acts on: an ``(m r, n)`` array whose ``(m, r, n)``
+reshape is the stack of the K_i*. The polar factor of W* is that of W
+conjugate-transposed, so the SVD takes W* = K* G as it is, which is one
+batched product K_i* G_i; x_hat = herm(K W*) is one product over the row,
+and every other step of an iteration is one batched numpy call rather than
+a Python loop over the m operators. Slackness is checked on every
 iterate; the feasibility margins, one batched eigenvalue decomposition, are
 taken only on iterates whose slackness passes, since only there can they
 decide convergence. Both are computed by the same routines that
@@ -190,8 +199,8 @@ def _margins(diff):
 
 def _slacks(a, b):
     """Largest entry magnitude of each product a_i b_i: of (x_hat - G_i) Pi_i
-    for ``a = x_hat - G`` and the operators ``b``, or of
-    ((x_hat - G_i) K_i) K_i* for their factors."""
+    for ``a = x_hat - G`` and the operators ``b``, or of its adjoint
+    K_i (K_i* x_hat - K_i* G_i) for their factors."""
     return np.abs(a @ b).max(axis=(1, 2))
 
 
@@ -201,19 +210,37 @@ def _residuals(x_hat, g, ops):
     return _margins(diff), _slacks(diff, ops)
 
 
-def _update(w: np.ndarray) -> np.ndarray:
-    """The polar factor U V* of the (n, m r) block row [W_1 ... W_m] = U s V*
-    of the (m, n, r) stack ``w``, returned as a stack of the same shape.
+def _times_g(kh: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """W* = K* G = [K_1* G_1; ...; K_m* G_m] for the (m r, n) adjoint block
+    row ``kh`` = K* = [K_1 ... K_m]*, as one batched product whose result is
+    already laid out as the (m r, n) array W*."""
+    return (kh.reshape(len(g), -1, kh.shape[1]) @ g).reshape(kh.shape)
 
-    U is square, so the factors K_i of the result satisfy sum_i K_i K_i* =
-    U V* V U* = I for any ``w``. Applied to W = G K, it is the plain step
-    K_i <- Lambda^{-1/2} G_i K_i, which is B_i Pi_i B_i* with B_i =
-    Lambda^{-1/2} G_i in factors: K_i keeps its r columns, so unlike
-    S (G_i Pi_i G_i) S, whose rounding |S|^2 amplifies, it keeps a projective
-    Pi_i's null space."""
-    m, n, r = w.shape
-    u, _, vh = np.linalg.svd(w.transpose(1, 0, 2).reshape(n, m * r), full_matrices=False)
-    return (u @ vh).reshape(n, m, r).transpose(1, 0, 2)
+
+def _update(w: np.ndarray) -> np.ndarray:
+    """The polar factor U V* of the matrix W = U s V*, of the same shape.
+
+    For W the (n, m r) block row [W_1 ... W_m], U is square, so the factors
+    K_i of the result satisfy sum_i K_i K_i* = U V* V U* = I for any ``w``.
+    Applied to W = G K, it is the plain step K_i <- Lambda^{-1/2} G_i K_i,
+    which is B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i in factors: K_i keeps
+    its r columns, so unlike S (G_i Pi_i G_i) S, whose rounding |S|^2
+    amplifies, it keeps a projective Pi_i's null space. The polar factor of
+    W* is that of W, conjugate-transposed."""
+    u, _, vh = np.linalg.svd(w, full_matrices=False)
+    return u @ vh
+
+
+def _mixing_weights(d_f: np.ndarray, f: np.ndarray):
+    """The gamma minimizing |f - d_f^T gamma| for the (d, N) rows ``d_f``, from
+    the d x d Gram system (d_f* d_f^T) gamma = d_f* f; None if that system is
+    singular or its solution not finite."""
+    d_f_h = d_f.conj()
+    try:
+        gamma = np.linalg.solve(d_f_h @ d_f.T, d_f_h @ f)
+    except np.linalg.LinAlgError:
+        return None
+    return gamma if np.isfinite(gamma).all() else None
 
 
 def _iterates(g: np.ndarray, k: np.ndarray):
@@ -222,42 +249,65 @@ def _iterates(g: np.ndarray, k: np.ndarray):
     slacks). Never stops on its own; a yielded array is never written
     afterwards, so a consumer may keep it without a copy.
 
-    The plain step is K <- T(K) = _update(G K). After PLAIN_STEPS of them,
-    each step is type-II Anderson mixing of depth DEPTH on vec(K) with the
-    residual T(K) - K: the point sum_j a_j T(K_j), sum_j a_j = 1, over the
-    last DEPTH + 1 iterates, whose residual combination sum_j a_j (T(K_j) -
-    K_j) is least in norm. Mixing factors rather than operators keeps a POVM:
-    the mixed K_i K_i* are PSD, and _update of the mixed factors makes them
-    sum to the identity. The candidate is taken only if its P_d =
+    The loop carries the factors as the adjoint K* = [K_1 ... K_m]* of the
+    (n, m r) block row that the polar step acts on: an (m r, n) array whose
+    (m, r, n) reshape is the stack of the K_i*, with W* = (G K)* = K* G
+    beside it (:func:`_times_g`). So x_hat = herm(K W*), the Hermitian part
+    of (W K*)*, is one product, the slackness residuals are those of
+    K_i (K_i* X - W_i*), the adjoints of (X K_i - W_i) K_i*, and the plain
+    step takes the polar factor of W* as it is: K* <- T(K)* = _update(W*).
+    LAPACK takes that contiguous array as a tall matrix, which it decomposes
+    faster than the wide W, and W* comes out of its batched product already
+    laid out; the (m, n, r) stack of the K_i that is yielded is a view of
+    the conjugate K^T that x_hat's product reads. After PLAIN_STEPS plain
+    steps, each step is type-II Anderson mixing of depth DEPTH on vec(K*)
+    with the residual F = T(K)* - K*: the point T(K_k)* - sum_j gamma_j dT_j,
+    over the differences dT_j and dF_j of T* and F between consecutive
+    iterates among the last DEPTH + 1, with gamma the least-squares solution
+    of dF gamma = F(K_k). The last DEPTH differences of each are kept, one
+    of each appended per step, and gamma solves the normal equations
+    (dF* dF) gamma = dF* F(K_k), a Gram system of at most DEPTH unknowns
+    (:func:`_mixing_weights`). Mixing factors rather than operators keeps a
+    POVM: the mixed K_i K_i* are PSD, and _update of the mixed factors makes
+    them sum to the identity. The candidate is taken only if its P_d =
     sum_i Tr(K_i* G_i K_i) is at least the current iterate's Tr x_hat, and
-    its G K is the next iterate's; otherwise the step is plain and the
-    history is cleared. T(K Q) = T(K) Q for block-diagonal unitary
-    Q = diag(Q_i), so the iterates share one gauge and their factors can be
-    combined.
+    its W* is the next iterate's. Otherwise, or if the Gram system is
+    singular or gamma is not finite, the step is plain and the history is
+    cleared. T(K Q) = T(K) Q for block-diagonal unitary Q = diag(Q_i), so
+    the iterates share one gauge and their factors can be combined.
     """
-    # T(K_j) and T(K_j) - K_j of the last DEPTH + 1 iterates, flattened
-    ts, fs = deque(maxlen=DEPTH + 1), deque(maxlen=DEPTH + 1)
-    gk = g @ k
+    m, n, r = k.shape
+    kh = k.conj().swapaxes(1, 2).reshape(m * r, n)
+    wh = _times_g(kh, g)
+    # differences of T* and F between consecutive iterates, flattened
+    diff_t, diff_f = deque(maxlen=DEPTH), deque(maxlen=DEPTH)
+    prev = None
     for step in count():
-        kh = np.conj(k).swapaxes(-1, -2)
-        x_hat = linalg.hermitian_part((gk @ kh).sum(axis=0))
-        yield k, x_hat, _slacks((x_hat - g) @ k, kh)
+        k_t = kh.conj()  # [K_1 ... K_m]^T
+        k = k_t.reshape(m, r, n).swapaxes(1, 2)
+        x_hat = linalg.hermitian_part(k_t.T @ wh)
+        yield k, x_hat, _slacks(k, (kh @ x_hat - wh).reshape(m, r, n))
 
-        t = _update(gk)
+        t = _update(wh).ravel()
         if step >= PLAIN_STEPS - DEPTH:
-            ts.append(t.ravel())
-            fs.append(ts[-1] - k.ravel())
-        if step >= PLAIN_STEPS and len(fs) > 1:
-            gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
-            mixed = _update((ts[-1] - np.diff(ts, axis=0).T @ gamma).reshape(k.shape))
-            g_mixed = g @ mixed
-            if np.vdot(mixed, g_mixed).real >= np.trace(x_hat).real:
-                k, gk = mixed, g_mixed
-                continue
-            ts.clear()
-            fs.clear()
-        k = t
-        gk = g @ k
+            f = t - kh.ravel()
+            if prev is not None:
+                diff_t.append(t - prev[0])
+                diff_f.append(f - prev[1])
+            prev = t, f
+        if step >= PLAIN_STEPS and diff_f:
+            gamma = _mixing_weights(np.array(diff_f), f)
+            if gamma is not None:
+                mixed = _update((t - gamma @ np.array(diff_t)).reshape(kh.shape))
+                w_mixed = _times_g(mixed, g)
+                if np.vdot(mixed, w_mixed).real >= x_hat.trace().real:
+                    kh, wh = mixed, w_mixed
+                    continue
+            diff_t.clear()
+            diff_f.clear()
+            prev = None
+        kh = t.reshape(kh.shape)
+        wh = _times_g(kh, g)
 
 
 def solve_optimal(

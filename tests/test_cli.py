@@ -19,6 +19,7 @@ from qsd.serialize import (
     ensemble_to_wire,
     povm_from_wire,
     povm_to_wire,
+    solve_result_to_wire,
     validation_report_to_wire,
 )
 
@@ -107,6 +108,24 @@ def test_solve_then_certify_self_consistent(tmp_path):
         check = dispatch(["check-vnm", e_path, out_path])
         assert check.exit_code == 0, check.stderr
         assert json.loads(check.stdout)["is_von_neumann"] is True
+
+
+def test_solve_stdout_and_files_are_the_encoded_solve(tmp_path):
+    # stdout and the two files are one encoding of the same solve, byte for
+    # byte, for a converged solve and for one that runs out of budget
+    e = random_ensemble(3, (2, 2, 1, 2), seed=1)
+    e_path = write_json(tmp_path, "e.json", ensemble_to_wire(e))
+    out_path, cert_path = str(tmp_path / "povm.json"), str(tmp_path / "cert.json")
+    for budget, code in ((10000, 0), (5, 1)):
+        result = dispatch(["solve", e_path, "--max-iter", str(budget),
+                           "--out", out_path, "--cert", cert_path])
+        assert result.exit_code == code
+        wire = solve_result_to_wire(*solve_optimal(e, max_iter=budget))
+        assert result.stdout == dumps(wire)
+        with open(out_path) as fh:
+            assert fh.read() == dumps(wire["povm"]) + "\n"
+        with open(cert_path) as fh:
+            assert fh.read() == dumps(wire["certificate"]) + "\n"
 
 
 @pytest.mark.parametrize("broken", ["zero", "half"])

@@ -173,12 +173,13 @@ def test_work_per_solve(monkeypatch):
     """The states and rho_bar are decomposed once per solve, and validation,
     the state ranks and the least-squares factors read those decompositions:
     eigh runs once for the states and once for rho_bar, and svd once per
-    plain update and twice per mixed one. eigvalsh runs once, for the margins
-    of the converging iterate, the only iterate whose slackness passes here.
-    A solve that exhausts its budget replays its updates and takes margins on
-    every iterate of the replay."""
+    plain update and twice per mixed one. A mixed step takes its combination
+    from one solve of the small Gram system and never from lstsq. eigvalsh
+    runs once, for the margins of the converging iterate, the only iterate
+    whose slackness passes here. A solve that exhausts its budget replays its
+    updates and takes margins on every iterate of the replay."""
     calls = Counter()
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "lstsq", "solve"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -193,11 +194,12 @@ def test_work_per_solve(monkeypatch):
     assert diag.converged and 0 < diag.iterations <= PLAIN_STEPS
     assert calls == {"eigh": 2, "svd": diag.iterations, "eigvalsh": 1}
     # past the plain steps, a mixed step takes a second svd to normalize
-    # the mixed factors
+    # the mixed factors, and one solve for its combination
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1))
     assert diag.converged and diag.iterations == 11
-    assert calls == {"eigh": 2, "svd": 14, "eigvalsh": 1}
+    assert calls == {"eigh": 2, "svd": 14, "eigvalsh": 1, "solve": 3}
+    assert calls["lstsq"] == 0
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
     assert not diag.converged and diag.iterations == 5
@@ -205,6 +207,41 @@ def test_work_per_solve(monkeypatch):
     calls.clear()
     compute_lsm(li())
     assert calls == {"eigh": 2}
+
+
+def test_degenerate_mixing_history_keeps_every_iterate_a_measurement(monkeypatch):
+    """Run 200 steps past convergence, where the differences that a mixed
+    step combines are at rounding level, or exactly zero for orthonormal
+    states, so its Gram system is near singular or singular. Nothing may
+    raise: a singular system falls back to the plain step, every iterate sums
+    to the identity and P_d never falls beyond rounding."""
+    singular = []
+    real_solve = np.linalg.solve
+
+    def counted(a, b):
+        try:
+            return real_solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    gu, _ = geometrically_uniform(4, 7, seed=7047)
+    li = random_ensemble(16, (4,) * 4, seed=0, require_independent=True)
+    orthonormal = pure_ensemble((0.5, 0.5), (ket(1, 0), ket(0, 1)))
+    for e in (gu, li, orthonormal):
+        _, _, diag = solve_optimal(e)
+        assert diag.converged
+        singular.clear()
+        primal = -np.inf
+        iterates = _iterates(e.weighted_states, _lsm_factors(e))
+        for k, x_hat, _ in islice(iterates, diag.iterations + 201):
+            assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
+            assert float(np.trace(x_hat).real) >= primal - 1e-12
+            primal = float(np.trace(x_hat).real)
+        # the orthonormal pair is a fixed point in exact arithmetic, so its
+        # differences vanish and every Gram system is singular
+        assert bool(singular) == (e is orthonormal)
 
 
 def test_update_keeps_the_null_space_of_projective_iterates():

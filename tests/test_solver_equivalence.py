@@ -41,13 +41,15 @@ LAMBDA_FLOOR = 1e-12
 
 
 def plain_iterates(g, k):
-    """``_iterates`` without Anderson mixing: every step is K <- _update(G K)."""
+    """``_iterates`` without Anderson mixing: every step is K <- _update(G K),
+    taken on the (n, m r) block row of the (m, n, r) stack G K."""
+    m, n, _ = k.shape
     while True:
         gk = g @ k
         kh = np.conj(k).swapaxes(-1, -2)
         x_hat = hermitian_part((gk @ kh).sum(axis=0))
         yield k, x_hat, _slacks((x_hat - g) @ k, kh)
-        k = _update(gk)
+        k = _update(gk.swapaxes(0, 1).reshape(n, -1)).reshape(n, m, -1).swapaxes(0, 1)
 
 
 def solve_plain(e, **kwargs):
@@ -254,7 +256,9 @@ GAP_ROUNDING = 1e-13
 def test_accelerated_loop_agrees_with_the_plain_loop_in_fewer_iterations():
     """On 120 seeded dependent draws, every accelerated solve converges to a
     certified measurement whose P_d lies within the two certified gaps of the
-    plain loop's, in at most half the plain loop's summed iterations. Every
+    plain loop's, in at most half the plain loop's summed iterations, and in
+    at most 2,066 of them, 1% above the 2,046 measured, so a change to how a
+    mixed step is computed cannot quietly cost iterations. Every
     iterate on the way, the mixed ones included, is a measurement: after the
     start its operators sum to the identity, and P_d never falls from one
     iterate to the next beyond rounding."""
@@ -284,3 +288,4 @@ def test_accelerated_loop_agrees_with_the_plain_loop_in_fewer_iterations():
             assert float(np.trace(x_hat).real) >= primal - 1e-12
             primal = float(np.trace(x_hat).real)
     assert 2 * iterations["accelerated"] <= iterations["plain"]
+    assert iterations["accelerated"] <= 2066
