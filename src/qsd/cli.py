@@ -67,9 +67,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check ensemble invariants")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("ensemble")
 
     p = sub.add_parser("gen", help="generate a seeded random ensemble")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--ranks", required=True, help="comma-separated state ranks")
     p.add_argument("--priors", default="uniform",
@@ -78,10 +80,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--independent", action="store_true")
 
     p = sub.add_parser("lsm", help="least-squares measurement")
+    p.set_defaults(run=_cmd_lsm)
     p.add_argument("ensemble")
     p.add_argument("--out")
 
     p = sub.add_parser("solve", help="optimal measurement with certificate")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("ensemble")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--max-iter", type=_iteration_budget, default=10000)
@@ -89,21 +93,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--cert")
 
     p = sub.add_parser("certify", help="re-check an optimality certificate")
+    p.set_defaults(run=_cmd_certify)
     p.add_argument("ensemble")
     p.add_argument("povm")
     p.add_argument("cert")
     p.add_argument("--tol", type=_tolerance, default=1e-7)
 
     p = sub.add_parser("pd", help="probability of correct detection")
+    p.set_defaults(run=_cmd_pd)
     p.add_argument("ensemble")
     p.add_argument("povm")
 
     p = sub.add_parser("check-vnm", help="Von Neumann structure report")
+    p.set_defaults(run=_cmd_check_vnm)
     p.add_argument("ensemble")
     p.add_argument("povm")
     p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = sub.add_parser("simulate", help="Monte Carlo detection experiment")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("ensemble")
     p.add_argument("povm")
     p.add_argument("--trials", type=int, required=True)
@@ -237,20 +245,8 @@ def _cmd_simulate(args):
     return serialize.sim_result_to_wire(result), 0, ""
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "gen": _cmd_gen,
-    "lsm": _cmd_lsm,
-    "solve": _cmd_solve,
-    "certify": _cmd_certify,
-    "pd": _cmd_pd,
-    "check-vnm": _cmd_check_vnm,
-    "simulate": _cmd_simulate,
-}
-
 # Structurally bad inputs or arguments: the caller's request never made sense.
 _FORMAT_ERRORS = (
-    json.JSONDecodeError,
     ValueError,
     OSError,
     BadRanksError,
@@ -268,7 +264,7 @@ def dispatch(argv) -> CommandResult:
         return CommandResult(2, "", f"error: {exc}")
     try:
         # a handler returns its payload as a wire dict, or as text already encoded
-        payload, code, note = _HANDLERS[args.command](args)
+        payload, code, note = args.run(args)
     except _UsageError as exc:
         return CommandResult(2, "", f"error: {exc}")
     except InvalidEnsembleError as exc:

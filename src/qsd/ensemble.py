@@ -73,20 +73,22 @@ class Ensemble:
         return g
 
     @cached_property
-    def span(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Read-only eigenvalues and eigenvectors of rho_bar, and the dimension
-        the states span.
+    def span(self) -> tuple[np.ndarray, int]:
+        """Read-only ascending eigenvalues of rho_bar, and the dimension the
+        states span.
 
         This is the package's one decision on whether the states span the space:
         the rank of rho_bar by :func:`qsd.linalg.spectrum_rank`, the rule every
-        rank in the package uses, which is also the rank at which the
-        least-squares measurement can invert rho_bar. rho_bar, a sum of exactly
-        Hermitian matrices, is exactly Hermitian, so it needs no symmetrizing.
+        rank in the package uses, and the rank at which the weighted factors
+        span the space, as the least-squares measurement needs. rho_bar, a sum
+        of exactly Hermitian matrices, is exactly Hermitian, so it needs no
+        symmetrizing. As for :attr:`state_spectra`, a non-finite rho_bar has no
+        spectrum: its eigenvalues read NaN and its rank 0.
         """
-        w, v = np.linalg.eigh(self.weighted_states.sum(axis=0))
+        rho_bar = self.weighted_states.sum(axis=0)
+        w = np.where(np.isfinite(rho_bar).all(), np.linalg.eigvalsh(rho_bar), np.nan)
         w.flags.writeable = False
-        v.flags.writeable = False
-        return w, v, linalg.spectrum_rank(w)
+        return w, linalg.spectrum_rank(w)
 
     @cached_property
     def state_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,7 +145,7 @@ def validate(e: Ensemble) -> ValidationReport:
     with np.errstate(invalid="ignore"):
         herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
         trace_devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
-        span_rank = e.span[2]
+        span_rank = e.span[1]
     priors = e.priors
     prior_sum_dev = abs(float(priors.sum()) - 1.0)
     min_prior = float(priors.min())
@@ -190,7 +192,7 @@ def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
     and ``total_rank`` is the sum of the state ranks of
     :attr:`Ensemble.state_spectra`; the flag is true iff the two agree.
     """
-    span_rank = e.span[2]
+    span_rank = e.span[1]
     total_rank = int(e.state_spectra[2].sum())
     return span_rank == total_rank, span_rank, total_rank
 
@@ -292,7 +294,8 @@ def deflate(e: Ensemble) -> tuple[Ensemble, np.ndarray]:
     cut (largest eigenvalue first), so each new density operator is
     ``B* rho B``. The identity deflation (k == n) is allowed and harmless.
     """
-    _, v, k = e.span
-    basis = v[:, ::-1][:, :k]
+    _, v = np.linalg.eigh(e.weighted_states.sum(axis=0))
+    basis = v[:, ::-1][:, : e.span[1]]
+    basis.flags.writeable = False
     rhos = linalg.hermitian_part(basis.conj().T @ e.rhos @ basis)
     return Ensemble(e.priors, rhos), basis

@@ -1,5 +1,5 @@
 """Dense complex Hermitian kernel: stacks of square matrices, Hermitian
-parts, products of thin factors, PSD rank, trace norm.
+parts, products of thin factors, polar factors, PSD rank, trace norm.
 
 All operations are pure functions on numpy complex128 arrays. Dimensions in
 this problem family are tiny (a few hundred at most), so everything goes
@@ -70,6 +70,16 @@ def factor_products(k) -> np.ndarray:
     """herm(K K*) for a matrix K of shape (n, r), or for each in a stack
     (..., n, r): the PSD matrix of which K is a thin factor."""
     return hermitian_part(k @ np.conj(k).swapaxes(-1, -2))
+
+
+def polar_factor(a) -> np.ndarray:
+    """The unitary polar factor U V* of a matrix A = U s V*, of A's shape.
+
+    For A of full row rank it is ``(A A*)^{-1/2} A``, and U V* V U* = I at
+    rounding level however ill-conditioned A A* is; that of A* is its adjoint.
+    """
+    u, _, vh = np.linalg.svd(a, full_matrices=False)
+    return u @ vh
 
 
 def spectrum_rank(values):

@@ -1,14 +1,14 @@
 """Least-squares (square-root) measurement.
 
-With the average state rho_bar = sum_i p_i rho_i, the measurement operator for
-state i is ``Pi_i = rho_bar^{-1/2} p_i rho_i rho_bar^{-1/2}``. This is the
-``(Psi Psi*)^{-1/2} psi_i`` form of Eldar & Forney, "On quantum detection and
-the square-root measurement" (2001), since ``Psi Psi* = rho_bar``. It is
-computed as ``K_i K_i*`` with ``K_i = rho_bar^{-1/2} F_i``, where the thin
-factor ``F_i`` of the weighted state has ``F_i F_i* = p_i rho_i`` up to
-eigenvalues too small to count; ``K`` is also where the optimal solver
-starts. For linearly independent ensembles this measurement is
-projective; in general it is only a valid POVM.
+Stack thin factors ``F_i`` of the weighted states, ``F_i F_i* = p_i rho_i`` up
+to eigenvalues too small to count, into ``Psi = [F_1 ... F_m]``, so that
+``Psi Psi* = rho_bar``. The measurement of Eldar & Forney, "On quantum
+detection and the square-root measurement" (2001), is ``K_i K_i*`` for the
+column blocks ``K_i`` of ``(Psi Psi*)^{-1/2} Psi``, the unitary polar factor
+of ``Psi``. Taken as that, by the routine every solver step normalizes with,
+it sums to the identity at rounding level however ill-conditioned rho_bar
+is; it is also where the solver starts. For linearly independent ensembles
+it is projective; in general it is only a valid POVM.
 """
 
 from __future__ import annotations
@@ -99,17 +99,15 @@ def _weighted_factors(e: Ensemble) -> np.ndarray:
 
 
 def _lsm_factors(e: Ensemble) -> np.ndarray:
-    """The ``(m, n, r)`` stack ``K_i = rho_bar^{-1/2} F_i`` over the
-    :func:`_weighted_factors` of a validated ensemble (so rho_bar is
+    """The ``(m, n, r)`` stack of the ``K_i`` over the
+    :func:`_weighted_factors` of a validated ensemble (so rho_bar = F F* is
     invertible); the least-squares operators are ``K_i K_i*``.
 
-    The scaling is done in the eigenbasis ``V`` of rho_bar, as
-    ``V diag(w^{-1/2}) V* F_i``, where each row is divided by the square root
-    of its eigenvalue exactly: orthogonal states get exact projectors, which
-    the product ``W F_i`` with ``W = rho_bar^{-1/2}`` misses by the rounding
-    of ``W``.
+    ``[K_1 ... K_m]`` is the polar factor of ``F = [F_1 ... F_m]``, taken as
+    that of the ``(m r, n)`` adjoint row ``F*``; the stack is a view of its
+    conjugate.
     """
-    w, v, _ = e.span
-    k = v.conj().T @ _weighted_factors(e)
-    k /= np.sqrt(w)[:, None]
-    return v @ k
+    f = _weighted_factors(e)
+    m, n, r = f.shape
+    kh = linalg.polar_factor(f.conj().swapaxes(1, 2).reshape(m * r, n))
+    return kh.conj().reshape(m, r, n).swapaxes(1, 2)

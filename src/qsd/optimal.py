@@ -17,19 +17,20 @@ passes feasibility and slackness at the requested tolerance.
 
 The update never raises the rank of Pi_i above that of G_i, so the loop
 carries each operator as a thin factor, Pi_i = K_i K_i* with K_i of shape
-(n, r) and r the widest factor, starting from the least-squares factors
-``rho_bar^{-1/2} F_i`` of :func:`qsd.lsm._lsm_factors`. With W_i = G_i K_i,
-an iteration is X = herm(sum_i W_i K_i*), the slackness residuals of
-(X K_i - W_i) K_i* against the true G_i, and K_i <- Lambda^{-1/2} W_i with
-Lambda = sum_i W_i W_i*, which is B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i
-written in factors. Lambda^{-1/2} W is the unitary polar factor U V* of the
-block row W = [W_1 ... W_m] = U s V*, and that is the update: U is square,
-so sum_i K_i K_i* = U V* V U* = I for any W, and every iterate is a POVM at
-rounding level however ill-conditioned Lambda is. U is square because the
-kept factor columns span the space, so m r >= n: otherwise some unit y would
-be orthogonal to all of them, and since every eigenvalue the factors drop
-has p_i w < 1e-10 w_min (w_min the smallest eigenvalue of rho_bar),
-y* rho_bar y < m 1e-10 w_min < w_min, which no unit y can reach.
+(n, r) and r the widest factor, starting from the least-squares factors of
+:func:`qsd.lsm._lsm_factors`. With W_i = G_i K_i, an iteration is
+X = herm(sum_i W_i K_i*), the slackness residuals of (X K_i - W_i) K_i*
+against the true G_i, and K_i <- Lambda^{-1/2} W_i with Lambda =
+sum_i W_i W_i*, which is B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i written in
+factors. Lambda^{-1/2} W is the unitary polar factor U V* of the block row
+W = [W_1 ... W_m] = U s V*, and that is the update, the same
+:func:`qsd.linalg.polar_factor` of [F_1 ... F_m] that makes the start: U is
+square, so sum_i K_i K_i* = U V* V U* = I for any W, and every iterate, the
+start included, is a POVM at rounding level however ill-conditioned Lambda
+or rho_bar is. U is square because the kept factor columns span the space,
+so m r >= n: otherwise some unit y would be orthogonal to all of them, and
+since every eigenvalue the factors drop has p_i w < 1e-10 w_min (w_min the
+smallest eigenvalue of rho_bar), y* rho_bar y < m 1e-10 w_min < w_min.
 W = 0 is the only input with no unique polar factor, and U V* is a POVM even
 there; no valid ensemble reaches it in exact arithmetic, since each W_i is
 nonzero at the start and the next G_i K_i = G_i M W_i with M = Lambda^{-1/2}
@@ -162,12 +163,16 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
     A passing certificate proves ``p`` optimal only if ``p`` is a POVM. That
     is not checked here, so a broken candidate can still be inspected;
     :func:`qsd.vnm.check_povm` checks it, and ``qsd certify`` does both.
+    An ``x_hat`` of the wrong shape raises ``DimMismatchError``, and one with
+    an entry that is not finite ``ValueError``.
     """
     x_hat = linalg.as_matrix(x_hat)
     if x_hat.shape != (e.dim, e.dim):
         raise DimMismatchError(
             f"dual operator has shape {x_hat.shape}, expected ({e.dim}, {e.dim})"
         )
+    if not np.isfinite(x_hat).all():
+        raise ValueError("dual operator has entries that are not finite")
     x_hat = linalg.hermitian_part(x_hat)
     primal = prob_correct(e, p)
     return _certificate(x_hat, primal, *_residuals(x_hat, e.weighted_states, p.operators))
@@ -217,20 +222,6 @@ def _times_g(kh: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (kh.reshape(len(g), -1, kh.shape[1]) @ g).reshape(kh.shape)
 
 
-def _update(w: np.ndarray) -> np.ndarray:
-    """The polar factor U V* of the matrix W = U s V*, of the same shape.
-
-    For W the (n, m r) block row [W_1 ... W_m], U is square, so the factors
-    K_i of the result satisfy sum_i K_i K_i* = U V* V U* = I for any ``w``.
-    Applied to W = G K, it is the plain step K_i <- Lambda^{-1/2} G_i K_i,
-    which is B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i in factors: K_i keeps
-    its r columns, so unlike S (G_i Pi_i G_i) S, whose rounding |S|^2
-    amplifies, it keeps a projective Pi_i's null space. The polar factor of
-    W* is that of W, conjugate-transposed."""
-    u, _, vh = np.linalg.svd(w, full_matrices=False)
-    return u @ vh
-
-
 def _mixing_weights(d_f: np.ndarray, f: np.ndarray):
     """The gamma minimizing |f - d_f^T gamma| for the (d, N) rows ``d_f``, from
     the d x d Gram system (d_f* d_f^T) gamma = d_f* f; None if that system is
@@ -255,7 +246,7 @@ def _iterates(g: np.ndarray, k: np.ndarray):
     beside it (:func:`_times_g`). So x_hat = herm(K W*), the Hermitian part
     of (W K*)*, is one product, the slackness residuals are those of
     K_i (K_i* X - W_i*), the adjoints of (X K_i - W_i) K_i*, and the plain
-    step takes the polar factor of W* as it is: K* <- T(K)* = _update(W*).
+    step takes the polar factor of W* as it is: K* <- T(K)* = polar_factor(W*).
     LAPACK takes that contiguous array as a tall matrix, which it decomposes
     faster than the wide W, and W* comes out of its batched product already
     laid out; the (m, n, r) stack of the K_i that is yielded is a view of
@@ -268,8 +259,8 @@ def _iterates(g: np.ndarray, k: np.ndarray):
     of each appended per step, and gamma solves the normal equations
     (dF* dF) gamma = dF* F(K_k), a Gram system of at most DEPTH unknowns
     (:func:`_mixing_weights`). Mixing factors rather than operators keeps a
-    POVM: the mixed K_i K_i* are PSD, and _update of the mixed factors makes
-    them sum to the identity. The candidate is taken only if its P_d =
+    POVM: the mixed K_i K_i* are PSD, and the polar factor of the mixed
+    factors makes them sum to the identity. The candidate is taken only if its P_d =
     sum_i Tr(K_i* G_i K_i) is at least the current iterate's Tr x_hat, and
     its W* is the next iterate's. Otherwise, or if the Gram system is
     singular or gamma is not finite, the step is plain and the history is
@@ -288,7 +279,7 @@ def _iterates(g: np.ndarray, k: np.ndarray):
         x_hat = linalg.hermitian_part(k_t.T @ wh)
         yield k, x_hat, _slacks(k, (kh @ x_hat - wh).reshape(m, r, n))
 
-        t = _update(wh).ravel()
+        t = linalg.polar_factor(wh).ravel()
         if step >= PLAIN_STEPS - DEPTH:
             f = t - kh.ravel()
             if prev is not None:
@@ -298,7 +289,7 @@ def _iterates(g: np.ndarray, k: np.ndarray):
         if step >= PLAIN_STEPS and diff_f:
             gamma = _mixing_weights(np.array(diff_f), f)
             if gamma is not None:
-                mixed = _update((t - gamma @ np.array(diff_t)).reshape(kh.shape))
+                mixed = linalg.polar_factor((t - gamma @ np.array(diff_t)).reshape(kh.shape))
                 w_mixed = _times_g(mixed, g)
                 if np.vdot(mixed, w_mixed).real >= x_hat.trace().real:
                     kh, wh = mixed, w_mixed

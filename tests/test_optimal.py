@@ -154,6 +154,19 @@ def test_certify_dim_mismatch(orthonormal_pair, orthonormal_pair_povm):
         certify(orthonormal_pair, orthonormal_pair_povm, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certify_rejects_a_dual_operator_that_is_not_finite(
+    orthonormal_pair, orthonormal_pair_povm, bad
+):
+    """A NaN or infinite entry is bad input, refused as such at the boundary
+    rather than failing inside the eigenvalue solver or giving NaN margins."""
+    x_hat = np.diag([0.5, 0.5])
+    x_hat[0, 1] = bad
+    with pytest.raises(ValueError) as exc_info:
+        certify(orthonormal_pair, orthonormal_pair_povm, x_hat)
+    assert not isinstance(exc_info.value, np.linalg.LinAlgError)
+
+
 def test_solver_certificates_on_random_independent():
     shapes = [(2, (1, 1)), (3, (2, 1)), (4, (2, 2)), (5, (3, 1, 1)), (6, (2, 2, 2))]
     for k in range(25):
@@ -170,14 +183,16 @@ def test_solver_certificates_on_random_independent():
 
 
 def test_work_per_solve(monkeypatch):
-    """The states and rho_bar are decomposed once per solve, and validation,
-    the state ranks and the least-squares factors read those decompositions:
-    eigh runs once for the states and once for rho_bar, and svd once per
-    plain update and twice per mixed one. A mixed step takes its combination
-    from one solve of the small Gram system and never from lstsq. eigvalsh
-    runs once, for the margins of the converging iterate, the only iterate
-    whose slackness passes here. A solve that exhausts its budget replays its
-    updates and takes margins on every iterate of the replay."""
+    """The states are decomposed once per solve, and validation, the state
+    ranks and the least-squares factors read that decomposition: eigh runs
+    once, for the states, and rho_bar is decomposed for its spectrum only,
+    by one eigvalsh. svd runs once to normalize the least-squares factors,
+    once per plain update and twice per mixed one. A mixed step takes its
+    combination from one solve of the small Gram system and never from
+    lstsq. eigvalsh runs once more, for the margins of the converging
+    iterate, the only iterate whose slackness passes here. A solve that
+    exhausts its budget replays its loop, start included, and takes margins
+    on every iterate of the replay."""
     calls = Counter()
     for name in ("eigh", "eigvalsh", "svd", "lstsq", "solve"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -192,21 +207,21 @@ def test_work_per_solve(monkeypatch):
     calls.clear()
     _, _, diag = solve_optimal(li())
     assert diag.converged and 0 < diag.iterations <= PLAIN_STEPS
-    assert calls == {"eigh": 2, "svd": diag.iterations, "eigvalsh": 1}
+    assert calls == {"eigh": 1, "svd": 1 + diag.iterations, "eigvalsh": 2}
     # past the plain steps, a mixed step takes a second svd to normalize
     # the mixed factors, and one solve for its combination
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1))
     assert diag.converged and diag.iterations == 11
-    assert calls == {"eigh": 2, "svd": 14, "eigvalsh": 1, "solve": 3}
+    assert calls == {"eigh": 1, "svd": 15, "eigvalsh": 2, "solve": 3}
     assert calls["lstsq"] == 0
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
     assert not diag.converged and diag.iterations == 5
-    assert calls == {"eigh": 2, "svd": 2 * 5, "eigvalsh": 6}
+    assert calls == {"eigh": 1, "svd": 2 * (1 + 5), "eigvalsh": 1 + 6}
     calls.clear()
     compute_lsm(li())
-    assert calls == {"eigh": 2}
+    assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
 
 
 def test_degenerate_mixing_history_keeps_every_iterate_a_measurement(monkeypatch):
@@ -277,8 +292,8 @@ SKEWED_EPS = (1e-7, 1e-8, 1e-9)
 
 def test_every_factored_iterate_resolves_the_identity():
     """The loop carries Pi_i = K_i K_i*; every iterate's operators sum to the
-    identity, so each one is a measurement, also where Lambda is near
-    singular."""
+    identity, so each one is a measurement, also where Lambda or rho_bar is
+    near singular. The start, the least-squares measurement, is one too."""
     ensembles = [
         random_ensemble(n, (n // 4,) * 4, priors=(0.7, 0.1, 0.1, 0.1), seed=n,
                         require_independent=True)
@@ -288,20 +303,18 @@ def test_every_factored_iterate_resolves_the_identity():
         rng = np.random.default_rng([4300, j])
         n, m = 2 + j % 5, 2 + (j // 5) % 6
         e = random_ensemble(n, rng.integers(1, n + 1, size=m), seed=j)
-        if e.span[2] == n:
+        if e.span[1] == n:
             ensembles.append(e)
     assert len(ensembles) > 50
     for e in ensembles:
         for k, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 50):
             assert k.shape[:2] == (e.num_states, e.dim)
             assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
-    # The start is the least-squares measurement, which scales by rho_bar^{-1/2}
-    # and so misses the identity by rounding times rho_bar's condition number,
-    # 1.7e-8 on the skewed independent draw; every update after it is U V*.
     skewed = [skewed_pure_pair(eps) for eps in SKEWED_EPS] + [skewed_independent_draw()]
     for e in skewed:
-        for k, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 1, 50):
+        for k, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 50):
             assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
+    assert check_povm(compute_lsm(skewed_independent_draw())).passed
 
 
 def test_states_near_the_rank_cut_converge_and_certify():

@@ -4,7 +4,7 @@ accelerated loop against the plain one.
 ``reference_solve`` and ``reference_certificate`` are the fixed-point loop
 and the certificate check written one operator at a time, as the formulas
 read. They are the oracle for ``plain_iterates``, the stacked loop without
-Anderson mixing, in which every step is ``_update(G K)``: its iterates,
+Anderson mixing, in which every step is ``polar_factor(G K)``: its iterates,
 whose operators are ``herm(K_i K_i*)`` of its factors, must match the
 reference's one by one, and ``solve_optimal`` driven by it must stop for the
 same reason and land on the same iterate. The mixed iterates of
@@ -29,9 +29,9 @@ from qsd import (
     random_ensemble,
     solve_optimal,
 )
-from qsd.linalg import factor_products, hermitian_part, maxabs
+from qsd.linalg import factor_products, hermitian_part, maxabs, polar_factor
 from qsd.lsm import _lsm_factors
-from qsd.optimal import _certificate, _iterates, _slacks, _update
+from qsd.optimal import _certificate, _iterates, _slacks
 
 MAX_ITER = 300
 # The reference's shift of Lambda's eigenvalues when the smallest is below
@@ -41,7 +41,7 @@ LAMBDA_FLOOR = 1e-12
 
 
 def plain_iterates(g, k):
-    """``_iterates`` without Anderson mixing: every step is K <- _update(G K),
+    """``_iterates`` without Anderson mixing: every step is K <- polar_factor(G K),
     taken on the (n, m r) block row of the (m, n, r) stack G K."""
     m, n, _ = k.shape
     while True:
@@ -49,7 +49,7 @@ def plain_iterates(g, k):
         kh = np.conj(k).swapaxes(-1, -2)
         x_hat = hermitian_part((gk @ kh).sum(axis=0))
         yield k, x_hat, _slacks((x_hat - g) @ k, kh)
-        k = _update(gk.swapaxes(0, 1).reshape(n, -1)).reshape(n, m, -1).swapaxes(0, 1)
+        k = polar_factor(gk.swapaxes(0, 1).reshape(n, -1)).reshape(n, m, -1).swapaxes(0, 1)
 
 
 def solve_plain(e, **kwargs):

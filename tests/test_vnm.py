@@ -95,7 +95,7 @@ def test_rank_profile_reads_the_factor_widths():
         n, m = 2 + k % 5, 2 + (k // 5) % 6
         e = random_ensemble(n, rng.integers(1, n + 1, size=m), seed=k)
         k += 1
-        if e.span[2] == n:
+        if e.span[1] == n:
             ensembles.append(e)
     for e in ensembles:
         f = _weighted_factors(e)
