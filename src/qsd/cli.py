@@ -62,6 +62,23 @@ def _iteration_budget(text: str) -> int:
     return budget
 
 
+def _ranks(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers: {text!r}")
+
+
+def _priors(text: str):
+    """'uniform', or a list of the comma-separated numbers."""
+    if text == "uniform":
+        return text
+    try:
+        return [float(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 'uniform' or numbers: {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qsd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,8 +90,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a seeded random ensemble")
     p.set_defaults(run=_cmd_gen)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ranks", required=True, help="comma-separated state ranks")
-    p.add_argument("--priors", default="uniform",
+    p.add_argument("--ranks", type=_ranks, required=True, help="comma-separated state ranks")
+    p.add_argument("--priors", type=_priors, default="uniform",
                    help="'uniform' or comma-separated probabilities")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--independent", action="store_true")
@@ -141,13 +158,6 @@ def _write_json(path: str, text: str) -> None:
         fh.write(text + "\n")
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise _UsageError(f"{what} must be comma-separated integers: {text!r}")
-
-
 def _cmd_validate(args):
     report = validate(_load_ensemble(args.ensemble))
     code = 0 if report.passed else 1
@@ -155,18 +165,10 @@ def _cmd_validate(args):
 
 
 def _cmd_gen(args):
-    ranks = _parse_int_list(args.ranks, "--ranks")
-    if args.priors == "uniform":
-        priors = "uniform"
-    else:
-        try:
-            priors = [float(part) for part in args.priors.split(",") if part != ""]
-        except ValueError:
-            raise _UsageError(f"--priors must be numbers: {args.priors!r}")
     e = random_ensemble(
         dim=args.dim,
-        ranks=ranks,
-        priors=priors,
+        ranks=args.ranks,
+        priors=args.priors,
         seed=args.seed,
         require_independent=args.independent,
     )
@@ -265,8 +267,6 @@ def dispatch(argv) -> CommandResult:
     try:
         # a handler returns its payload as a wire dict, or as text already encoded
         payload, code, note = args.run(args)
-    except _UsageError as exc:
-        return CommandResult(2, "", f"error: {exc}")
     except InvalidEnsembleError as exc:
         payload = serialize.validation_report_to_wire(exc.report)
         return CommandResult(1, serialize.dumps(payload), "ensemble failed validation")

@@ -35,10 +35,10 @@ def maxabs(m) -> float:
 
 def square_stack(mats) -> np.ndarray:
     """Copy a non-empty sequence of square matrices of one shape into a new
-    read-only complex128 array of shape (m, n, n).
+    read-only complex128 array of shape (m, n, n), with n >= 1.
 
     Raises ``DimMismatchError`` when the shapes differ or are not square and
-    ``ValueError`` when there is no matrix.
+    ``ValueError`` when there is no matrix or the matrices are 0 x 0.
     """
     try:
         stack = np.array(mats, dtype=np.complex128)
@@ -50,6 +50,8 @@ def square_stack(mats) -> np.ndarray:
             raise ValueError("expected at least one matrix")
         shapes = sorted({a.shape for a in ms})
         raise DimMismatchError(f"expected square matrices of one shape, got {shapes}")
+    if not stack.shape[1]:
+        raise ValueError("expected matrices of at least 1 x 1, got 0 x 0")
     stack.flags.writeable = False
     return stack
 
@@ -66,20 +68,21 @@ def hermitian_part(m) -> np.ndarray:
     return h
 
 
-def factor_products(k) -> np.ndarray:
-    """herm(K K*) for a matrix K of shape (n, r), or for each in a stack
-    (..., n, r): the PSD matrix of which K is a thin factor."""
-    return hermitian_part(k @ np.conj(k).swapaxes(-1, -2))
+def factor_products(kh) -> np.ndarray:
+    """herm(K_i K_i*) for each K_i* in an (m, r, n) stack ``kh``: the PSD
+    matrices of which the (n, r) matrices K_i are thin factors."""
+    return hermitian_part(np.conj(kh).swapaxes(-1, -2) @ kh)
 
 
 def polar_factor(a) -> np.ndarray:
-    """The unitary polar factor U V* of a matrix A = U s V*, of A's shape.
+    """The unitary polar factor U V* of the (m r, n) row A = U s V* of an
+    (m, r, n) stack, in the stack's shape; for a matrix, of the matrix.
 
-    For A of full row rank it is ``(A A*)^{-1/2} A``, and U V* V U* = I at
-    rounding level however ill-conditioned A A* is; that of A* is its adjoint.
+    For A of full column rank it is ``A (A* A)^{-1/2}``, and V U* U V* = I at
+    rounding level however ill-conditioned A* A is.
     """
-    u, _, vh = np.linalg.svd(a, full_matrices=False)
-    return u @ vh
+    u, _, vh = np.linalg.svd(a.reshape(-1, a.shape[-1]), full_matrices=False)
+    return (u @ vh).reshape(a.shape)
 
 
 def spectrum_rank(values):

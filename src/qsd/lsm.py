@@ -74,13 +74,13 @@ def compute_lsm(e: Ensemble) -> Povm:
 
 
 def _weighted_factors(e: Ensemble) -> np.ndarray:
-    """Thin factors ``F_i`` with ``F_i F_i* = p_i rho_i`` up to small
-    eigenvalues, over a validated ensemble, as an ``(m, n, r)`` stack.
+    """Adjoint thin factors ``F_i*`` with ``F_i F_i* = p_i rho_i`` up to small
+    eigenvalues, over a validated ensemble, as an ``(m, r, n)`` stack.
 
-    ``F_i`` holds top eigenvectors of state i from
-    :attr:`qsd.ensemble.Ensemble.state_spectra`, each scaled by
+    ``F_i*`` holds conjugated top eigenvectors of state i from
+    :attr:`qsd.ensemble.Ensemble.state_spectra` as rows, each scaled by
     ``sqrt(p_i w)`` for its eigenvalue w, and is zero-padded to the ``r``
-    columns of the widest factor. It keeps the state's rank of them, and
+    rows of the widest factor. It keeps the state's rank of them, and
     also every eigenvalue below the state's rank cut whose share
     ``p_i w / w_min`` of a least-squares operator, with w_min the smallest
     eigenvalue of rho_bar, that cut would count. Dropping such an eigenvalue
@@ -95,19 +95,14 @@ def _weighted_factors(e: Ensemble) -> np.ndarray:
     r = int(widths.max())
     top = e.dim - r
     keep = np.arange(r) >= r - widths[:, None]
-    return vectors[:, :, top:] * np.sqrt(np.where(keep, weighted[:, top:], 0.0))[:, None, :]
+    scale = np.sqrt(np.where(keep, weighted[:, top:], 0.0))
+    return np.conj(vectors[:, :, top:]).swapaxes(1, 2) * scale[:, :, None]
 
 
 def _lsm_factors(e: Ensemble) -> np.ndarray:
-    """The ``(m, n, r)`` stack of the ``K_i`` over the
-    :func:`_weighted_factors` of a validated ensemble (so rho_bar = F F* is
-    invertible); the least-squares operators are ``K_i K_i*``.
-
-    ``[K_1 ... K_m]`` is the polar factor of ``F = [F_1 ... F_m]``, taken as
-    that of the ``(m r, n)`` adjoint row ``F*``; the stack is a view of its
-    conjugate.
+    """The ``(m, r, n)`` stack of the ``K_i*`` over a validated ensemble (so
+    rho_bar = F F* is invertible); the least-squares operators are
+    ``K_i K_i*``. Its ``(m r, n)`` row ``[K_1 ... K_m]*`` is the polar factor
+    of that of the :func:`_weighted_factors`, ``[F_1 ... F_m]*``.
     """
-    f = _weighted_factors(e)
-    m, n, r = f.shape
-    kh = linalg.polar_factor(f.conj().swapaxes(1, 2).reshape(m * r, n))
-    return kh.conj().reshape(m, r, n).swapaxes(1, 2)
+    return linalg.polar_factor(_weighted_factors(e))

@@ -41,37 +41,23 @@ products and one n x n SVD rather than a few stacks of m products.
 Pi_i = herm(K_i K_i*) is formed only for the returned iterate.
 
 The plain map K <- T(K) = U V* converges sublinearly on linearly dependent
-ensembles, so after 8 plain steps the loop takes type-II Anderson steps
-(Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of depth 5 on vec(K), with
-the residual T(K) - K. Its weights solve a least-squares problem in at most
-5 unknowns, over the differences of T(K) - K between the last 6 iterates;
-the loop takes them from the Gram system of its normal equations, one
-``np.linalg.solve`` of at most 5 x 5, and a singular system or a solution
-that is not finite gives the plain step. It mixes the factors, not the
-operators: an affine combination of PSD Pi_i need not be PSD, while any K
-gives PSD K_i K_i*, and the polar step U V* of the mixed factors restores
-completeness, so every candidate is a POVM. T(K Q) = T(K) Q for block-diagonal unitary
-Q = diag(Q_i), so the iterates share one gauge and combining their factors
-is well defined. A candidate is taken only if its P_d is at least the
-current iterate's, so a mixed step never lowers P_d; otherwise the step is
-plain and the mixing history starts over. The linearly independent
-ensembles measured converge within the plain steps, in 3 to 7, and a solve
-that stops there is the plain loop's bit for bit.
+ensembles, so after PLAIN_STEPS plain steps the loop takes type-II Anderson
+steps (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of depth DEPTH on the
+factors, each polar-normalized into a POVM and taken only if it does not
+lower P_d. The linearly independent ensembles measured converge within the
+plain steps, in 3 to 7, and a solve that stops there is the plain loop's bit
+for bit.
 
-The weighted states are held as a stacked ``(m, n, n)`` array, and the
-factors as the adjoint K* = [K_1 ... K_m]* of the ``(n, m r)`` block row
-that the polar step acts on: an ``(m r, n)`` array whose ``(m, r, n)``
-reshape is the stack of the K_i*. The polar factor of W* is that of W
-conjugate-transposed, so the SVD takes W* = K* G as it is, which is one
-batched product K_i* G_i; x_hat = herm(K W*) is one product over the row,
-and every other step of an iteration is one batched numpy call rather than
-a Python loop over the m operators. Slackness is checked on every
-iterate; the feasibility margins, one batched eigenvalue decomposition, are
-taken only on iterates whose slackness passes, since only there can they
-decide convergence. Both are computed by the same routines that
-:func:`certify` uses, and the solver returns the chosen iterate's own
-certificate. A solve that exhausts its budget replays the deterministic loop
-with margins on every iterate to pick the best one.
+The weighted states are held as a stacked ``(m, n, n)`` array and the
+factors, from the start to the returned operators, as the ``(m, r, n)``
+stack of the K_i*, whose ``(m r, n)`` reshape is the adjoint of the block
+row the polar step acts on; :func:`_iterates` gives the loop in that layout.
+Slackness is checked on every iterate; the feasibility margins, one batched
+eigenvalue decomposition, are taken only on iterates whose slackness passes,
+since only there can they decide convergence. Both are computed by the same
+routines that :func:`certify` uses, and the solver returns the chosen
+iterate's own certificate. A solve that exhausts its budget replays the
+deterministic loop with margins on every iterate to pick the best one.
 """
 
 from __future__ import annotations
@@ -174,8 +160,8 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
     if not np.isfinite(x_hat).all():
         raise ValueError("dual operator has entries that are not finite")
     x_hat = linalg.hermitian_part(x_hat)
-    primal = prob_correct(e, p)
-    return _certificate(x_hat, primal, *_residuals(x_hat, e.weighted_states, p.operators))
+    diff = x_hat - e.weighted_states
+    return _certificate(x_hat, prob_correct(e, p), _margins(diff), _slacks(diff, p.operators))
 
 
 def _certificate(x_hat, primal: float, margins, slacks) -> Certificate:
@@ -205,21 +191,8 @@ def _margins(diff):
 def _slacks(a, b):
     """Largest entry magnitude of each product a_i b_i: of (x_hat - G_i) Pi_i
     for ``a = x_hat - G`` and the operators ``b``, or of its adjoint
-    K_i (K_i* x_hat - K_i* G_i) for their factors."""
+    K_i (K_i* x_hat - K_i* G_i) for the factors ``a`` = K and ``b`` = K* X - W*."""
     return np.abs(a @ b).max(axis=(1, 2))
-
-
-def _residuals(x_hat, g, ops):
-    """Feasibility margins and slackness residuals of ``x_hat``."""
-    diff = x_hat - g
-    return _margins(diff), _slacks(diff, ops)
-
-
-def _times_g(kh: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """W* = K* G = [K_1* G_1; ...; K_m* G_m] for the (m r, n) adjoint block
-    row ``kh`` = K* = [K_1 ... K_m]*, as one batched product whose result is
-    already laid out as the (m r, n) array W*."""
-    return (kh.reshape(len(g), -1, kh.shape[1]) @ g).reshape(kh.shape)
 
 
 def _mixing_weights(d_f: np.ndarray, f: np.ndarray):
@@ -234,52 +207,56 @@ def _mixing_weights(d_f: np.ndarray, f: np.ndarray):
     return gamma if np.isfinite(gamma).all() else None
 
 
-def _iterates(g: np.ndarray, k: np.ndarray):
-    """Fixed-point ascent from the factors ``k``, an (m, n, r) stack with
-    Pi_i = K_i K_i*: yield every iterate, ``k`` first, as (factors, x_hat,
-    slacks). Never stops on its own; a yielded array is never written
-    afterwards, so a consumer may keep it without a copy.
+def _iterates(g: np.ndarray, kh: np.ndarray):
+    """Fixed-point ascent from the factors ``kh``, the (m, r, n) stack of the
+    K_i* with Pi_i = K_i K_i*: yield every iterate, ``kh`` first, as
+    (factors, x_hat, slacks) in that layout. Never stops on its own; a yielded
+    array is never written afterwards, so a consumer may keep it without a
+    copy.
 
-    The loop carries the factors as the adjoint K* = [K_1 ... K_m]* of the
-    (n, m r) block row that the polar step acts on: an (m r, n) array whose
-    (m, r, n) reshape is the stack of the K_i*, with W* = (G K)* = K* G
-    beside it (:func:`_times_g`). So x_hat = herm(K W*), the Hermitian part
-    of (W K*)*, is one product, the slackness residuals are those of
-    K_i (K_i* X - W_i*), the adjoints of (X K_i - W_i) K_i*, and the plain
-    step takes the polar factor of W* as it is: K* <- T(K)* = polar_factor(W*).
-    LAPACK takes that contiguous array as a tall matrix, which it decomposes
-    faster than the wide W, and W* comes out of its batched product already
-    laid out; the (m, n, r) stack of the K_i that is yielded is a view of
-    the conjugate K^T that x_hat's product reads. After PLAIN_STEPS plain
-    steps, each step is type-II Anderson mixing of depth DEPTH on vec(K*)
-    with the residual F = T(K)* - K*: the point T(K_k)* - sum_j gamma_j dT_j,
-    over the differences dT_j and dF_j of T* and F between consecutive
-    iterates among the last DEPTH + 1, with gamma the least-squares solution
-    of dF gamma = F(K_k). The last DEPTH differences of each are kept, one
-    of each appended per step, and gamma solves the normal equations
-    (dF* dF) gamma = dF* F(K_k), a Gram system of at most DEPTH unknowns
-    (:func:`_mixing_weights`). Mixing factors rather than operators keeps a
-    POVM: the mixed K_i K_i* are PSD, and the polar factor of the mixed
-    factors makes them sum to the identity. The candidate is taken only if its P_d =
-    sum_i Tr(K_i* G_i K_i) is at least the current iterate's Tr x_hat, and
-    its W* is the next iterate's. Otherwise, or if the Gram system is
-    singular or gamma is not finite, the step is plain and the history is
-    cleared. T(K Q) = T(K) Q for block-diagonal unitary Q = diag(Q_i), so
-    the iterates share one gauge and their factors can be combined.
+    The (m r, n) reshape of the stack is the adjoint K* = [K_1 ... K_m]* of
+    the (n, m r) block row that the polar step acts on, and W* = (G K)* is
+    the batched product K_i* G_i, ``kh @ g``. So x_hat = herm(K W*), the
+    Hermitian part of (W K*)*, is one product over the rows, the slackness
+    residuals are those of K_i (K_i* X - W_i*), the adjoints of
+    (X K_i - W_i) K_i*, and the plain step takes the polar factor of W* as it
+    is: K* <- T(K)* = polar_factor(W*). LAPACK takes that contiguous array as
+    a tall matrix, which it decomposes faster than the wide W. After
+    PLAIN_STEPS plain steps, each step is type-II Anderson mixing of depth
+    DEPTH on vec(K*) with the residual F = T(K)* - K*: the point
+    T(K_k)* - sum_j gamma_j dT_j, over the differences dT_j and dF_j of T*
+    and F between consecutive iterates among the last DEPTH + 1, with gamma
+    the least-squares solution of dF gamma = F(K_k). The last DEPTH
+    differences of each are kept, one of each appended per step, and gamma
+    solves the normal equations (dF* dF) gamma = dF* F(K_k), a Gram system of
+    at most DEPTH unknowns (:func:`_mixing_weights`). Mixing factors rather
+    than operators keeps a POVM: the mixed K_i K_i* are PSD, and the polar
+    factor of the mixed factors makes them sum to the identity. The candidate
+    is taken only if its P_d = sum_i Tr(K_i* G_i K_i) is at least the current
+    iterate's Tr x_hat, and its W* is the next iterate's. Otherwise, or if
+    the Gram system is singular or gamma is not finite, the step is plain and
+    the history is cleared. T(K Q) = T(K) Q for block-diagonal unitary
+    Q = diag(Q_i), so the iterates share one gauge and their factors can be
+    combined.
     """
-    m, n, r = k.shape
-    kh = k.conj().swapaxes(1, 2).reshape(m * r, n)
-    wh = _times_g(kh, g)
+    n = kh.shape[-1]
+    wh = kh @ g
     # differences of T* and F between consecutive iterates, flattened
     diff_t, diff_f = deque(maxlen=DEPTH), deque(maxlen=DEPTH)
     prev = None
     for step in count():
-        k_t = kh.conj()  # [K_1 ... K_m]^T
-        k = k_t.reshape(m, r, n).swapaxes(1, 2)
-        x_hat = linalg.hermitian_part(k_t.T @ wh)
-        yield k, x_hat, _slacks(k, (kh @ x_hat - wh).reshape(m, r, n))
+        k_t = kh.conj()  # the K_i^T
+        x_hat = linalg.hermitian_part(k_t.reshape(-1, n).T @ wh.reshape(-1, n))
+        # K* X is taken on the rows: the batched product rounds differently
+        slacks = _slacks(k_t.swapaxes(1, 2), (kh.reshape(-1, n) @ x_hat).reshape(kh.shape) - wh)
+        yield kh, x_hat, slacks
 
         t = linalg.polar_factor(wh).ravel()
+        # History is kept only from DEPTH steps before the first mixed one, so
+        # solves that stop within the plain steps, every linearly independent
+        # one measured, hold none. Kept from the start, it gives the same
+        # outputs but raised the tracemalloc peak of an n = 128 li_ladder
+        # solve from 3,331 to 4,612 KiB, and li_ladder's peak RSS by 1.5 MB.
         if step >= PLAIN_STEPS - DEPTH:
             f = t - kh.ravel()
             if prev is not None:
@@ -290,7 +267,7 @@ def _iterates(g: np.ndarray, k: np.ndarray):
             gamma = _mixing_weights(np.array(diff_f), f)
             if gamma is not None:
                 mixed = linalg.polar_factor((t - gamma @ np.array(diff_t)).reshape(kh.shape))
-                w_mixed = _times_g(mixed, g)
+                w_mixed = mixed @ g
                 if np.vdot(mixed, w_mixed).real >= x_hat.trace().real:
                     kh, wh = mixed, w_mixed
                     continue
@@ -298,7 +275,7 @@ def _iterates(g: np.ndarray, k: np.ndarray):
             diff_f.clear()
             prev = None
         kh = t.reshape(kh.shape)
-        wh = _times_g(kh, g)
+        wh = kh @ g
 
 
 def solve_optimal(
@@ -322,27 +299,27 @@ def solve_optimal(
     g = e.weighted_states
     # margins can make an iterate converge only where slackness passes
     iterates = islice(_iterates(g, _lsm_factors(e)), max_iter + 1)
-    for iteration, (k, x_hat, slacks) in enumerate(iterates):
+    for iteration, (kh, x_hat, slacks) in enumerate(iterates):
         if float(slacks.max()) <= tol:
             margins = _margins(x_hat - g)
             if float(margins.min()) >= -tol:
-                return _solution(g, k, x_hat, margins, slacks, iteration, True)
+                return _solution(g, kh, x_hat, margins, slacks, iteration, True)
     # The budget ran out. The loop is deterministic, so replaying it with
     # margins on every iterate finds the iterate with the best certificate.
     # The start is rebuilt rather than held, so a solve keeps no extra stack.
     best_score = np.inf
-    for k, x_hat, slacks in islice(_iterates(g, _lsm_factors(e)), max_iter + 1):
+    for kh, x_hat, slacks in islice(_iterates(g, _lsm_factors(e)), max_iter + 1):
         margins = _margins(x_hat - g)
         score = max(-float(margins.min()), float(slacks.max()), 0.0)
         if score < best_score:
-            best_score, best = score, (k, x_hat, margins, slacks)
+            best_score, best = score, (kh, x_hat, margins, slacks)
     return _solution(g, *best, max_iter, False)
 
 
-def _solution(g, k, x_hat, margins, slacks, iterations: int, converged: bool):
+def _solution(g, kh, x_hat, margins, slacks, iterations: int, converged: bool):
     """The returned measurement, its certificate and the solve's diagnostics,
-    from the factors ``k`` of the chosen iterate."""
-    ops = linalg.factor_products(k)
+    from the factors ``kh`` of the chosen iterate."""
+    ops = linalg.factor_products(kh)
     primal = _trace_sum(g, ops)
     diag = SolveDiagnostics(iterations=iterations, primal_value=primal, converged=converged)
     return Povm(ops), _certificate(x_hat, primal, margins, slacks), diag

@@ -84,11 +84,11 @@ def test_weighted_factors_match_the_weighted_states_and_the_oracle_ranks():
     for e in ensembles:
         f = _weighted_factors(e)
         oracle = factorize(e).ranks
-        assert f.shape == (e.num_states, e.dim, max(oracle))
-        # a factor's width is its count of nonzero columns; the padding is zero
-        widths = np.count_nonzero(np.abs(f).max(axis=1), axis=1)
+        assert f.shape == (e.num_states, max(oracle), e.dim)
+        # a factor's width is its count of nonzero rows; the padding is zero
+        widths = np.count_nonzero(np.abs(f).max(axis=2), axis=1)
         assert tuple(widths.tolist()) == oracle == tuple(e.state_spectra[2].tolist())
-        assert maxabs(f @ np.conj(f).swapaxes(1, 2) - e.weighted_states) <= 1e-12
+        assert maxabs(np.conj(f).swapaxes(1, 2) @ f - e.weighted_states) <= 1e-12
 
 
 def test_validate_flags_span_deficiency():
@@ -344,3 +344,5 @@ def test_ensemble_rejects_bad_shapes():
         Ensemble([1.0], [np.ones(2)])
     with pytest.raises(ValueError):
         Ensemble([], [])
+    with pytest.raises(ValueError):
+        Ensemble([1.0], np.zeros((1, 0, 0)))

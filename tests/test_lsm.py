@@ -231,6 +231,8 @@ def test_make_povm_rejects_mixed_shapes():
         make_povm([np.zeros((2, 3))])
     with pytest.raises(ValueError):
         make_povm([])
+    with pytest.raises(ValueError):
+        make_povm(np.zeros((2, 0, 0)))
 
 
 def test_povm_checks_its_shape_and_copies():

@@ -307,9 +307,9 @@ def test_every_factored_iterate_resolves_the_identity():
             ensembles.append(e)
     assert len(ensembles) > 50
     for e in ensembles:
-        for k, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 50):
-            assert k.shape[:2] == (e.num_states, e.dim)
-            assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
+        for kh, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 50):
+            assert kh.shape[::2] == (e.num_states, e.dim)
+            assert maxabs(factor_products(kh).sum(axis=0) - np.eye(e.dim)) <= 1e-12
     skewed = [skewed_pure_pair(eps) for eps in SKEWED_EPS] + [skewed_independent_draw()]
     for e in skewed:
         for k, _, _ in islice(_iterates(e.weighted_states, _lsm_factors(e)), 50):
@@ -351,7 +351,7 @@ def test_sub_cut_eigenvalues_that_rho_bar_counts_stay_in_the_factors():
     eps = 9e-11
     e = Ensemble([0.5, 0.5], [np.diag([1 - eps, 0, eps]), np.diag([0, 1 - eps, eps])])
     assert validate(e).passed and e.state_spectra[2].tolist() == [1, 1]
-    widths = np.count_nonzero(np.abs(_weighted_factors(e)).max(axis=1), axis=1)
+    widths = np.count_nonzero(np.abs(_weighted_factors(e)).max(axis=2), axis=1)
     assert widths.tolist() == [2, 2]
     assert check_povm(compute_lsm(e)).passed
     povm, cert, diag = solve_optimal(e)

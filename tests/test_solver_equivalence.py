@@ -9,7 +9,8 @@ whose operators are ``herm(K_i K_i*)`` of its factors, must match the
 reference's one by one, and ``solve_optimal`` driven by it must stop for the
 same reason and land on the same iterate. The mixed iterates of
 ``_iterates`` take other paths to the optimum, so they are held to the
-certificate and to the plain loop's certified answer instead.
+certificate and to the plain loop's certified answer instead. The solver's
+answer is also held to the problem's symmetries and bounds.
 """
 
 from itertools import islice
@@ -21,6 +22,7 @@ from psi_route import numeric_rank
 
 import qsd.optimal
 from qsd import (
+    Ensemble,
     Povm,
     certify,
     check_povm,
@@ -40,16 +42,18 @@ MAX_ITER = 300
 LAMBDA_FLOOR = 1e-12
 
 
-def plain_iterates(g, k):
+def plain_iterates(g, kh):
     """``_iterates`` without Anderson mixing: every step is K <- polar_factor(G K),
-    taken on the (n, m r) block row of the (m, n, r) stack G K."""
-    m, n, _ = k.shape
+    taken on the (n, m r) block row of the (m, n, r) stack G K, from and to
+    the (m, r, n) stack ``kh`` of the K_i*."""
+    m, _, n = kh.shape
     while True:
+        k = np.conj(kh).swapaxes(-1, -2)
         gk = g @ k
-        kh = np.conj(k).swapaxes(-1, -2)
         x_hat = hermitian_part((gk @ kh).sum(axis=0))
-        yield k, x_hat, _slacks((x_hat - g) @ k, kh)
-        k = polar_factor(gk.swapaxes(0, 1).reshape(n, -1)).reshape(n, m, -1).swapaxes(0, 1)
+        yield kh, x_hat, _slacks((x_hat - g) @ k, kh)
+        w = gk.swapaxes(0, 1).reshape(n, -1)  # the (n, m r) block row
+        kh = np.conj(polar_factor(w).reshape(n, m, -1).transpose(1, 2, 0))
 
 
 def solve_plain(e, **kwargs):
@@ -289,3 +293,32 @@ def test_accelerated_loop_agrees_with_the_plain_loop_in_fewer_iterations():
             primal = float(np.trace(x_hat).real)
     assert 2 * iterations["accelerated"] <= iterations["plain"]
     assert iterations["accelerated"] <= 2066
+
+
+def haar_unitary(n, rng):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def test_pd_is_invariant_under_unitaries_and_relabeling_and_bounded():
+    """P_d is the same for the states U rho_i U* (U Haar-random) and for the
+    states and outcomes permuted together, within the two certified gaps plus
+    rounding, and max_i p_i <= P_d <= 1: guessing the likeliest state
+    attains max_i p_i, so the optimum is no lower, and the solved P_d is
+    within its certified gap of the optimum."""
+    corpus = [e for e, _ in dependent_corpus(120)]
+    corpus += [random_ensemble(n, (n // 4,) * 4, seed=n, require_independent=True)
+               for n in (16, 32)]
+    rng = np.random.default_rng(4040)
+    for e in corpus:
+        _, cert, diag = solve_optimal(e)
+        assert diag.converged
+        pd = diag.primal_value
+        assert max(e.priors) - cert.gap - GAP_ROUNDING <= pd <= 1.0 + GAP_ROUNDING
+        u = haar_unitary(e.dim, rng)
+        perm = rng.permutation(e.num_states)
+        for other in (Ensemble(e.priors, u @ e.rhos @ u.conj().T),
+                      Ensemble(e.priors[perm], e.rhos[perm])):
+            _, other_cert, other_diag = solve_optimal(other)
+            assert other_diag.converged
+            assert abs(other_diag.primal_value - pd) <= cert.gap + other_cert.gap + GAP_ROUNDING

@@ -99,7 +99,7 @@ def test_rank_profile_reads_the_factor_widths():
             ensembles.append(e)
     for e in ensembles:
         f = _weighted_factors(e)
-        widths = np.count_nonzero(np.abs(f).max(axis=1), axis=1).tolist()
+        widths = np.count_nonzero(np.abs(f).max(axis=2), axis=1).tolist()
         guess = make_povm([np.eye(e.dim) / e.num_states] * e.num_states)
         assert [pair.state_rank for pair in rank_profile(e, guess)] == widths
         assert is_linearly_independent(e)[2] == sum(widths)
