@@ -56,8 +56,9 @@ Slackness is checked on every iterate; the feasibility margins, one batched
 eigenvalue decomposition, are taken only on iterates whose slackness passes,
 since only there can they decide convergence. Both are computed by the same
 routines that :func:`certify` uses, and the solver returns the chosen
-iterate's own certificate. A solve that exhausts its budget replays the
-deterministic loop with margins on every iterate to pick the best one.
+iterate's own certificate. A solve that exhausts its budget returns its last
+iterate, whose P_d is the highest the solve reached: a mixed step is taken
+only if it does not lower P_d, and no plain step measured has lowered it.
 """
 
 from __future__ import annotations
@@ -286,10 +287,10 @@ def solve_optimal(
     Starts from the least-squares measurement (already optimal for symmetric
     ensembles, so a fixed point there) and runs the fixed-point ascent until
     the certificate passes at ``tol`` or the iteration budget runs out. On
-    exhaustion the best iterate seen is returned with ``converged=False``
-    rather than raising; hard instances are diagnosed, not aborted. Either
-    way the certificate returned is the one the returned iterate was judged
-    by. An ensemble that fails validation raises as in
+    exhaustion the last iterate, which has the highest P_d the solve reached,
+    is returned with ``converged=False`` rather than raising; hard instances
+    are diagnosed, not aborted. Either way the certificate returned is the
+    returned iterate's own. An ensemble that fails validation raises as in
     :func:`qsd.lsm.compute_lsm`, and ``ValueError`` is raised unless ``tol``
     is finite and positive and ``max_iter`` is not negative.
     """
@@ -304,16 +305,7 @@ def solve_optimal(
             margins = _margins(x_hat - g)
             if float(margins.min()) >= -tol:
                 return _solution(g, kh, x_hat, margins, slacks, iteration, True)
-    # The budget ran out. The loop is deterministic, so replaying it with
-    # margins on every iterate finds the iterate with the best certificate.
-    # The start is rebuilt rather than held, so a solve keeps no extra stack.
-    best_score = np.inf
-    for kh, x_hat, slacks in islice(_iterates(g, _lsm_factors(e)), max_iter + 1):
-        margins = _margins(x_hat - g)
-        score = max(-float(margins.min()), float(slacks.max()), 0.0)
-        if score < best_score:
-            best_score, best = score, (kh, x_hat, margins, slacks)
-    return _solution(g, *best, max_iter, False)
+    return _solution(g, kh, x_hat, _margins(x_hat - g), slacks, max_iter, False)
 
 
 def _solution(g, kh, x_hat, margins, slacks, iterations: int, converged: bool):
