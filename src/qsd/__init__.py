@@ -31,7 +31,7 @@ from .optimal import (
     prob_correct,
     solve_optimal,
 )
-from .sim import ConfusionMatrix, SimResult, born_probabilities, simulate
+from .sim import SimResult, born_probabilities, simulate
 from .vnm import (
     PovmCheck,
     RankPair,
@@ -48,7 +48,6 @@ __all__ = [
     "BadPriorsError",
     "BadRanksError",
     "Certificate",
-    "ConfusionMatrix",
     "CountMismatchError",
     "DimMismatchError",
     "Ensemble",

@@ -39,8 +39,10 @@ class Ensemble:
     space, stacked as float64 ``(m,)`` and complex128 ``(m, n, n)`` arrays.
 
     The constructor copies both into read-only arrays, so neither the caller's
-    arrays nor writes through ``e.priors`` or ``e.rhos`` can change it. Derived
-    quantities wait for first use, so invalid input still reaches ``validate``.
+    arrays nor writes through ``e.priors`` or ``e.rhos`` can change it. It
+    raises ``ValueError`` for a NaN or infinite entry in a state or a prior,
+    as the wire decoders do; finite content that is not a valid ensemble
+    still reaches ``validate``, because derived quantities wait for first use.
     """
 
     priors: np.ndarray
@@ -51,6 +53,8 @@ class Ensemble:
         priors = np.array(self.priors, dtype=np.float64)
         if priors.shape != rhos.shape[:1]:
             raise ValueError(f"got priors of shape {priors.shape} for {len(rhos)} states")
+        if not np.isfinite(priors).all():
+            raise ValueError(f"expected finite priors, got {priors.tolist()!r}")
         priors.flags.writeable = False
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "rhos", rhos)
@@ -66,9 +70,7 @@ class Ensemble:
     @cached_property
     def weighted_states(self) -> np.ndarray:
         """Read-only stack of herm(p_i rho_i), shape (m, n, n); its sum is rho_bar."""
-        # an infinite entry makes inf * 0 here, which validation reports as NaN
-        with np.errstate(invalid="ignore"):
-            g = linalg.hermitian_part(self.priors[:, None, None] * self.rhos)
+        g = linalg.hermitian_part(self.priors[:, None, None] * self.rhos)
         g.flags.writeable = False
         return g
 
@@ -82,11 +84,9 @@ class Ensemble:
         rank in the package uses, and the rank at which the weighted factors
         span the space, as the least-squares measurement needs. rho_bar, a sum
         of exactly Hermitian matrices, is exactly Hermitian, so it needs no
-        symmetrizing. As for :attr:`state_spectra`, a non-finite rho_bar has no
-        spectrum: its eigenvalues read NaN and its rank 0.
+        symmetrizing.
         """
-        rho_bar = self.weighted_states.sum(axis=0)
-        w = np.where(np.isfinite(rho_bar).all(), np.linalg.eigvalsh(rho_bar), np.nan)
+        w = np.linalg.eigvalsh(self.weighted_states.sum(axis=0))
         w.flags.writeable = False
         return w, linalg.spectrum_rank(w)
 
@@ -98,13 +98,9 @@ class Ensemble:
 
         This is the package's one decomposition of the states: validation
         reads their PSD margins from it, every state rank comes from it, and
-        so do the thin factors of :func:`qsd.lsm._lsm_factors`. A state with a
-        non-finite entry has no spectrum: its eigenvalues read NaN and its
-        rank 0.
+        so do the thin factors of :func:`qsd.lsm._lsm_factors`.
         """
-        with np.errstate(invalid="ignore"):
-            w, v = np.linalg.eigh(linalg.hermitian_part(self.rhos))
-        w[~np.isfinite(self.rhos).all(axis=(1, 2))] = np.nan
+        w, v = np.linalg.eigh(linalg.hermitian_part(self.rhos))
         ranks = linalg.spectrum_rank(w)
         for a in (w, v, ranks):
             a.flags.writeable = False
@@ -133,19 +129,18 @@ class ValidationReport:
 def validate(e: Ensemble) -> ValidationReport:
     """Check ensemble invariants and report every deviation.
 
-    Never raises for bad content; failures are carried in the report. The
-    ensemble passes iff all density operators are Hermitian PSD with unit
-    trace (within tolerance), priors are positive and sum to one, and the
-    states span the full space (``rho_bar`` has full rank).
+    Never raises for bad content, which the constructor has already checked
+    to be finite; failures are carried in the report. The ensemble passes iff
+    all density operators are Hermitian PSD with unit trace (within
+    tolerance), priors are positive and sum to one, and the states span the
+    full space (``rho_bar`` has full rank).
     """
     rhos = e.rhos
     scale = 1 + np.abs(rhos).max(axis=(1, 2))
     psd_margins = e.state_spectra[0][:, 0]
-    # an infinite entry makes inf - inf here, which is a failing report, not an error
-    with np.errstate(invalid="ignore"):
-        herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
-        trace_devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
-        span_rank = e.span[1]
+    herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
+    trace_devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    span_rank = e.span[1]
     priors = e.priors
     prior_sum_dev = abs(float(priors.sum()) - 1.0)
     min_prior = float(priors.min())
@@ -174,8 +169,8 @@ def require_valid(e: Ensemble) -> None:
 
     ``SpanDeficientError`` when the states are valid but do not span the
     space, otherwise ``InvalidEnsembleError``; both carry the validation
-    report. The span of invalid states means nothing: NaN or indefinite
-    states can make ``rho_bar`` look rank-deficient.
+    report. The span of invalid states means nothing: indefinite states can
+    make ``rho_bar`` look rank-deficient.
     """
     report = validate(e)
     if not report.states_passed:

@@ -34,11 +34,12 @@ def maxabs(m) -> float:
 
 
 def square_stack(mats) -> np.ndarray:
-    """Copy a non-empty sequence of square matrices of one shape into a new
-    read-only complex128 array of shape (m, n, n), with n >= 1.
+    """Copy a non-empty sequence of finite square matrices of one shape into
+    a new read-only complex128 array of shape (m, n, n), with n >= 1.
 
     Raises ``DimMismatchError`` when the shapes differ or are not square and
-    ``ValueError`` when there is no matrix or the matrices are 0 x 0.
+    ``ValueError`` when there is no matrix, the matrices are 0 x 0 or an
+    entry is NaN or infinite.
     """
     try:
         stack = np.array(mats, dtype=np.complex128)
@@ -52,6 +53,8 @@ def square_stack(mats) -> np.ndarray:
         raise DimMismatchError(f"expected square matrices of one shape, got {shapes}")
     if not stack.shape[1]:
         raise ValueError("expected matrices of at least 1 x 1, got 0 x 0")
+    if not np.isfinite(stack).all():
+        raise ValueError("expected finite matrices, got a NaN or infinite entry")
     stack.flags.writeable = False
     return stack
 

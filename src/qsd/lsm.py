@@ -24,9 +24,10 @@ from .errors import CountMismatchError, DimMismatchError
 
 @dataclass(frozen=True)
 class Povm:
-    """Square operators of one shape, copied into a read-only (m, n, n) stack;
-    other shapes raise ``DimMismatchError``. Completeness and positivity are
-    checked separately, so that broken candidate POVMs can still be inspected.
+    """Finite square operators of one shape, copied into a read-only
+    (m, n, n) stack; other shapes raise ``DimMismatchError``, and a NaN or
+    infinite entry ``ValueError``. Completeness and positivity are checked
+    separately, so that broken candidate POVMs can still be inspected.
     """
 
     operators: np.ndarray

@@ -104,11 +104,12 @@ class Certificate:
     feas_margins: tuple[float, ...]
     slack_residuals: tuple[float, ...]
 
+    # written so that a NaN margin or residual fails, wherever it stands
     def feasible_at(self, tol: float) -> bool:
-        return min(self.feas_margins) >= -tol
+        return all(m >= -tol for m in self.feas_margins)
 
     def slack_at(self, tol: float) -> bool:
-        return max(self.slack_residuals) <= tol
+        return all(r <= tol for r in self.slack_residuals)
 
     def optimal_at(self, tol: float) -> bool:
         return self.feasible_at(tol) and self.slack_at(tol)

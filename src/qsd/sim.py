@@ -23,18 +23,6 @@ ROW_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """Outcome probabilities: probs[i][j] = Tr(rho_i Pi_j).
-
-    ``analytic_pd`` is the prior-weighted diagonal sum; it is None when the
-    outcome count differs from the state count (no diagonal to speak of).
-    """
-
-    probs: np.ndarray
-    analytic_pd: float | None
-
-
-@dataclass(frozen=True)
 class SimResult:
     trials: int
     seed: int
@@ -43,30 +31,29 @@ class SimResult:
     std_error: float
 
 
-def born_probabilities(e: Ensemble, p: Povm) -> ConfusionMatrix:
-    """Exact outcome probabilities for every (prepared state, outcome) pair.
+def born_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
+    """Exact outcome probabilities ``Tr(rho_i Pi_j)`` for every prepared
+    state i and outcome j, as an (m, k) array.
 
-    The outcome count may differ from the state count (e.g. a single
-    identity-resolution outcome); the matrix is then rectangular.
+    The outcome count k may differ from the state count m (e.g. a single
+    identity-resolution outcome); the array is then rectangular. The
+    probability of correct detection is :func:`qsd.optimal.prob_correct`.
     """
     if e.dim != p.dim:
         raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
-    probs = np.einsum("ikl,jlk->ij", e.rhos, p.operators).real
-    analytic = None
-    if e.num_states == p.num_outcomes:
-        analytic = float(e.priors @ np.diagonal(probs))
-    return ConfusionMatrix(probs=probs, analytic_pd=analytic)
+    return np.einsum("ikl,jlk->ij", e.rhos, p.operators).real
 
 
 def _sampling_rows(probs: np.ndarray) -> np.ndarray:
-    if float(probs.min()) < NEG_PROB_TOL:
+    # written so that a NaN probability fails both tests
+    if not probs.min() >= NEG_PROB_TOL:
         raise ValueError(
             f"outcome probability {float(probs.min()):.3e} below "
             f"{NEG_PROB_TOL:.0e}; POVM is invalid"
         )
     rows = np.clip(probs, 0.0, None)
     sums = rows.sum(axis=1)
-    if float(np.abs(sums - 1.0).max()) > ROW_SUM_TOL:
+    if not np.abs(sums - 1.0).max() <= ROW_SUM_TOL:
         raise ValueError(
             f"outcome probabilities sum to {sums!r}; POVM is not complete"
         )
@@ -79,8 +66,7 @@ def simulate(e: Ensemble, p: Povm, trials: int, seed: int) -> SimResult:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_match(e, p)
-    cm = born_probabilities(e, p)
-    rows = _sampling_rows(cm.probs)
+    rows = _sampling_rows(born_probabilities(e, p))
     m = rows.shape[0]
 
     prior_cum = np.cumsum(e.priors)

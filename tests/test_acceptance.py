@@ -14,7 +14,6 @@ from conftest import ket, projector, pure_ensemble, trine_vectors
 from psi_route import numeric_rank
 
 from qsd import (
-    born_probabilities,
     certify,
     compute_lsm,
     helstrom_binary,
@@ -235,11 +234,11 @@ def test_criterion_7_simulation_consistency(zero_plus_run):
     res = simulate(e, povm, 10**6, seed=424242)
     assert abs(res.empirical_pd - ZERO_PLUS_TARGET) <= 3 * res.std_error
 
-    cm = born_probabilities(e, povm)
+    pd = prob_correct(e, povm)
     hits = 0
     for seed in range(20):
         run = simulate(e, povm, 10**5, seed=seed)
-        if abs(run.empirical_pd - cm.analytic_pd) <= 3 * run.std_error:
+        if abs(run.empirical_pd - pd) <= 3 * run.std_error:
             hits += 1
     assert hits >= 18
     return f"million-trial estimate within 3 standard errors; " f"{hits}/20 seeds inside the 3-sigma band"

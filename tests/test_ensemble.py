@@ -12,6 +12,7 @@ from qsd import (
     BadRanksError,
     DimMismatchError,
     Ensemble,
+    Povm,
     deflate,
     is_linearly_independent,
     random_ensemble,
@@ -45,30 +46,27 @@ def test_validate_flags_trace():
     assert abs(report.trace_deviations[0] - 1.0) < 1e-12
 
 
-def test_validate_gives_a_nonfinite_state_no_psd_margin():
-    # eigvalsh(diag(nan, 1)) returns [0, -0], which would read as PSD
+def test_ensemble_and_povm_refuse_nonfinite_entries():
+    """A NaN or infinite entry is refused when the ensemble or the POVM is
+    built, as the wire decoders refuse it, so no derived quantity meets one.
+    Warnings are errors, so the refusal must not pass through a numpy
+    warning such as inf - inf."""
     half = np.eye(2) / 2
-    for bad in (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]])):
-        report = validate(Ensemble([0.5, 0.5], [bad, half]))
-        assert np.isnan(report.psd_margins[0]) and report.psd_margins[1] == 0.5
-        assert not report.states_passed and not report.passed
-
-
-def test_validate_reports_an_infinite_state_under_warnings_as_errors():
-    # inf - inf in the Hermitian deviation and the trace and inf * 0 in the
-    # weighted states are invalid operations, which -W error turns into
-    # exceptions
-    half = np.eye(2) / 2
-    for bad in (np.diag([np.inf, 1.0]), np.array([[0.5, np.inf], [0.0, 0.5]]),
-                np.array([[0.5, np.inf], [np.inf, 0.5]]), np.diag([np.inf, -np.inf])):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            w, _, ranks = Ensemble([0.5, 0.5], [bad, half]).state_spectra
-            Ensemble([0.5, 0.5], [bad, half]).weighted_states
-            report = validate(Ensemble([0.5, 0.5], [bad, half]))
-        assert np.isnan(w[0]).all() and ranks.tolist() == [0, 2]
-        assert np.isnan(report.psd_margins[0]) and report.psd_margins[1] == 0.5
-        assert not report.states_passed and not report.passed
+    bad_states = (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]]),
+                  np.diag([np.inf, 1.0]), np.array([[0.5, np.inf], [0.0, 0.5]]),
+                  np.array([[0.5, np.inf], [np.inf, 0.5]]), np.diag([np.inf, -np.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in bad_states:
+            with pytest.raises(ValueError, match="finite"):
+                Ensemble([0.5, 0.5], [bad, half])
+            with pytest.raises(ValueError, match="finite"):
+                Povm([bad, np.eye(2) - half])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Ensemble([bad, 0.5], [half, half])
+            with pytest.raises(ValueError, match="finite"):
+                Ensemble([0.5, bad], [half, half])
 
 
 def test_weighted_factors_match_the_weighted_states_and_the_oracle_ranks():

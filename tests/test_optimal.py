@@ -7,6 +7,7 @@ import pytest
 from conftest import ket, projector, pure_ensemble, trine_vectors
 
 from qsd import (
+    Certificate,
     CountMismatchError,
     DimMismatchError,
     Ensemble,
@@ -141,6 +142,21 @@ def test_certify_orthogonal_pair(orthonormal_pair, orthonormal_pair_povm):
     cert = certify(orthonormal_pair, orthonormal_pair_povm, np.diag([0.5, 0.5]))
     assert cert.optimal_at(1e-12)
     assert max(cert.slack_residuals) == 0.0
+
+
+def test_certificate_verdicts_fail_on_nan_in_any_place():
+    """NaN fails every comparison, so a NaN margin or residual fails its
+    verdict wherever it stands, not only in first place."""
+    nan = float("nan")
+    for first, second in ((0.0, nan), (nan, 0.0)):
+        cert = Certificate(x_hat=np.eye(2) / 2, dual_value=1.0, gap=0.0,
+                           feas_margins=(first, second), slack_residuals=(0.0, 0.0))
+        assert not cert.feasible_at(1e-7) and cert.slack_at(1e-7)
+        assert not cert.optimal_at(1e-7)
+        cert = Certificate(x_hat=np.eye(2) / 2, dual_value=1.0, gap=0.0,
+                           feas_margins=(0.0, 0.0), slack_residuals=(first, second))
+        assert cert.feasible_at(1e-7) and not cert.slack_at(1e-7)
+        assert not cert.optimal_at(1e-7)
 
 
 def test_certify_zero_dual_is_infeasible(orthonormal_pair, orthonormal_pair_povm):

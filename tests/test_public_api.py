@@ -23,7 +23,7 @@ def test_public_api():
                  "lsm_is_projective_expected", "State", "inv_sqrt_psd",
                  "numeric_rank", "direct_sum_rank", "EigResult", "IterateRecord",
                  "eig_hermitian", "NotHermitianError", "NonSquareError",
-                 "SingularMatrixError"):
+                 "SingularMatrixError", "ConfusionMatrix"):
         assert not hasattr(qsd, gone), gone
     # nothing in the package reads a simulation or solve document
     for gone in ("sim_result_from_wire", "solve_result_from_wire"):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ket, pure_ensemble
 
-from qsd import certify, compute_lsm, random_ensemble, solve_optimal, validate
+from qsd import Ensemble, certify, compute_lsm, random_ensemble, solve_optimal, validate
 from qsd.linalg import maxabs
 from qsd.serialize import (
     certificate_from_wire,
@@ -21,6 +21,38 @@ from qsd.serialize import (
     vnm_report_to_wire,
 )
 from qsd.vnm import vnm_report
+
+
+@pytest.fixture(scope="module")
+def solved_corpus():
+    """Seeded ensembles with their optimal POVMs and certificates: linearly
+    independent at n = 8 and n = 32 with flat-Dirichlet priors, a linearly
+    dependent draw with n = 4 and m = 5, the skewed ensemble of the CI,
+    whose priors go down to 1e-8, and an orthonormal pair written with
+    negative zeros."""
+    rng = np.random.default_rng(2023)
+    ensembles = [
+        random_ensemble(n, (n // 4,) * 4, priors=rng.dirichlet(np.ones(4)), seed=n,
+                        require_independent=True)
+        for n in (8, 32)
+    ]
+    ensembles.append(random_ensemble(4, (2, 1, 3, 2, 1), seed=7))
+    ensembles.append(random_ensemble(8, (2, 2, 2, 2), priors=(0.99999997, 1e-8, 1e-8, 1e-8),
+                                     seed=3, require_independent=True))
+    z = complex(-0.0, -0.0)
+    ensembles.append(Ensemble([0.5, 0.5], [[[1, z], [z, z]], [[z, z], [z, 1]]]))
+    return [(e, *solve_optimal(e)[:2]) for e in ensembles]
+
+
+def same_bytes(a, b):
+    """Equal shapes and bytes: signed zeros and the last bit count."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_floats(a, b):
+    """Equal by ``==`` and in sign, so that -0.0 differs from 0.0."""
+    a, b = np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()
+    return a == b and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_matrix_round_trip():
@@ -83,13 +115,17 @@ def test_matrix_to_wire_bytes_match_per_entry_encoder():
     assert "5e-324" in dumps(matrix_to_wire(special))
 
 
-def test_ensemble_round_trip():
+def test_ensemble_round_trip(solved_corpus):
     e = random_ensemble(3, (2, 1), seed=8, require_independent=True)
     wire = json.loads(dumps(ensemble_to_wire(e)))
     back = ensemble_from_wire(wire)
     assert back.dim == e.dim
     assert np.array_equal(back.priors, e.priors)
     assert np.array_equal(back.rhos, e.rhos)
+    for e, _, _ in solved_corpus:
+        back = ensemble_from_wire(json.loads(dumps(ensemble_to_wire(e))))
+        assert same_bytes(back.priors, e.priors)
+        assert same_bytes(back.rhos, e.rhos)
 
 
 def test_ensemble_from_wire_rejects_malformed():
@@ -121,13 +157,16 @@ def test_ensemble_from_wire_rejects_malformed():
     assert ensemble_from_wire(one).priors.tolist() == [1.0]
 
 
-def test_povm_round_trip(zero_plus):
+def test_povm_round_trip(zero_plus, solved_corpus):
     p = compute_lsm(zero_plus)
     back = povm_from_wire(json.loads(dumps(povm_to_wire(p))))
     assert back.dim == p.dim
     assert back.ranks == p.ranks
     for a, b in zip(p.operators, back.operators):
         assert np.array_equal(a, b)
+    for _, povm, _ in solved_corpus:
+        back = povm_from_wire(json.loads(dumps(povm_to_wire(povm))))
+        assert same_bytes(back.operators, povm.operators)
 
 
 def test_povm_from_wire_checks_dim():
@@ -143,7 +182,7 @@ def test_povm_from_wire_checks_dim():
     assert povm_from_wire({"dim": 1, "operators": [[[[1.0, 0]]]]}).dim == 1
 
 
-def test_certificate_round_trip(zero_plus):
+def test_certificate_round_trip(zero_plus, solved_corpus):
     povm, cert, _ = solve_optimal(zero_plus)
     wire = json.loads(dumps(certificate_to_wire(cert)))
     assert set(wire) == {"dual_value", "gap", "feas_margins", "slack_residuals", "x_hat"}
@@ -166,6 +205,11 @@ def test_certificate_round_trip(zero_plus):
                 certificate_from_wire({**wire, key: [*wire[key][:-1], bad]})
     with pytest.raises(ValueError):
         certificate_from_wire({**wire, "feas_margins": 0.0})
+    for _, _, cert in solved_corpus:
+        back = certificate_from_wire(json.loads(dumps(certificate_to_wire(cert))))
+        assert same_bytes(back.x_hat, cert.x_hat)
+        for field in ("dual_value", "gap", "feas_margins", "slack_residuals"):
+            assert same_floats(getattr(back, field), getattr(cert, field)), field
 
 
 def test_report_wires_are_json_safe(trine):

@@ -4,6 +4,7 @@ import pytest
 from conftest import ket, pure_ensemble
 
 from qsd import (
+    CountMismatchError,
     born_probabilities,
     compute_lsm,
     make_povm,
@@ -12,57 +13,53 @@ from qsd import (
     simulate,
     solve_optimal,
 )
+from qsd.sim import _sampling_rows
 
 ZERO_PLUS_OPTIMUM = 0.8535533905932737
 
 
 def test_born_orthogonal_pair(orthonormal_pair, orthonormal_pair_povm):
-    cm = born_probabilities(orthonormal_pair, orthonormal_pair_povm)
-    assert np.abs(cm.probs - np.eye(2)).max() < 1e-12
-    assert abs(cm.analytic_pd - 1.0) < 1e-12
+    probs = born_probabilities(orthonormal_pair, orthonormal_pair_povm)
+    assert np.abs(probs - np.eye(2)).max() < 1e-12
+    assert abs(prob_correct(orthonormal_pair, orthonormal_pair_povm) - 1.0) < 1e-12
 
 
 def test_born_single_outcome_column_of_ones(zero_plus):
     # Tr(rho_i I) = 1 for every state, so a single-outcome identity POVM
     # yields a column of ones and no diagonal detection probability
-    cm = born_probabilities(zero_plus, make_povm([np.eye(2)]))
-    assert cm.probs.shape == (2, 1)
-    assert np.abs(cm.probs - 1.0).max() < 1e-12
-    assert cm.analytic_pd is None
+    probs = born_probabilities(zero_plus, make_povm([np.eye(2)]))
+    assert probs.shape == (2, 1)
+    assert np.abs(probs - 1.0).max() < 1e-12
+    with pytest.raises(CountMismatchError):
+        prob_correct(zero_plus, make_povm([np.eye(2)]))
 
 
 def test_born_rows_sum_to_one(zero_plus):
-    cm = born_probabilities(zero_plus, compute_lsm(zero_plus))
-    assert np.abs(cm.probs.sum(axis=1) - 1.0).max() <= 1e-8
-    assert cm.probs.min() >= -1e-10
-    assert cm.probs.max() <= 1 + 1e-10
+    probs = born_probabilities(zero_plus, compute_lsm(zero_plus))
+    assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-8
+    assert probs.min() >= -1e-10
+    assert probs.max() <= 1 + 1e-10
 
 
 def test_born_zero_plus_lsm_diagonal(zero_plus):
     # the symmetric two-pure-state case: the square-root measurement attains
     # the binary optimum, so both diagonal entries equal it
-    cm = born_probabilities(zero_plus, compute_lsm(zero_plus))
-    assert abs(cm.probs[0, 0] - ZERO_PLUS_OPTIMUM) < 1e-12
-    assert abs(cm.probs[1, 1] - ZERO_PLUS_OPTIMUM) < 1e-12
-    assert np.abs(cm.probs - cm.probs.T).max() < 1e-12
+    probs = born_probabilities(zero_plus, compute_lsm(zero_plus))
+    assert abs(probs[0, 0] - ZERO_PLUS_OPTIMUM) < 1e-12
+    assert abs(probs[1, 1] - ZERO_PLUS_OPTIMUM) < 1e-12
+    assert np.abs(probs - probs.T).max() < 1e-12
 
 
 def test_born_probabilities_match_trace_loop():
     for k in range(5):
         e = random_ensemble(3, (1, 2, 3, 2), priors=(0.1, 0.2, 0.3, 0.4), seed=3300 + k)
         p = compute_lsm(e)
-        cm = born_probabilities(e, p)
+        probs = born_probabilities(e, p)
         for i, rho in enumerate(e.rhos):
             for j, op in enumerate(p.operators):
-                assert abs(cm.probs[i, j] - np.trace(rho @ op).real) <= 1e-14
-        diagonal = sum(prior * cm.probs[i, i] for i, prior in enumerate(e.priors))
-        assert abs(cm.analytic_pd - diagonal) <= 1e-14
-
-
-def test_analytic_pd_matches_prob_correct(trine):
-    povm = compute_lsm(trine)
-    cm = born_probabilities(trine, povm)
-    assert abs(cm.analytic_pd - prob_correct(trine, povm)) <= 1e-10
+                assert abs(probs[i, j] - np.trace(rho @ op).real) <= 1e-14
+        diagonal = sum(prior * probs[i, i] for i, prior in enumerate(e.priors))
+        assert abs(prob_correct(e, p) - diagonal) <= 1e-14
 
 
 def test_simulate_perfect_discrimination(orthonormal_pair, orthonormal_pair_povm):
@@ -97,24 +94,24 @@ def test_simulate_zero_plus_hits_optimum(zero_plus):
 
 def test_simulate_coverage_over_seeds(zero_plus):
     povm, _, _ = solve_optimal(zero_plus)
-    cm = born_probabilities(zero_plus, povm)
+    pd = prob_correct(zero_plus, povm)
     hits = 0
     for seed in range(20):
         res = simulate(zero_plus, povm, 10**5, seed=seed)
-        if abs(res.empirical_pd - cm.analytic_pd) <= 3 * res.std_error:
+        if abs(res.empirical_pd - pd) <= 3 * res.std_error:
             hits += 1
     assert hits >= 18
 
 
 def test_simulate_frequencies_converge(trine):
     povm = compute_lsm(trine)
-    cm = born_probabilities(trine, povm)
+    probs = born_probabilities(trine, povm)
 
     def max_row_deviation(trials, seed):
         res = simulate(trine, povm, trials, seed)
         totals = res.counts.sum(axis=1, keepdims=True)
         freq = res.counts / np.maximum(totals, 1)
-        return float(np.abs(freq - cm.probs).max())
+        return float(np.abs(freq - probs).max())
 
     assert max_row_deviation(10**5, 31) < max_row_deviation(10**3, 31)
 
@@ -137,6 +134,15 @@ def test_simulate_rejects_invalid_negatives():
     e = pure_ensemble((0.5, 0.5), (ket(1, 0), ket(0, 1)))
     with pytest.raises(ValueError):
         simulate(e, make_povm(ops), 100, seed=3)
+
+
+def test_sampling_rows_refuse_a_nan_probability():
+    """NaN fails every comparison, so a NaN probability must fail the
+    checks rather than slip past them into the sampler."""
+    for probs in ([[0.5, 0.5], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                  [[0.5, 0.5], [0.0, np.nan]]):
+        with pytest.raises(ValueError):
+            _sampling_rows(np.array(probs))
 
 
 def test_simulate_requires_trials():
