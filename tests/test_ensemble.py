@@ -46,20 +46,42 @@ def test_validate_flags_trace():
     assert abs(report.trace_deviations[0] - 1.0) < 1e-12
 
 
-def test_ensemble_and_povm_refuse_nonfinite_entries():
-    """A NaN or infinite entry is refused when the ensemble or the POVM is
-    built, as the wire decoders refuse it, so no derived quantity meets one.
-    Warnings are errors, so the refusal must not pass through a numpy
-    warning such as inf - inf."""
+NAN_STATES = (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]]))
+INF_STATES = (np.diag([np.inf, 1.0]), np.array([[0.5, np.inf], [0.0, 0.5]]),
+              np.array([[0.5, np.inf], [np.inf, 0.5]]), np.diag([np.inf, -np.inf]))
+
+
+def test_validate_gives_a_nonfinite_state_no_psd_margin():
+    """eigvalsh(diag(nan, 1)) returns [0, -0], which would read as PSD; a NaN
+    state is refused when the ensemble is built, so validate never gives it
+    a margin."""
     half = np.eye(2) / 2
-    bad_states = (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]]),
-                  np.diag([np.inf, 1.0]), np.array([[0.5, np.inf], [0.0, 0.5]]),
-                  np.array([[0.5, np.inf], [np.inf, 0.5]]), np.diag([np.inf, -np.inf]))
+    for bad in NAN_STATES:
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble([0.5, 0.5], [bad, half])
+
+
+def test_validate_reports_an_infinite_state_under_warnings_as_errors():
+    """inf - inf and inf * 0 are invalid operations, which -W error turns
+    into exceptions; an infinite state is refused with a ValueError when the
+    ensemble is built, not through a numpy warning."""
+    half = np.eye(2) / 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for bad in bad_states:
+        for bad in INF_STATES:
             with pytest.raises(ValueError, match="finite"):
                 Ensemble([0.5, 0.5], [bad, half])
+
+
+def test_ensemble_and_povm_refuse_nonfinite_entries():
+    """A NaN or infinite operator or prior is refused when the POVM or the
+    ensemble is built, as the wire decoders refuse it, so no derived
+    quantity meets one. Warnings are errors, so the refusal must not pass
+    through a numpy warning such as inf - inf."""
+    half = np.eye(2) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in NAN_STATES + INF_STATES:
             with pytest.raises(ValueError, match="finite"):
                 Povm([bad, np.eye(2) - half])
         for bad in (np.nan, np.inf, -np.inf):

@@ -101,10 +101,11 @@ def test_lsm_span_deficient():
 
 
 @pytest.mark.parametrize("solve", [compute_lsm, solve_optimal])
-@pytest.mark.parametrize("bad", [np.diag([1.5, -0.5])])
+@pytest.mark.parametrize("bad", [np.array([[0.5, 1.0], [1.0, 0.5]]), np.diag([1.5, -0.5])])
 def test_invalid_states_are_not_called_span_deficient(solve, bad):
     """Indefinite states can make rho_bar look rank-deficient; the error
-    names what is wrong with the states, not their span."""
+    names what is wrong with the states, not their span. Each state here has
+    eigenvalues 1.5 and -0.5, and with I/2 it makes a rank-1 rho_bar."""
     e = Ensemble([0.5, 0.5], [bad, np.eye(2) / 2])
     with pytest.raises(InvalidEnsembleError) as exc_info:
         solve(e)
