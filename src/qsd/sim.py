@@ -9,6 +9,7 @@ order, so runs are reproducible per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -61,8 +62,13 @@ def _sampling_rows(probs: np.ndarray) -> np.ndarray:
 
 
 def simulate(e: Ensemble, p: Povm, trials: int, seed: int) -> SimResult:
-    """Run the detection experiment and tally a confusion-count matrix."""
-    trials = int(trials)
+    """Run the detection experiment and tally a confusion-count matrix.
+
+    ``ValueError`` is raised unless ``trials`` is an integer, not a bool, of
+    at least 1.
+    """
+    if isinstance(trials, bool) or not isinstance(trials, Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_match(e, p)
@@ -89,7 +95,7 @@ def simulate(e: Ensemble, p: Povm, trials: int, seed: int) -> SimResult:
     empirical = float(np.trace(counts)) / trials
     std_error = float(np.sqrt(empirical * (1.0 - empirical) / trials))
     return SimResult(
-        trials=trials,
+        trials=int(trials),
         seed=int(seed),
         counts=counts,
         empirical_pd=empirical,

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import ket, projector, pure_ensemble, trine_vectors
 
+import qsd.optimal
 from qsd import (
     Certificate,
     CountMismatchError,
@@ -28,7 +29,7 @@ from qsd import (
 )
 from qsd.linalg import PSD_RANK_REL_TOL, factor_products, maxabs
 from qsd.lsm import _lsm_factors, _weighted_factors
-from qsd.optimal import PLAIN_STEPS, _certificate, _iterates
+from qsd.optimal import PLAIN_STEPS, _certificate, _iterates, _slackness
 
 # 1/2 + sqrt(2)/4, the two-state optimum for |0>, |+> with equal priors
 ZERO_PLUS_OPTIMUM = 0.8535533905932737
@@ -206,9 +207,12 @@ def test_work_per_solve(monkeypatch):
     once per plain update and twice per mixed one. A mixed step takes its
     combination from one solve of the small Gram system and never from
     lstsq. eigvalsh runs once more, for the margins of the converging
-    iterate, the only iterate whose slackness passes here. A solve that
-    exhausts its budget runs its loop once and takes margins once more, for
-    the last iterate, which it returns."""
+    iterate, the only iterate whose slackness passes here. The slackness
+    residuals are formed only on iterates that the screen on x - x* leaves
+    open: 2 of the 5 iterates of the independent solve and 2 of the 12 of
+    the dependent one. A solve that exhausts its budget runs its loop once
+    and takes margins and residuals once more, for the last iterate, which
+    it returns; the screen rules out all 6 of its iterates here."""
     calls = Counter()
     for name in ("eigh", "eigvalsh", "svd", "lstsq", "solve"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -217,24 +221,30 @@ def test_work_per_solve(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
 
+    def counted_slacks(*args, _real=qsd.optimal._slacks):
+        calls["_slacks"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(qsd.optimal, "_slacks", counted_slacks)
+
     def li():
         return random_ensemble(16, (4,) * 4, seed=0, require_independent=True)
 
     calls.clear()
     _, _, diag = solve_optimal(li())
     assert diag.converged and 0 < diag.iterations <= PLAIN_STEPS
-    assert calls == {"eigh": 1, "svd": 1 + diag.iterations, "eigvalsh": 2}
+    assert calls == {"eigh": 1, "svd": 1 + diag.iterations, "eigvalsh": 2, "_slacks": 2}
     # past the plain steps, a mixed step takes a second svd to normalize
     # the mixed factors, and one solve for its combination
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1))
     assert diag.converged and diag.iterations == 11
-    assert calls == {"eigh": 1, "svd": 15, "eigvalsh": 2, "solve": 3}
+    assert calls == {"eigh": 1, "svd": 15, "eigvalsh": 2, "solve": 3, "_slacks": 2}
     assert calls["lstsq"] == 0
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
     assert not diag.converged and diag.iterations == 5
-    assert calls == {"eigh": 1, "svd": 1 + 5, "eigvalsh": 2}
+    assert calls == {"eigh": 1, "svd": 1 + 5, "eigvalsh": 2, "_slacks": 1}
     calls.clear()
     compute_lsm(li())
     assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
@@ -266,7 +276,8 @@ def test_degenerate_mixing_history_keeps_every_iterate_a_measurement(monkeypatch
         singular.clear()
         primal = -np.inf
         iterates = _iterates(e.weighted_states, _lsm_factors(e))
-        for k, x_hat, _ in islice(iterates, diag.iterations + 201):
+        for k, wh, x in islice(iterates, diag.iterations + 201):
+            x_hat, _ = _slackness(k, wh, x)
             assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
             assert float(np.trace(x_hat).real) >= primal - 1e-12
             primal = float(np.trace(x_hat).real)
@@ -408,7 +419,8 @@ def test_weak_duality_on_iterate_history():
     # every iterate's certificate bounds the optimum from above
     g = e.weighted_states
     iterates = _iterates(g, _lsm_factors(e))
-    for k, x_hat, slacks in islice(iterates, diag.iterations + 1):
+    for k, wh, x in islice(iterates, diag.iterations + 1):
+        x_hat, slacks = _slackness(k, wh, x)
         primal = prob_correct(e, Povm(factor_products(k)))
         margins = np.linalg.eigvalsh(x_hat - g)[:, 0]
         assert primal <= optimum + 1e-12
@@ -499,10 +511,17 @@ def test_solve_rejects_tolerances_that_prove_nothing(zero_plus, tol):
 
 
 def test_solve_rejects_negative_budget(zero_plus):
-    with pytest.raises(ValueError):
-        solve_optimal(zero_plus, max_iter=-1)
+    """A budget must be an integer of at least 0: a bool is not read as 0
+    or 1, a float not truncated and a string not parsed. A numpy integer is
+    an integer, and an exhausted budget is reported as a Python int."""
+    for max_iter in (-1, True, False, 1e4, 2.5, "5"):
+        with pytest.raises(ValueError):
+            solve_optimal(zero_plus, max_iter=max_iter)
     _, _, diag = solve_optimal(zero_plus, max_iter=0)
     assert diag.iterations == 0
+    skewed = pure_ensemble((0.7, 0.3), (ket(1, 0), ket(1, 1)))
+    _, _, diag = solve_optimal(skewed, max_iter=np.int64(1))
+    assert not diag.converged and diag.iterations == 1 and type(diag.iterations) is int
 
 
 def test_lsm_is_within_the_square_of_the_optimum():

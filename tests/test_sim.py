@@ -146,9 +146,15 @@ def test_sampling_rows_refuse_a_nan_probability():
 
 
 def test_simulate_requires_trials():
+    """A trial count must be an integer of at least 1: a float is not
+    truncated, a string not parsed and a bool not read as 0 or 1."""
     e = pure_ensemble((1.0,), (ket(1, 0),))
-    with pytest.raises(ValueError):
-        simulate(e, make_povm([np.eye(2)]), 0, seed=0)
+    povm = make_povm([np.eye(2)])
+    for trials in (0, 2.7, "5", True, False):
+        with pytest.raises(ValueError):
+            simulate(e, povm, trials, seed=0)
+    res = simulate(e, povm, np.int64(3), seed=0)
+    assert res.trials == 3 and type(res.trials) is int
 
 
 def test_std_error_formula(zero_plus):

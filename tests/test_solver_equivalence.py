@@ -10,7 +10,9 @@ reference's one by one, and ``solve_optimal`` driven by it must stop for the
 same reason and land on the same iterate. The mixed iterates of
 ``_iterates`` take other paths to the optimum, so they are held to the
 certificate and to the plain loop's certified answer instead. The solver's
-answer is also held to the problem's symmetries and bounds.
+answer is also held to the problem's symmetries and bounds, and its screen,
+which skips iterates without forming their certificate, to a solve that
+forms the full certificate on every iterate.
 """
 
 from itertools import islice
@@ -33,7 +35,7 @@ from qsd import (
 )
 from qsd.linalg import factor_products, hermitian_part, maxabs, polar_factor
 from qsd.lsm import _lsm_factors
-from qsd.optimal import _certificate, _iterates, _slacks
+from qsd.optimal import _allowance, _certificate, _iterates, _slackness
 
 MAX_ITER = 300
 # The reference's shift of Lambda's eigenvalues when the smallest is below
@@ -45,13 +47,14 @@ LAMBDA_FLOOR = 1e-12
 def plain_iterates(g, kh):
     """``_iterates`` without Anderson mixing: every step is K <- polar_factor(G K),
     taken on the (n, m r) block row of the (m, n, r) stack G K, from and to
-    the (m, r, n) stack ``kh`` of the K_i*."""
+    the (m, r, n) stack ``kh`` of the K_i*. Yields what ``_iterates`` yields:
+    the factors, W* = (G K)* and x = K W*."""
     m, _, n = kh.shape
     while True:
         k = np.conj(kh).swapaxes(-1, -2)
         gk = g @ k
-        x_hat = hermitian_part((gk @ kh).sum(axis=0))
-        yield kh, x_hat, _slacks((x_hat - g) @ k, kh)
+        wh = np.conj(gk).swapaxes(-1, -2)
+        yield kh, wh, (k @ wh).sum(axis=0)
         w = gk.swapaxes(0, 1).reshape(n, -1)  # the (n, m r) block row
         kh = np.conj(polar_factor(w).reshape(n, m, -1).transpose(1, 2, 0))
 
@@ -163,7 +166,8 @@ def assert_matches_reference(e, max_iter):
     g = e.weighted_states
     iterates = list(islice(plain_iterates(g, _lsm_factors(e)), len(history)))
     assert len(iterates) == len(history)
-    for (k_k, x_k, slacks_k), (p, d, margin, slack) in zip(iterates, history):
+    for (k_k, wh_k, x_k), (p, d, margin, slack) in zip(iterates, history):
+        x_k, slacks_k = _slackness(k_k, wh_k, x_k)
         assert abs(prob_correct(e, Povm(factor_products(k_k))) - p) <= 1e-12
         assert abs(float(np.trace(x_k).real) - d) <= 1e-12
         assert abs(float(np.linalg.eigvalsh(x_k - g)[:, 0].min()) - margin) <= 1e-10
@@ -217,7 +221,8 @@ def test_exhausted_budget_returns_the_last_iterate_exactly():
                 continue
             exhausted += 1
             iterates = list(islice(_iterates(g, _lsm_factors(e)), max_iter + 1))
-            k, x_hat, slacks = iterates[-1]
+            k, wh, x = iterates[-1]
+            x_hat, slacks = _slackness(k, wh, x)
             ops = factor_products(k)
             primal = prob_correct(e, Povm(ops))
             want = _certificate(x_hat, primal, np.linalg.eigvalsh(x_hat - g)[:, 0], slacks)
@@ -267,7 +272,8 @@ def test_accelerated_loop_agrees_with_the_plain_loop_in_fewer_iterations():
         g = e.weighted_states
         primal = -np.inf
         iterates = islice(_iterates(g, _lsm_factors(e)), diag.iterations + 1)
-        for step, (k, x_hat, _) in enumerate(iterates):
+        for step, (k, wh, x) in enumerate(iterates):
+            x_hat, _ = _slackness(k, wh, x)
             if step:
                 assert maxabs(factor_products(k).sum(axis=0) - np.eye(e.dim)) <= 1e-12
             assert float(np.trace(x_hat).real) >= primal - 1e-12
@@ -303,3 +309,53 @@ def test_pd_is_invariant_under_unitaries_and_relabeling_and_bounded():
             _, other_cert, other_diag = solve_optimal(other)
             assert other_diag.converged
             assert abs(other_diag.primal_value - pd) <= cert.gap + other_cert.gap + GAP_ROUNDING
+
+
+def test_screen_never_exceeds_what_the_residuals_allow():
+    """The residuals K_i (K_i* X - W_i*) sum to -(x - x*)/2 up to rounding,
+    so on every iterate max|x - x*|/2 is at most m times the largest
+    residual plus the screen's rounding allowance. Checked on every iterate
+    of each solve and on 20 more past it, where the residuals are down at
+    the rounding level that the allowance covers."""
+    for e, _ in dependent_corpus(120) + independent_corpus():
+        _, _, diag = solve_optimal(e)
+        g = e.weighted_states
+        for kh, wh, x in islice(_iterates(g, _lsm_factors(e)), diag.iterations + 21):
+            _, slacks = _slackness(kh, wh, x)
+            bound = e.num_states * float(slacks.max()) + _allowance(kh)
+            assert maxabs(x - x.conj().T) / 2 <= bound
+
+
+def solve_checking_every_iterate(e, tol, max_iter):
+    """``solve_optimal`` without the screen: the full certificate, margins
+    included, of every iterate until one passes at ``tol``."""
+    g = e.weighted_states
+    iterates = islice(_iterates(g, _lsm_factors(e)), max_iter + 1)
+    for iteration, (kh, wh, x) in enumerate(iterates):
+        x_hat, slacks = _slackness(kh, wh, x)
+        margins = np.linalg.eigvalsh(x_hat - g)[:, 0]
+        converged = float(slacks.max()) <= tol and float(margins.min()) >= -tol
+        if converged:
+            break
+    ops = factor_products(kh)
+    return iteration, converged, ops, _certificate(x_hat, prob_correct(e, Povm(ops)), margins, slacks)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-13])
+def test_screened_solve_matches_checking_every_iterate(tol):
+    """The screen skips only iterates whose slackness fails, so the solver
+    lands on the same iterate, with the same certificate bit for bit, as a
+    consumer that forms the full certificate on every iterate, down to
+    tolerances near the screen's rounding allowance."""
+    stops = set()
+    for e, max_iter in dependent_corpus(120) + independent_corpus():
+        povm, cert, diag = solve_optimal(e, tol=tol, max_iter=max_iter)
+        iteration, converged, ops, want = solve_checking_every_iterate(e, tol, max_iter)
+        stops.add(converged)
+        assert (diag.iterations, diag.converged) == (iteration, converged)
+        assert np.array_equal(povm.operators, ops)
+        assert np.array_equal(cert.x_hat, want.x_hat)
+        assert cert.feas_margins == want.feas_margins
+        assert cert.slack_residuals == want.slack_residuals
+        assert (cert.dual_value, cert.gap) == (want.dual_value, want.gap)
+    assert True in stops
