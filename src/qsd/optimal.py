@@ -75,7 +75,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import count, islice
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -108,11 +108,11 @@ class Certificate:
     Hermitian ``x_hat`` is.
     """
 
-    x_hat: np.ndarray
     dual_value: float
     gap: float
     feas_margins: tuple[float, ...]
     slack_residuals: tuple[float, ...]
+    x_hat: np.ndarray
 
     # written so that a NaN margin or residual fails, wherever it stands
     def feasible_at(self, tol: float) -> bool:
@@ -155,8 +155,10 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
     """Evaluate the optimality certificate of a candidate dual operator.
 
     Computes all feasibility margins and slackness residuals without mutating
-    the inputs. ``tol`` is only a convenience for callers that immediately
-    test ``optimal_at``; the certificate itself carries raw residuals.
+    the inputs. ``tol`` is not used: the certificate carries raw margins and
+    residuals, and callers judge them with ``optimal_at``. The parameter
+    stays because callers pass it positionally, ``perfbench/workloads.py``
+    among them.
 
     A passing certificate proves ``p`` optimal only if ``p`` is a POVM. That
     is not checked here, so a broken candidate can still be inspected;
@@ -337,8 +339,8 @@ def solve_optimal(
     are diagnosed, not aborted. Either way the certificate returned is the
     returned iterate's own. An ensemble that fails validation raises as in
     :func:`qsd.lsm.compute_lsm`, and ``ValueError`` is raised, before any
-    work, unless ``tol`` is finite and positive and ``max_iter`` is an
-    integer, not a bool, and not negative.
+    work, unless ``tol`` is a real number, not a bool, finite and positive,
+    and ``max_iter`` is an integer, not a bool, and not negative.
 
     Each iterate is first screened on the product x = K W* that the step
     forms anyway: since every iterate sums to the identity, its slackness
@@ -352,6 +354,8 @@ def solve_optimal(
     """
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral):
         raise ValueError(f"need an integer max_iter, got {max_iter!r}")
+    if isinstance(tol, bool) or not isinstance(tol, Real):
+        raise ValueError(f"need a real tol, got {tol!r}")
     if not 0.0 < tol < np.inf or max_iter < 0:
         raise ValueError(f"need finite tol > 0 and max_iter >= 0, got {tol!r}, {max_iter!r}")
     require_valid(e)

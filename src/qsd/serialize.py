@@ -5,12 +5,22 @@ Serialization goes through ``json.dumps``, whose shortest-repr float encoding
 round-trips IEEE doubles losslessly. Decoders accept only finite JSON
 numbers where a number is meant and only JSON integers where an integer is
 meant (``dim``); booleans and strings are neither.
+
+A report is its own wire schema: the certificate, the validation and Von
+Neumann reports, the simulation result and the solve diagnostics each encode
+as an object of their fields in declaration order. Complex arrays are
+matrices, other arrays and tuples lists, named tuples objects and numpy
+scalars Python numbers. The validation report leaves out ``states_passed``:
+it only chooses whether the library raises ``SpanDeficientError`` or
+``InvalidEnsembleError`` for a failed report, and the command line prints
+the same report, and exits 1, for both.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields, is_dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -30,6 +40,18 @@ def matrix_to_wire(m) -> list:
     a = np.ascontiguousarray(m, dtype=np.complex128)
     # a complex128 is its (re, im) float64 pair in memory
     return a.view(np.float64).reshape(*a.shape, 2).tolist()
+
+
+def _to_wire(value):
+    """The wire form of a report or of one of its fields."""
+    if is_dataclass(value):
+        return {f.name: _to_wire(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        items = [_to_wire(v) for v in value]
+        return dict(zip(value._fields, items)) if hasattr(value, "_fields") else items
+    if isinstance(value, np.ndarray):
+        return matrix_to_wire(value) if np.iscomplexobj(value) else value.tolist()
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def matrix_from_wire(data) -> np.ndarray:
@@ -109,13 +131,8 @@ def povm_from_wire(data) -> Povm:
 
 
 def certificate_to_wire(c: Certificate) -> dict:
-    return {
-        "dual_value": float(c.dual_value),
-        "gap": float(c.gap),
-        "feas_margins": [float(v) for v in c.feas_margins],
-        "slack_residuals": [float(v) for v in c.slack_residuals],
-        "x_hat": matrix_to_wire(c.x_hat),
-    }
+    # a hand-built certificate may hold a real x_hat; on the wire it is a matrix
+    return _to_wire(replace(c, x_hat=np.asarray(c.x_hat, dtype=np.complex128)))
 
 
 def certificate_from_wire(data) -> Certificate:
@@ -136,57 +153,21 @@ def certificate_from_wire(data) -> Certificate:
 
 
 def validation_report_to_wire(r: ValidationReport) -> dict:
-    return {
-        "psd_margins": [float(v) for v in r.psd_margins],
-        "trace_deviations": [float(v) for v in r.trace_deviations],
-        "hermitian_deviations": [float(v) for v in r.hermitian_deviations],
-        "prior_sum_deviation": float(r.prior_sum_deviation),
-        "min_prior": float(r.min_prior),
-        "span_rank": int(r.span_rank),
-        "dim": int(r.dim),
-        "passed": bool(r.passed),
-    }
+    wire = _to_wire(r)
+    del wire["states_passed"]
+    return wire
 
 
 def vnm_report_to_wire(r: VnmReport) -> dict:
-    return {
-        "idempotency_residuals": [float(v) for v in r.idempotency_residuals],
-        "orthogonality_residuals": [
-            [float(v) for v in row] for row in r.orthogonality_residuals
-        ],
-        "completeness_residual": float(r.completeness_residual),
-        "rank_pairs": None
-        if r.rank_pairs is None
-        else [
-            {
-                "state_rank": int(pair.state_rank),
-                "povm_rank": int(pair.povm_rank),
-                "equal": bool(pair.equal),
-                "bounded": bool(pair.bounded),
-            }
-            for pair in r.rank_pairs
-        ],
-        "tol": float(r.tol),
-        "is_von_neumann": bool(r.is_von_neumann),
-    }
+    return _to_wire(r)
 
 
 def sim_result_to_wire(r: SimResult) -> dict:
-    return {
-        "trials": int(r.trials),
-        "seed": int(r.seed),
-        "counts": [[int(v) for v in row] for row in r.counts],
-        "empirical_pd": float(r.empirical_pd),
-        "std_error": float(r.std_error),
-    }
+    return _to_wire(r)
 
 
 def diagnostics_to_wire(d: SolveDiagnostics) -> dict:
-    return {
-        "iterations": int(d.iterations),
-        "primal_value": float(d.primal_value),
-        "converged": bool(d.converged),
-    }
+    return _to_wire(d)
 
 
 def solve_result_to_wire(p: Povm, c: Certificate, d: SolveDiagnostics) -> dict:

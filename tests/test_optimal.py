@@ -504,7 +504,8 @@ def test_not_converged_returns_last_iterate():
     assert not cert.optimal_at(1e-12)
 
 
-@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-8, -np.inf])
+@pytest.mark.parametrize(
+    "tol", [np.inf, np.nan, 0.0, -1e-8, -np.inf, True, False, "1e-8", None, 1j])
 def test_solve_rejects_tolerances_that_prove_nothing(zero_plus, tol):
     with pytest.raises(ValueError):
         solve_optimal(zero_plus, tol=tol)

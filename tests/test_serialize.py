@@ -5,11 +5,24 @@ import pytest
 
 from conftest import ket, pure_ensemble
 
-from qsd import Ensemble, certify, compute_lsm, random_ensemble, solve_optimal, validate
+from qsd import (
+    Certificate,
+    Ensemble,
+    SimResult,
+    SolveDiagnostics,
+    certify,
+    compute_lsm,
+    is_projective,
+    random_ensemble,
+    simulate,
+    solve_optimal,
+    validate,
+)
 from qsd.linalg import maxabs
 from qsd.serialize import (
     certificate_from_wire,
     certificate_to_wire,
+    diagnostics_to_wire,
     dumps,
     ensemble_from_wire,
     ensemble_to_wire,
@@ -17,6 +30,7 @@ from qsd.serialize import (
     matrix_to_wire,
     povm_from_wire,
     povm_to_wire,
+    sim_result_to_wire,
     validation_report_to_wire,
     vnm_report_to_wire,
 )
@@ -219,6 +233,56 @@ def test_report_wires_are_json_safe(trine):
     wire = json.loads(dumps(vnm_report_to_wire(vnm_report(trine, povm))))
     assert wire["is_von_neumann"] is False
     assert len(wire["rank_pairs"]) == 3
+
+
+def test_report_wire_keys_are_the_fields_in_order(trine):
+    """A report's wire form is its fields in declaration order; the
+    validation report leaves out ``states_passed``, and the rank pairs are
+    objects, or null when no ensemble was given."""
+    povm, cert, diag = solve_optimal(trine)
+
+    def keys(wire):
+        return list(json.loads(dumps(wire)))
+
+    assert keys(certificate_to_wire(cert)) == [
+        "dual_value", "gap", "feas_margins", "slack_residuals", "x_hat"]
+    assert keys(validation_report_to_wire(validate(trine))) == [
+        "psd_margins", "trace_deviations", "hermitian_deviations",
+        "prior_sum_deviation", "min_prior", "span_rank", "dim", "passed"]
+    report = json.loads(dumps(vnm_report_to_wire(vnm_report(trine, povm))))
+    assert list(report) == [
+        "idempotency_residuals", "orthogonality_residuals", "completeness_residual",
+        "rank_pairs", "tol", "is_von_neumann"]
+    assert [list(pair) for pair in report["rank_pairs"]] == [
+        ["state_rank", "povm_rank", "equal", "bounded"]] * 3
+    assert len(report["orthogonality_residuals"]) == 3
+    assert json.loads(dumps(vnm_report_to_wire(is_projective(povm))))["rank_pairs"] is None
+    assert keys(sim_result_to_wire(simulate(trine, povm, trials=100, seed=5))) == [
+        "trials", "seed", "counts", "empirical_pd", "std_error"]
+    assert keys(diagnostics_to_wire(diag)) == ["iterations", "primal_value", "converged"]
+
+
+def test_numpy_scalars_encode_as_python_numbers():
+    """Reports built from numpy scalars, and a certificate whose x_hat is
+    real, encode to the same text as their Python-number twins."""
+    counts = np.array([[40, 10], [5, 45]])
+    assert dumps(sim_result_to_wire(SimResult(
+        trials=np.int64(100), seed=np.int64(5), counts=counts,
+        empirical_pd=np.float64(0.85), std_error=np.float64(0.035)))) == dumps(
+        sim_result_to_wire(SimResult(trials=100, seed=5, counts=counts,
+                                     empirical_pd=0.85, std_error=0.035)))
+    assert dumps(diagnostics_to_wire(SolveDiagnostics(
+        iterations=np.int64(7), primal_value=np.float64(0.85),
+        converged=np.bool_(True)))) == dumps(
+        diagnostics_to_wire(SolveDiagnostics(iterations=7, primal_value=0.85,
+                                             converged=True)))
+    assert dumps(certificate_to_wire(Certificate(
+        dual_value=np.float64(1.0), gap=np.float64(0.0),
+        feas_margins=(np.float64(0.0), np.float64(-0.0)),
+        slack_residuals=(np.float64(0.0), np.float64(1e-17)),
+        x_hat=np.eye(2) / 2))) == dumps(certificate_to_wire(Certificate(
+            dual_value=1.0, gap=0.0, feas_margins=(0.0, -0.0),
+            slack_residuals=(0.0, 1e-17), x_hat=np.eye(2, dtype=complex) / 2)))
 
 
 def test_float_round_trip_through_json():
