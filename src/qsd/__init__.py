@@ -21,7 +21,6 @@ from .errors import (
     QsdError,
     SpanDeficientError,
 )
-from .linalg import trace_norm
 from .lsm import Povm, compute_lsm, make_povm
 from .optimal import (
     Certificate,
@@ -37,8 +36,6 @@ from .vnm import (
     RankPair,
     VnmReport,
     check_povm,
-    is_projective,
-    rank_profile,
     vnm_report,
 )
 
@@ -69,14 +66,11 @@ __all__ = [
     "deflate",
     "helstrom_binary",
     "is_linearly_independent",
-    "is_projective",
     "make_povm",
     "prob_correct",
     "random_ensemble",
-    "rank_profile",
     "simulate",
     "solve_optimal",
-    "trace_norm",
     "validate",
     "vnm_report",
 ]

@@ -139,7 +139,7 @@ def certificate_from_wire(data) -> Certificate:
     if not isinstance(data, dict):
         raise ValueError("certificate document must be a JSON object")
     try:
-        return Certificate(
+        cert = Certificate(
             x_hat=matrix_from_wire(data["x_hat"]),
             dual_value=_number_from_wire(data["dual_value"], "dual_value"),
             gap=_number_from_wire(data["gap"], "gap"),
@@ -150,6 +150,11 @@ def certificate_from_wire(data) -> Certificate:
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"certificate document has a missing or bad field: {exc}") from None
+    # one margin and one residual per state, of at least one state: an empty
+    # or uneven certificate would read as optimal while proving nothing
+    if not cert.feas_margins or len(cert.feas_margins) != len(cert.slack_residuals):
+        raise ValueError("certificate needs one margin and one residual per state")
+    return cert
 
 
 def validation_report_to_wire(r: ValidationReport) -> dict:

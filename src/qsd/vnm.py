@@ -1,18 +1,19 @@
 """Von Neumann structure checks for measurements.
 
 A POVM is a Von Neumann measurement when its operators are mutually
-orthogonal projections. These checks make that structural claim executable:
-idempotency and pairwise-orthogonality residuals and rank comparisons against
-the state ranks. Ranks follow the one rank rule,
-:func:`qsd.linalg.spectrum_rank`: an operator's from its own eigenvalues, a
-state's from :attr:`qsd.ensemble.Ensemble.state_spectra`. For a linearly
-independent ensemble the optimal operators' ranks equal the state ranks and
-sum to the dimension.
+orthogonal projections. :func:`vnm_report` makes that structural claim
+executable in one verdict: idempotency, pairwise-orthogonality and
+completeness residuals, and each operator's rank beside its state's rank.
+Ranks follow the one rank rule, :func:`qsd.linalg.spectrum_rank`: an
+operator's from its own eigenvalues, a state's from
+:attr:`qsd.ensemble.Ensemble.state_spectra`. For a linearly independent
+ensemble the optimal operators' ranks equal the state ranks and sum to the
+dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,24 +65,27 @@ class VnmReport:
 
     ``orthogonality_residuals`` is an m x m matrix with zeros on the
     diagonal; entry (i, j) is the largest entry magnitude of Pi_i @ Pi_j.
-    ``rank_pairs`` is filled only when an ensemble was supplied.
+    ``rank_pairs`` holds one pair per state.
     """
 
     idempotency_residuals: tuple[float, ...]
     orthogonality_residuals: np.ndarray
     completeness_residual: float
-    rank_pairs: tuple[RankPair, ...] | None
+    rank_pairs: tuple[RankPair, ...]
     tol: float
     is_von_neumann: bool
 
 
-def is_projective(p: Povm, tol: float = 1e-6) -> VnmReport:
-    """Whether the POVM consists of mutually orthogonal projections.
+def vnm_report(e: Ensemble, p: Povm, tol: float = 1e-6) -> VnmReport:
+    """Whether the POVM consists of mutually orthogonal projections, with
+    each operator's rank beside its state's rank, the rank of
+    :attr:`qsd.ensemble.Ensemble.state_spectra`.
 
     The verdict is true iff every idempotency residual ||Pi^2 - Pi||, every
     pairwise residual ||Pi_i Pi_j|| (i != j) and the completeness residual
     are all within ``tol``.
     """
+    require_match(e, p)
     ops = p.operators
     idem = np.abs(ops @ ops - ops).max(axis=(1, 2))
     # row i is max|Pi_i Pi_j| over j; a product per row keeps memory at m n^2
@@ -97,23 +101,10 @@ def is_projective(p: Povm, tol: float = 1e-6) -> VnmReport:
         idempotency_residuals=tuple(idem.tolist()),
         orthogonality_residuals=orth,
         completeness_residual=completeness,
-        rank_pairs=None,
+        rank_pairs=tuple(
+            RankPair(state_rank=r, povm_rank=t, equal=t == r, bounded=t <= r)
+            for r, t in zip(e.state_spectra[2].tolist(), p.ranks)
+        ),
         tol=tol,
         is_von_neumann=verdict,
     )
-
-
-def rank_profile(e: Ensemble, p: Povm) -> tuple[RankPair, ...]:
-    """Compare each measurement operator's rank against its state's rank,
-    the rank of :attr:`qsd.ensemble.Ensemble.state_spectra`."""
-    require_match(e, p)
-    state_ranks = e.state_spectra[2].tolist()
-    return tuple(
-        RankPair(state_rank=r, povm_rank=t, equal=t == r, bounded=t <= r)
-        for r, t in zip(state_ranks, p.ranks)
-    )
-
-
-def vnm_report(e: Ensemble, p: Povm, tol: float = 1e-6) -> VnmReport:
-    """Full report: projectivity residuals plus the rank comparison."""
-    return replace(is_projective(p, tol), rank_pairs=rank_profile(e, p))

@@ -17,13 +17,12 @@ from qsd import (
     certify,
     compute_lsm,
     helstrom_binary,
-    is_projective,
     make_povm,
     prob_correct,
     random_ensemble,
-    rank_profile,
     simulate,
     solve_optimal,
+    vnm_report,
 )
 from qsd.linalg import maxabs
 
@@ -143,8 +142,9 @@ def test_criterion_1_optimal_measurements_are_von_neumann(independent_runs):
     for e, povm, cert, diag in runs:
         assert diag.converged
         assert -1e-12 <= cert.gap <= e.dim * 1e-8
-        assert is_projective(povm, 1e-6).is_von_neumann
-        assert all(pair.equal for pair in rank_profile(e, povm))
+        report = vnm_report(e, povm, 1e-6)
+        assert report.is_von_neumann
+        assert all(pair.equal for pair in report.rank_pairs)
         assert sum(povm.ranks) == e.dim
     assert elapsed < 120.0
     return f"200 independent ensembles solved to Von Neumann structure " f"in {elapsed:.1f}s"
@@ -207,7 +207,7 @@ def test_criterion_5_trine_control(trine_run):
     assert diag.converged
     assert abs(diag.primal_value - 2 / 3) <= 1e-6
     assert cert.optimal_at(1e-7)
-    rep = is_projective(povm, 1e-6)
+    rep = vnm_report(e, povm, 1e-6)
     assert not rep.is_von_neumann
     assert max(rep.idempotency_residuals) >= 1e-3
     lsm_pd = prob_correct(e, compute_lsm(e))
@@ -220,7 +220,7 @@ def test_criterion_6_rank_bound_everywhere(independent_runs, binary_runs, trine_
     runs = list(independent_runs[0]) + list(binary_runs) + [trine_run]
     violations = 0
     for e, povm, cert, diag in runs:
-        for pair in rank_profile(e, povm):
+        for pair in vnm_report(e, povm).rank_pairs:
             if not pair.bounded:
                 violations += 1
     assert violations == 0

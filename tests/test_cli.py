@@ -81,6 +81,20 @@ def test_certify_zero_dual_exits_one(tmp_path):
     assert "infeasible" in result.stderr
 
 
+def test_certify_refuses_a_certificate_without_one_entry_per_state(tmp_path):
+    # certify reads only x_hat from the file, but a certificate that has no
+    # margins, or fewer margins than residuals, is a malformed document
+    e_path, p_path, e, povm = ortho_pair_files(tmp_path)
+    _, cert, _ = solve_optimal(e)
+    wire = certificate_to_wire(cert)
+    for margins, residuals in (([], []), ([0.1], [0.0] * 3)):
+        bad = {**wire, "feas_margins": margins, "slack_residuals": residuals}
+        c_path = write_json(tmp_path, "cert.json", bad)
+        result = dispatch(["certify", e_path, p_path, c_path])
+        assert result.exit_code == 2
+        assert result.stdout == "" and result.stderr.startswith("error:")
+
+
 def test_solve_then_certify_self_consistent(tmp_path):
     # priors down to 1e-8 make the update's Lambda near singular; the solved
     # measurement must still sum to the identity for certify and check-vnm

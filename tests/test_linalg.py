@@ -3,8 +3,7 @@ import pytest
 
 from psi_route import inv_sqrt_psd, numeric_rank
 
-from qsd import trace_norm
-from qsd.linalg import hermitian_part, maxabs, psd_rank, spectrum_rank
+from qsd.linalg import hermitian_part, maxabs, psd_rank, spectrum_rank, trace_norm
 
 np_rng = np.random.default_rng(11)
 

@@ -13,11 +13,11 @@ from qsd import (
     check_povm,
     compute_lsm,
     is_linearly_independent,
-    is_projective,
     make_povm,
     random_ensemble,
     solve_optimal,
     validate,
+    vnm_report,
 )
 from qsd.linalg import maxabs
 
@@ -88,7 +88,7 @@ def test_lsm_projective_expected(orthonormal_pair, trine):
     e = random_ensemble(4, (2, 1, 1), seed=5, require_independent=True)
     for ens, independent in ((orthonormal_pair, True), (trine, False), (e, True)):
         assert is_linearly_independent(ens)[0] == independent
-        assert is_projective(compute_lsm(ens), 1e-7).is_von_neumann == independent
+        assert vnm_report(ens, compute_lsm(ens), 1e-7).is_von_neumann == independent
 
 
 def test_lsm_span_deficient():

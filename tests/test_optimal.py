@@ -22,7 +22,6 @@ from qsd import (
     make_povm,
     prob_correct,
     random_ensemble,
-    rank_profile,
     solve_optimal,
     validate,
     vnm_report,
@@ -478,7 +477,7 @@ def test_binary_agreement_sample():
 def test_rank_bound_holds_everywhere():
     for e in binary_corpus(20):
         povm, _, _ = solve_optimal(e)
-        for pair in rank_profile(e, povm):
+        for pair in vnm_report(e, povm).rank_pairs:
             assert pair.bounded
 
 

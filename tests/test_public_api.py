@@ -23,8 +23,11 @@ def test_public_api():
                  "lsm_is_projective_expected", "State", "inv_sqrt_psd",
                  "numeric_rank", "direct_sum_rank", "EigResult", "IterateRecord",
                  "eig_hermitian", "NotHermitianError", "NonSquareError",
-                 "SingularMatrixError", "ConfusionMatrix"):
+                 "SingularMatrixError", "ConfusionMatrix", "is_projective",
+                 "rank_profile", "trace_norm"):
         assert not hasattr(qsd, gone), gone
+    # helstrom_binary still reads the trace norm from the linear algebra module
+    assert callable(qsd.linalg.trace_norm)
     # nothing in the package reads a simulation or solve document
     for gone in ("sim_result_from_wire", "solve_result_from_wire"):
         assert not hasattr(qsd.serialize, gone), gone

@@ -12,7 +12,6 @@ from qsd import (
     SolveDiagnostics,
     certify,
     compute_lsm,
-    is_projective,
     random_ensemble,
     simulate,
     solve_optimal,
@@ -219,6 +218,11 @@ def test_certificate_round_trip(zero_plus, solved_corpus):
                 certificate_from_wire({**wire, key: [*wire[key][:-1], bad]})
     with pytest.raises(ValueError):
         certificate_from_wire({**wire, "feas_margins": 0.0})
+    # one margin and one residual per state, of at least one state
+    with pytest.raises(ValueError):
+        certificate_from_wire({**wire, "feas_margins": [], "slack_residuals": []})
+    with pytest.raises(ValueError):
+        certificate_from_wire({**wire, "feas_margins": [0.1], "slack_residuals": [0.0] * 3})
     for _, _, cert in solved_corpus:
         back = certificate_from_wire(json.loads(dumps(certificate_to_wire(cert))))
         assert same_bytes(back.x_hat, cert.x_hat)
@@ -238,7 +242,7 @@ def test_report_wires_are_json_safe(trine):
 def test_report_wire_keys_are_the_fields_in_order(trine):
     """A report's wire form is its fields in declaration order; the
     validation report leaves out ``states_passed``, and the rank pairs are
-    objects, or null when no ensemble was given."""
+    objects, one per state."""
     povm, cert, diag = solve_optimal(trine)
 
     def keys(wire):
@@ -256,7 +260,10 @@ def test_report_wire_keys_are_the_fields_in_order(trine):
     assert [list(pair) for pair in report["rank_pairs"]] == [
         ["state_rank", "povm_rank", "equal", "bounded"]] * 3
     assert len(report["orthogonality_residuals"]) == 3
-    assert json.loads(dumps(vnm_report_to_wire(is_projective(povm))))["rank_pairs"] is None
+    li = random_ensemble(4, (2, 1, 1), seed=5, require_independent=True)
+    li_report = json.loads(dumps(vnm_report_to_wire(vnm_report(li, solve_optimal(li)[0]))))
+    assert [list(pair) for pair in li_report["rank_pairs"]] == [
+        ["state_rank", "povm_rank", "equal", "bounded"]] * 3
     assert keys(sim_result_to_wire(simulate(trine, povm, trials=100, seed=5))) == [
         "trials", "seed", "counts", "empirical_pd", "std_error"]
     assert keys(diagnostics_to_wire(diag)) == ["iterations", "primal_value", "converged"]

@@ -9,10 +9,8 @@ from qsd import (
     check_povm,
     compute_lsm,
     is_linearly_independent,
-    is_projective,
     make_povm,
     random_ensemble,
-    rank_profile,
     solve_optimal,
     vnm_report,
 )
@@ -39,18 +37,18 @@ def test_check_povm_incomplete():
     assert abs(result.completeness_residual - 0.25) < 1e-12
 
 
-def test_is_projective_orthogonal_projectors(orthonormal_pair_povm):
-    report = is_projective(orthonormal_pair_povm, 1e-6)
+def test_is_projective_orthogonal_projectors(orthonormal_pair, orthonormal_pair_povm):
+    report = vnm_report(orthonormal_pair, orthonormal_pair_povm, 1e-6)
     assert report.is_von_neumann
     assert max(report.idempotency_residuals) <= 1e-12
     assert float(report.orthogonality_residuals.max()) <= 1e-12
 
 
-def test_is_projective_trine_povm_fails():
+def test_is_projective_trine_povm_fails(trine):
     # (2/3) eigenvalue: (2/3)^2 - 2/3 = -2/9 on the spectrum, so the first
     # operator's entrywise residual is exactly 2/9 and all exceed 1e-3
     povm = make_povm([(2 / 3) * projector(v) for v in trine_vectors()])
-    report = is_projective(povm, 1e-6)
+    report = vnm_report(trine, povm, 1e-6)
     assert not report.is_von_neumann
     assert abs(report.idempotency_residuals[0] - 2 / 9) < 1e-12
     assert abs(max(report.idempotency_residuals) - 2 / 9) < 1e-12
@@ -59,12 +57,12 @@ def test_is_projective_trine_povm_fails():
 
 def test_is_projective_lsm_of_random_independent():
     e = random_ensemble(5, (2, 2, 1), seed=61, require_independent=True)
-    report = is_projective(compute_lsm(e), 1e-7)
+    report = vnm_report(e, compute_lsm(e), 1e-7)
     assert report.is_von_neumann
 
 
 def test_rank_profile_orthogonal_pair(orthonormal_pair, orthonormal_pair_povm):
-    pairs = rank_profile(orthonormal_pair, orthonormal_pair_povm)
+    pairs = vnm_report(orthonormal_pair, orthonormal_pair_povm).rank_pairs
     assert pairs == ((1, 1, True, True), (1, 1, True, True))
 
 
@@ -72,20 +70,21 @@ def test_rank_profile_independent_mixed():
     e = random_ensemble(4, (2, 2), seed=17, require_independent=True)
     povm, _, diag = solve_optimal(e)
     assert diag.converged
-    assert all(pair.equal for pair in rank_profile(e, povm))
+    assert all(pair.equal for pair in vnm_report(e, povm).rank_pairs)
 
 
 def test_rank_profile_trine_optimum(trine):
     povm, _, diag = solve_optimal(trine)
     assert diag.converged
-    pairs = rank_profile(trine, povm)
+    report = vnm_report(trine, povm, 1e-6)
+    pairs = report.rank_pairs
     # rank equality can hold even though the measurement is not projective
     assert all(pair == (1, 1, True, True) for pair in pairs)
-    assert not is_projective(povm, 1e-6).is_von_neumann
+    assert not report.is_von_neumann
 
 
 def test_rank_profile_reads_the_factor_widths():
-    """rank_profile's state ranks come from the one decomposition of the
+    """vnm_report's state ranks come from the one decomposition of the
     states that also sets the widths of the solver's factors."""
     ensembles = [random_ensemble(n, (n // 4,) * 4, seed=n, require_independent=True)
                  for n in (16, 32, 64, 96, 128)]
@@ -101,13 +100,13 @@ def test_rank_profile_reads_the_factor_widths():
         f = _weighted_factors(e)
         widths = np.count_nonzero(np.abs(f).max(axis=2), axis=1).tolist()
         guess = make_povm([np.eye(e.dim) / e.num_states] * e.num_states)
-        assert [pair.state_rank for pair in rank_profile(e, guess)] == widths
+        assert [pair.state_rank for pair in vnm_report(e, guess).rank_pairs] == widths
         assert is_linearly_independent(e)[2] == sum(widths)
 
 
 def test_rank_profile_count_mismatch(trine, orthonormal_pair_povm):
     with pytest.raises(CountMismatchError):
-        rank_profile(trine, orthonormal_pair_povm)
+        vnm_report(trine, orthonormal_pair_povm)
 
 
 def test_direct_sum_rank_of_optimal_measurements():
@@ -152,13 +151,13 @@ def test_batched_checks_match_per_operator_loops():
         margins = [np.linalg.eigvalsh((op + op.conj().T) / 2)[0] for op in ops]
         assert np.allclose(check.psd_margins, margins, rtol=0, atol=1e-14)
         assert abs(check.completeness_residual - maxabs(sum(ops) - np.eye(4))) <= 1e-14
-        report = is_projective(p)
+        report = vnm_report(e, p)
         assert report.completeness_residual == check.completeness_residual
         for i, a in enumerate(ops):
             assert abs(report.idempotency_residuals[i] - maxabs(a @ a - a)) <= 1e-14
             for j, b in enumerate(ops):
                 want = 0.0 if i == j else maxabs(a @ b)
                 assert abs(report.orthogonality_residuals[i, j] - want) <= 1e-14
-        pairs = rank_profile(e, p)
+        pairs = report.rank_pairs
         assert [pair.state_rank for pair in pairs] == [numeric_rank(rho) for rho in e.rhos]
         assert [pair.povm_rank for pair in pairs] == [numeric_rank(op) for op in ops]
