@@ -86,7 +86,7 @@ class Ensemble:
         of exactly Hermitian matrices, is exactly Hermitian, so it needs no
         symmetrizing.
         """
-        w = np.linalg.eigvalsh(self.weighted_states.sum(axis=0))
+        w = linalg.eigvalsh(self.weighted_states.sum(axis=0))
         w.flags.writeable = False
         return w, linalg.spectrum_rank(w)
 
@@ -100,7 +100,7 @@ class Ensemble:
         reads their PSD margins from it, every state rank comes from it, and
         so do the thin factors of :func:`qsd.lsm._lsm_factors`.
         """
-        w, v = np.linalg.eigh(linalg.hermitian_part(self.rhos))
+        w, v = linalg.eigh(linalg.hermitian_part(self.rhos))
         ranks = linalg.spectrum_rank(w)
         for a in (w, v, ranks):
             a.flags.writeable = False
@@ -289,7 +289,7 @@ def deflate(e: Ensemble) -> tuple[Ensemble, np.ndarray]:
     cut (largest eigenvalue first), so each new density operator is
     ``B* rho B``. The identity deflation (k == n) is allowed and harmless.
     """
-    _, v = np.linalg.eigh(e.weighted_states.sum(axis=0))
+    _, v = linalg.eigh(e.weighted_states.sum(axis=0))
     basis = v[:, ::-1][:, : e.span[1]]
     basis.flags.writeable = False
     rhos = linalg.hermitian_part(basis.conj().T @ e.rhos @ basis)

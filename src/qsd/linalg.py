@@ -1,11 +1,27 @@
 """Dense complex Hermitian kernel: stacks of square matrices, Hermitian
-parts, products of thin factors, polar factors, PSD rank, trace norm.
+parts, products of thin factors, polar factors, PSD rank, trace norm, and
+the package's one route to LAPACK.
 
 All operations are pure functions on numpy complex128 arrays. Dimensions in
 this problem family are tiny (a few hundred at most), so everything goes
 through full dense decompositions. The rank cut is relative to the largest
 eigenvalue, which keeps it meaningful for trace-normalized operators
 regardless of prior scaling.
+
+Every decomposition in the package goes through four entry points here:
+:func:`eigh` (Hermitian eigendecomposition, lower triangle), :func:`eigvalsh`
+(its eigenvalues only), :func:`svd` (the thin SVD) and :func:`solve` (a
+square system with one right-hand side), each over a stack of complex
+matrices. Each calls the gufunc that the ``np.linalg`` function of that name
+calls, with the complex128 signature and in the same floating-point error
+mode, so its results are that function's bit for bit and a LAPACK failure
+still raises ``np.linalg.LinAlgError``. What it skips is ``np.linalg``'s
+per-call dispatch: the array coercion, the common-type search, the result
+casts and the named tuple, a fifth to a quarter of the time of an SVD of a
+20 x 5 matrix. Callers write ``linalg.svd(...)``, so an entry point, an
+attribute of this module, is the one place to count or wrap its calls.
+numpy 1.x names its gufuncs otherwise; there the four names are the public
+``np.linalg`` functions, chosen once at import.
 """
 
 from __future__ import annotations
@@ -17,6 +33,51 @@ from .errors import DimMismatchError
 # Eigenvalues of a PSD matrix below this fraction of the largest count as
 # zero for its rank. This is the package's one rank rule.
 PSD_RANK_REL_TOL = 1e-10
+
+
+def _linalg_error_mode(message: str):
+    """The floating-point error mode that ``np.linalg`` runs a gufunc in, as a
+    decorator: LAPACK reports a failure as an invalid operation, which then
+    raises ``np.linalg.LinAlgError(message)``, and the other flags are
+    ignored."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+try:
+    from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo, solve1, svd_s
+except ImportError:  # numpy 1.x names its gufuncs otherwise
+    eigh, eigvalsh, solve = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.solve
+
+    def svd(a):
+        return np.linalg.svd(a, full_matrices=False)
+
+else:
+
+    @_linalg_error_mode("Eigenvalues did not converge")
+    def eigh(a):
+        """Ascending eigenvalues and eigenvectors of each Hermitian matrix in
+        ``a``, read from its lower triangle."""
+        return eigh_lo(a, signature="D->dD")
+
+    @_linalg_error_mode("Eigenvalues did not converge")
+    def eigvalsh(a):
+        """Ascending eigenvalues of each Hermitian matrix in ``a``, read from
+        its lower triangle."""
+        return eigvalsh_lo(a, signature="D->d")
+
+    @_linalg_error_mode("SVD did not converge")
+    def svd(a):
+        """Thin SVD ``(u, s, vh)`` of each matrix in ``a``."""
+        return svd_s(a, signature="D->DdD")
+
+    @_linalg_error_mode("Singular matrix")
+    def solve(a, b):
+        """The x with ``a x = b`` for a square ``a`` and a vector ``b``."""
+        return solve1(a, b, signature="DD->D")
 
 
 def as_matrix(m) -> np.ndarray:
@@ -84,7 +145,7 @@ def polar_factor(a) -> np.ndarray:
     For A of full column rank it is ``A (A* A)^{-1/2}``, and V U* U V* = I at
     rounding level however ill-conditioned A* A is.
     """
-    u, _, vh = np.linalg.svd(a.reshape(-1, a.shape[-1]), full_matrices=False)
+    u, _, vh = svd(a.reshape(-1, a.shape[-1]))
     return (u @ vh).reshape(a.shape)
 
 
@@ -108,9 +169,9 @@ def psd_rank(m):
     Only positive eigenvalues count, so a Hermitian matrix that is not PSD
     gets the rank of its positive part.
     """
-    return spectrum_rank(np.linalg.eigvalsh(hermitian_part(m)))
+    return spectrum_rank(eigvalsh(hermitian_part(m)))
 
 
 def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of the Hermitian part of a square matrix."""
-    return float(np.abs(np.linalg.eigvalsh(hermitian_part(as_matrix(m)))).sum())
+    return float(np.abs(eigvalsh(hermitian_part(as_matrix(m)))).sum())

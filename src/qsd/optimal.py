@@ -199,7 +199,7 @@ def _trace_sum(g: np.ndarray, ops: np.ndarray) -> float:
 
 def _margins(diff):
     """Smallest eigenvalue of each x_hat - G_i, from the stack ``diff = x_hat - G``."""
-    return np.linalg.eigvalsh(diff)[:, 0]
+    return linalg.eigvalsh(diff)[:, 0]
 
 
 def _slacks(a, b):
@@ -215,7 +215,7 @@ def _mixing_weights(d_f: np.ndarray, f: np.ndarray):
     singular or its solution not finite."""
     d_f_h = d_f.conj()
     try:
-        gamma = np.linalg.solve(d_f_h @ d_f.T, d_f_h @ f)
+        gamma = linalg.solve(d_f_h @ d_f.T, d_f_h @ f)
     except np.linalg.LinAlgError:
         return None
     return gamma if np.isfinite(gamma).all() else None

@@ -13,8 +13,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .ensemble import Ensemble
-from .errors import DimMismatchError
+from .ensemble import Ensemble, validate
+from .errors import DimMismatchError, InvalidEnsembleError
 from .lsm import Povm, require_match
 
 # Entries at or above this are roundoff; anything more negative is an invalid
@@ -65,13 +65,19 @@ def simulate(e: Ensemble, p: Povm, trials: int, seed: int) -> SimResult:
     """Run the detection experiment and tally a confusion-count matrix.
 
     ``ValueError`` is raised unless ``trials`` is an integer, not a bool, of
-    at least 1.
+    at least 1, and ``InvalidEnsembleError``, carrying the validation report,
+    unless the states and priors pass :func:`qsd.ensemble.validate`: the
+    states are drawn from the priors, so priors that do not sum to one would
+    bias the draw. States that do not span the space are simulated.
     """
     if isinstance(trials, bool) or not isinstance(trials, Integral):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_match(e, p)
+    report = validate(e)
+    if not report.states_passed:
+        raise InvalidEnsembleError(report)
     rows = _sampling_rows(born_probabilities(e, p))
     m = rows.shape[0]
 

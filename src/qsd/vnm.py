@@ -42,7 +42,7 @@ def check_povm(p: Povm, tol: float = 1e-8) -> PovmCheck:
     """Verify PSD-ness of each operator and that they sum to the identity."""
     ops = p.operators
     scale = 1 + np.abs(ops).max(axis=(1, 2))
-    margins = np.linalg.eigvalsh(linalg.hermitian_part(ops))[:, 0]
+    margins = linalg.eigvalsh(linalg.hermitian_part(ops))[:, 0]
     completeness = _completeness_residual(p)
     return PovmCheck(
         psd_margins=tuple(margins.tolist()),

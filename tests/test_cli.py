@@ -237,6 +237,18 @@ def test_solve_invalid_priors_reports_validation(tmp_path):
     assert wire["passed"] is False and wire["span_rank"] == 2
 
 
+def test_simulate_invalid_priors_reports_validation(tmp_path):
+    vectors = (ket(1, 0, 0), ket(0, 1, 0), ket(0, 0, 1))
+    e = pure_ensemble((0.2, 0.2, 0.2), vectors)
+    povm = Povm([np.outer(v, v.conj()) for v in vectors])
+    e_path = write_json(tmp_path, "e.json", ensemble_to_wire(e))
+    p_path = write_json(tmp_path, "p.json", povm_to_wire(povm))
+    result = dispatch(["simulate", e_path, p_path, "--trials", "1000", "--seed", "1"])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout) == validation_report_to_wire(validate(e))
+    assert result.stderr == "ensemble failed validation"
+
+
 def test_null_numbers_exit_two(tmp_path):
     rho = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
     nan_rho = [[[float("nan"), 0], [0, 0]], [[0, 0], [0.5, 0]]]

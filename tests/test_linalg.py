@@ -1,8 +1,12 @@
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 
 from psi_route import inv_sqrt_psd, numeric_rank
 
+import qsd.linalg
 from qsd.linalg import hermitian_part, maxabs, psd_rank, spectrum_rank, trace_norm
 
 np_rng = np.random.default_rng(11)
@@ -120,3 +124,93 @@ def test_numeric_rank_stack_matches_slices():
     assert ranks.tolist() == numeric_rank(stack).tolist()
     w = np.linalg.eigvalsh(stack)
     assert spectrum_rank(w).tolist() == [spectrum_rank(row) for row in w] == [1, 3, 0, 3]
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def kernel_cases(seed):
+    """Seeded complex inputs of the shapes the package passes, each with the
+    public ``np.linalg`` call the kernel's entry point must reproduce: tall
+    (m r, n) rows with n <= 6 and their (m, r, n) stacks for the SVD,
+    Hermitian matrices up to n = 128 and (m, n, n) stacks for the
+    eigensolvers, and Gram systems of up to 5 unknowns for the solve."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        for rows in (n, 3 * n, 7 * n):
+            a = complex_normal(rng, rows, n)
+            yield "svd", (a,), np.linalg.svd(a, full_matrices=False)
+            yield "svd", (a.reshape(-1, 1, n),), np.linalg.svd(a.reshape(-1, 1, n), full_matrices=False)
+        # a transposed view, as a strided input
+        wide = complex_normal(rng, n, 5 * n)
+        yield "svd", (wide.T,), np.linalg.svd(wide.T, full_matrices=False)
+    for n in (1, 2, 3, 4, 5, 6, 16, 32, 64, 128):
+        h = hermitian_part(complex_normal(rng, n, n))
+        yield "eigh", (h,), np.linalg.eigh(h)
+        yield "eigvalsh", (h,), np.linalg.eigvalsh(h)
+    for m, n in ((1, 2), (4, 3), (7, 6), (4, 16)):
+        stack = hermitian_part(complex_normal(rng, m, n, n))
+        yield "eigh", (stack,), np.linalg.eigh(stack)
+        yield "eigvalsh", (stack,), np.linalg.eigvalsh(stack)
+    for d in range(1, 6):
+        rows = complex_normal(rng, d, 40)
+        gram, rhs = rows.conj() @ rows.T, rows.conj() @ complex_normal(rng, 40)
+        yield "solve", (gram, rhs), np.linalg.solve(gram, rhs)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_results(kernel, seed):
+    for name, args, want in kernel_cases(seed):
+        got = getattr(kernel, name)(*args)
+        if isinstance(want, np.ndarray):
+            got, want = (got,), (want,)
+        assert len(got) == len(want)
+        assert all(same_bits(g, w) for g, w in zip(got, want)), (name, [a.shape for a in args])
+
+
+def singular_system():
+    a = complex_normal(np.random.default_rng(5), 5, 5)
+    a[:, 2] = 0.0
+    return a, np.ones(5, dtype=np.complex128)
+
+
+@pytest.fixture
+def fallback_kernel(monkeypatch):
+    """A fresh copy of ``qsd.linalg`` loaded where numpy's gufunc module
+    cannot be imported, as on numpy 1.x: the route every entry point takes
+    there. The package's own ``qsd.linalg`` is left as it is."""
+    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    spec = importlib.util.spec_from_file_location("qsd._fallback_linalg", qsd.linalg.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_matches_np_linalg_bit_for_bit(seed):
+    assert_same_results(qsd.linalg, seed)
+
+
+def test_kernel_raises_linalg_error_on_a_singular_system():
+    """A zero pivot is LAPACK's failure, which the kernel's error mode turns
+    into ``LinAlgError``; outside that mode the gufunc would only warn."""
+    a, b = singular_system()
+    with pytest.raises(np.linalg.LinAlgError) as public:
+        np.linalg.solve(a, b)
+    with pytest.raises(np.linalg.LinAlgError) as kernel:
+        qsd.linalg.solve(a, b)
+    assert str(kernel.value) == str(public.value)
+
+
+def test_fallback_kernel_gives_the_same_results(fallback_kernel):
+    assert fallback_kernel.eigh is np.linalg.eigh
+    assert fallback_kernel.eigvalsh is np.linalg.eigvalsh
+    assert fallback_kernel.solve is np.linalg.solve
+    assert_same_results(fallback_kernel, 0)
+    with pytest.raises(np.linalg.LinAlgError):
+        fallback_kernel.solve(*singular_system())

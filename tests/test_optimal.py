@@ -6,6 +6,7 @@ import pytest
 
 from conftest import ket, projector, pure_ensemble, trine_vectors
 
+import qsd.linalg
 import qsd.optimal
 from qsd import (
     Certificate,
@@ -211,14 +212,25 @@ def test_work_per_solve(monkeypatch):
     open: 2 of the 5 iterates of the independent solve and 2 of the 12 of
     the dependent one. A solve that exhausts its budget runs its loop once
     and takes margins and residuals once more, for the last iterate, which
-    it returns; the screen rules out all 6 of its iterates here."""
+    it returns; the screen rules out all 6 of its iterates here.
+
+    The calls are counted at the kernel's entry points in ``qsd.linalg``. On
+    numpy 2, where the kernel calls numpy's gufuncs, a solve calls no public
+    ``np.linalg`` decomposition or solver."""
     calls = Counter()
-    for name in ("eigh", "eigvalsh", "svd", "lstsq", "solve"):
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+    for name in ("eigh", "eigvalsh", "svd", "solve"):
+        def counted(*args, _real=getattr(qsd.linalg, name), _name=name):
             calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(qsd.linalg, name, counted)
+    public = Counter()
+    for name in ("eigh", "eigvalsh", "svd", "lstsq", "solve"):
+        def counted_public(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            public[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted_public)
 
     def counted_slacks(*args, _real=qsd.optimal._slacks):
         calls["_slacks"] += 1
@@ -239,7 +251,6 @@ def test_work_per_solve(monkeypatch):
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1))
     assert diag.converged and diag.iterations == 11
     assert calls == {"eigh": 1, "svd": 15, "eigvalsh": 2, "solve": 3, "_slacks": 2}
-    assert calls["lstsq"] == 0
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
     assert not diag.converged and diag.iterations == 5
@@ -247,6 +258,8 @@ def test_work_per_solve(monkeypatch):
     calls.clear()
     compute_lsm(li())
     assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert not public
 
 
 def test_degenerate_mixing_history_keeps_every_iterate_a_measurement(monkeypatch):
@@ -256,7 +269,7 @@ def test_degenerate_mixing_history_keeps_every_iterate_a_measurement(monkeypatch
     raise: a singular system falls back to the plain step, every iterate sums
     to the identity and P_d never falls beyond rounding."""
     singular = []
-    real_solve = np.linalg.solve
+    real_solve = qsd.linalg.solve
 
     def counted(a, b):
         try:
@@ -265,7 +278,7 @@ def test_degenerate_mixing_history_keeps_every_iterate_a_measurement(monkeypatch
             singular.append(a)
             raise
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(qsd.linalg, "solve", counted)
     gu, _ = geometrically_uniform(4, 7, seed=7047)
     li = random_ensemble(16, (4,) * 4, seed=0, require_independent=True)
     orthonormal = pure_ensemble((0.5, 0.5), (ket(1, 0), ket(0, 1)))

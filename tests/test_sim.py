@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import ket, pure_ensemble
+from conftest import ket, projector, pure_ensemble
 
 from qsd import (
     CountMismatchError,
+    InvalidEnsembleError,
     born_probabilities,
     compute_lsm,
     make_povm,
@@ -74,6 +75,21 @@ def test_simulate_single_state_identity():
     e = pure_ensemble((1.0,), (ket(1, 1),))
     res = simulate(e, make_povm([np.eye(2)]), 500, 7)
     assert res.empirical_pd == 1.0
+
+
+def test_simulate_refuses_priors_that_do_not_sum_to_one():
+    """Three orthogonal states with priors 0.2 each: the draw would take the
+    last state for the missing 0.4 and read an empirical P_d of 1 for a
+    measurement whose P_d is 0.6. The validation report travels with the
+    error."""
+    vectors = (ket(1, 0, 0), ket(0, 1, 0), ket(0, 0, 1))
+    e = pure_ensemble((0.2, 0.2, 0.2), vectors)
+    povm = make_povm([projector(v) for v in vectors])
+    assert abs(prob_correct(e, povm) - 0.6) <= 1e-15
+    with pytest.raises(InvalidEnsembleError) as exc_info:
+        simulate(e, povm, 100000, seed=1)
+    report = exc_info.value.report
+    assert not report.states_passed and abs(report.prior_sum_deviation - 0.4) <= 1e-15
 
 
 def test_simulate_reproducible(zero_plus):
