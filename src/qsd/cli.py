@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .errors import (
     QsdError,
 )
 from .lsm import compute_lsm
-from .optimal import certify, prob_correct, solve_optimal
+from .optimal import _check_tol, certify, prob_correct, solve_optimal
 from .sim import simulate
 from .vnm import check_povm, vnm_report
 
@@ -50,9 +49,10 @@ class _Parser(argparse.ArgumentParser):
 def _tolerance(text: str) -> float:
     """A finite positive float; a tolerance of 0, inf or nan proves nothing."""
     tol = float(text)
-    if not 0.0 < tol < math.inf:
+    try:
+        return _check_tol(tol)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return tol
 
 
 def _iteration_budget(text: str) -> int:

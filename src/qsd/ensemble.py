@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class Ensemble:
         of exactly Hermitian matrices, is exactly Hermitian, so it needs no
         symmetrizing.
         """
-        w = linalg.eigvalsh(self.weighted_states.sum(axis=0))
+        w = linalg.eigvalsh(np.add.reduce(self.weighted_states))
         w.flags.writeable = False
         return w, linalg.spectrum_rank(w)
 
@@ -136,18 +137,18 @@ def validate(e: Ensemble) -> ValidationReport:
     full space (``rho_bar`` has full rank).
     """
     rhos = e.rhos
-    scale = 1 + np.abs(rhos).max(axis=(1, 2))
+    scale = 1 + np.maximum.reduce(np.abs(rhos), axis=(1, 2))
     psd_margins = e.state_spectra[0][:, 0]
-    herm_devs = np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))).max(axis=(1, 2))
-    trace_devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    herm_devs = np.maximum.reduce(np.abs(rhos - np.conjugate(rhos.swapaxes(1, 2))), axis=(1, 2))
+    trace_devs = np.abs(rhos.trace(axis1=1, axis2=2) - 1.0)
     span_rank = e.span[1]
     priors = e.priors
-    prior_sum_dev = abs(float(priors.sum()) - 1.0)
-    min_prior = float(priors.min())
+    prior_sum_dev = abs(float(np.add.reduce(priors)) - 1.0)
+    min_prior = float(np.minimum.reduce(priors))
     states_ok = bool(
-        np.all(herm_devs <= HERMITIAN_ASYMMETRY_TOL * scale)
-        and np.all(psd_margins >= -PSD_TOL * scale)
-        and np.all(trace_devs <= TRACE_TOL)
+        np.logical_and.reduce(herm_devs <= HERMITIAN_ASYMMETRY_TOL * scale)
+        and np.logical_and.reduce(psd_margins >= -PSD_TOL * scale)
+        and np.logical_and.reduce(trace_devs <= TRACE_TOL)
         and prior_sum_dev <= PRIOR_SUM_TOL
         and min_prior > 0.0
     )
@@ -211,6 +212,14 @@ def _resolve_priors(priors, m: int) -> tuple[float, ...]:
     return vals
 
 
+def _check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an integer, not a bool, and not
+    negative: numpy would draw ``None`` from OS entropy, read ``True`` as 1
+    and refuse a float with ``TypeError``."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"need an integer seed >= 0, got {seed!r}")
+
+
 def _complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     # Draw (rows, cols, 2) in C order: entry-minor, real before imaginary.
     draws = rng.standard_normal((rows, cols, 2))
@@ -240,13 +249,16 @@ def random_ensemble(
     in [0.35, 1], so the state supports are generically non-orthogonal but
     linearly independent by construction (and well conditioned, keeping every
     state's rank exact); the ranks must then sum to ``dim``. Raises
-    ``BadRanksError`` unless ``dim >= 1`` and every rank lies in [1, dim].
+    ``BadRanksError`` unless ``dim >= 1`` and every rank lies in [1, dim],
+    and ``ValueError``, before any work, unless ``seed`` is an integer, not a
+    bool, and not negative.
 
     Deterministic for a fixed seed: the PRNG is numpy's PCG64 and the draw
     order is state-index major, matrix-entry minor, real part before
     imaginary part (the basis for the independent case is drawn first, as
     first unitary, then singular values, then second unitary).
     """
+    _check_seed(seed)
     ranks = tuple(int(r) for r in ranks)
     if not ranks or any(not 1 <= r <= dim for r in ranks):
         raise BadRanksError(f"need dim >= 1 and every rank in [1, dim], got {dim}, {ranks}")

@@ -20,8 +20,20 @@ per-call dispatch: the array coercion, the common-type search, the result
 casts and the named tuple, a fifth to a quarter of the time of an SVD of a
 20 x 5 matrix. Callers write ``linalg.svd(...)``, so an entry point, an
 attribute of this module, is the one place to count or wrap its calls.
-numpy 1.x names its gufuncs otherwise; there the four names are the public
-``np.linalg`` functions, chosen once at import.
+
+The error mode is numpy's own error-state object, which
+``numpy._core._multiarray_umath._make_extobj`` makes. ``np.errstate`` makes
+a new one on every call it wraps, 0.6 us of a call where setting one made
+in advance takes 0.3 us, and a dependent solve makes about 40 such calls.
+So each entry point makes its mode once, at import, and a call sets it on
+``numpy._core._ufunc_config._extobj_contextvar`` and resets it in a
+``finally``, as ``np.errstate`` does. The caller's error state is the same
+after a call, or after a ``LinAlgError``, as before it, and does not change
+what the call raises. A mode made once keeps the ufunc buffer size in force
+at import rather than the caller's; the gufuncs' results do not depend on
+it. numpy 1.x names its gufuncs and these two private names otherwise, and
+a numpy that lacks any of the six names is treated alike: there the four
+entry points are the public ``np.linalg`` functions, chosen once at import.
 """
 
 from __future__ import annotations
@@ -35,21 +47,11 @@ from .errors import DimMismatchError
 PSD_RANK_REL_TOL = 1e-10
 
 
-def _linalg_error_mode(message: str):
-    """The floating-point error mode that ``np.linalg`` runs a gufunc in, as a
-    decorator: LAPACK reports a failure as an invalid operation, which then
-    raises ``np.linalg.LinAlgError(message)``, and the other flags are
-    ignored."""
-
-    def fail(err, flag):
-        raise np.linalg.LinAlgError(message)
-
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
-
-
 try:
+    from numpy._core._multiarray_umath import _make_extobj
+    from numpy._core._ufunc_config import _extobj_contextvar
     from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo, solve1, svd_s
-except ImportError:  # numpy 1.x names its gufuncs otherwise
+except ImportError:  # numpy 1.x names its gufuncs and error state otherwise
     eigh, eigvalsh, solve = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.solve
 
     def svd(a):
@@ -57,27 +59,53 @@ except ImportError:  # numpy 1.x names its gufuncs otherwise
 
 else:
 
-    @_linalg_error_mode("Eigenvalues did not converge")
+    def _linalg_error_mode(message: str):
+        """The floating-point error mode that ``np.linalg`` runs a gufunc in:
+        LAPACK reports a failure as an invalid operation, which then raises
+        ``np.linalg.LinAlgError(message)``, and the other flags are ignored."""
+
+        def fail(err, flag):
+            raise np.linalg.LinAlgError(message)
+
+        return _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+    _EIG_MODE = _linalg_error_mode("Eigenvalues did not converge")
+    _SVD_MODE = _linalg_error_mode("SVD did not converge")
+    _SOLVE_MODE = _linalg_error_mode("Singular matrix")
+
     def eigh(a):
         """Ascending eigenvalues and eigenvectors of each Hermitian matrix in
         ``a``, read from its lower triangle."""
-        return eigh_lo(a, signature="D->dD")
+        token = _extobj_contextvar.set(_EIG_MODE)
+        try:
+            return eigh_lo(a, signature="D->dD")
+        finally:
+            _extobj_contextvar.reset(token)
 
-    @_linalg_error_mode("Eigenvalues did not converge")
     def eigvalsh(a):
         """Ascending eigenvalues of each Hermitian matrix in ``a``, read from
         its lower triangle."""
-        return eigvalsh_lo(a, signature="D->d")
+        token = _extobj_contextvar.set(_EIG_MODE)
+        try:
+            return eigvalsh_lo(a, signature="D->d")
+        finally:
+            _extobj_contextvar.reset(token)
 
-    @_linalg_error_mode("SVD did not converge")
     def svd(a):
         """Thin SVD ``(u, s, vh)`` of each matrix in ``a``."""
-        return svd_s(a, signature="D->DdD")
+        token = _extobj_contextvar.set(_SVD_MODE)
+        try:
+            return svd_s(a, signature="D->DdD")
+        finally:
+            _extobj_contextvar.reset(token)
 
-    @_linalg_error_mode("Singular matrix")
     def solve(a, b):
         """The x with ``a x = b`` for a square ``a`` and a vector ``b``."""
-        return solve1(a, b, signature="DD->D")
+        token = _extobj_contextvar.set(_SOLVE_MODE)
+        try:
+            return solve1(a, b, signature="DD->D")
+        finally:
+            _extobj_contextvar.reset(token)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -114,7 +142,7 @@ def square_stack(mats) -> np.ndarray:
         raise DimMismatchError(f"expected square matrices of one shape, got {shapes}")
     if not stack.shape[1]:
         raise ValueError("expected matrices of at least 1 x 1, got 0 x 0")
-    if not np.isfinite(stack).all():
+    if not np.logical_and.reduce(np.isfinite(stack), axis=None):
         raise ValueError("expected finite matrices, got a NaN or infinite entry")
     stack.flags.writeable = False
     return stack
@@ -158,7 +186,7 @@ def spectrum_rank(values):
     (n,) give an int, a stack an integer array.
     """
     w = np.asarray(values)
-    ranks = np.count_nonzero((w >= PSD_RANK_REL_TOL * w[..., -1:]) & (w > 0.0), axis=-1)
+    ranks = np.add.reduce((w >= PSD_RANK_REL_TOL * w[..., -1:]) & (w > 0.0), axis=-1, dtype=np.intp)
     return int(ranks) if w.ndim == 1 else ranks
 
 

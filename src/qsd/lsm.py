@@ -91,9 +91,9 @@ def _weighted_factors(e: Ensemble) -> np.ndarray:
     w_min = e.span[0][0]
     values, vectors, ranks = e.state_spectra
     weighted = e.priors[:, None] * values
-    shares = np.count_nonzero(weighted >= linalg.PSD_RANK_REL_TOL * w_min, axis=1)
+    shares = np.add.reduce(weighted >= linalg.PSD_RANK_REL_TOL * w_min, axis=1, dtype=np.intp)
     widths = np.maximum(ranks, shares)
-    r = int(widths.max())
+    r = int(np.maximum.reduce(widths))
     top = e.dim - r
     keep = np.arange(r) >= r - widths[:, None]
     scale = np.sqrt(np.where(keep, weighted[:, top:], 0.0))

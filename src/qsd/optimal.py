@@ -88,6 +88,18 @@ from .lsm import Povm, _lsm_factors, require_match
 # iterates, and the first PLAIN_STEPS steps are plain.
 DEPTH = 5
 PLAIN_STEPS = 8
+# float64 rounding unit, for the slackness screen's allowance
+_EPS = float(np.finfo(float).eps)
+
+
+def _check_tol(tol) -> float:
+    """``tol`` if it is a real number, not a bool, finite and positive, and
+    otherwise ``ValueError``: a tolerance of 0, inf, nan or ``True`` (read as
+    1) proves nothing."""
+    # written so that nan fails
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < np.inf:
+        raise ValueError(f"need a finite real tol > 0, got {tol!r}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -114,11 +126,14 @@ class Certificate:
     slack_residuals: tuple[float, ...]
     x_hat: np.ndarray
 
-    # written so that a NaN margin or residual fails, wherever it stands
+    # written so that a NaN margin or residual fails, wherever it stands; a
+    # tolerance that proves nothing raises ValueError, as in solve_optimal
     def feasible_at(self, tol: float) -> bool:
+        tol = _check_tol(tol)
         return all(m >= -tol for m in self.feas_margins)
 
     def slack_at(self, tol: float) -> bool:
+        tol = _check_tol(tol)
         return all(r <= tol for r in self.slack_residuals)
 
     def optimal_at(self, tol: float) -> bool:
@@ -181,8 +196,8 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
 def _certificate(x_hat, primal: float, margins, slacks) -> Certificate:
     """The certificate of Hermitian ``x_hat`` for a measurement of detection
     probability ``primal``, from its margins and residuals."""
-    dual = float(np.trace(x_hat).real)
-    shift = max(0.0, -float(margins.min()))
+    dual = float(x_hat.trace().real)
+    shift = max(0.0, -float(np.minimum.reduce(margins)))
     return Certificate(
         x_hat=x_hat,
         dual_value=dual,
@@ -206,7 +221,7 @@ def _slacks(a, b):
     """Largest entry magnitude of each product a_i b_i: of (x_hat - G_i) Pi_i
     for ``a = x_hat - G`` and the operators ``b``, or of its adjoint
     K_i (K_i* x_hat - K_i* G_i) for the factors ``a`` = K and ``b`` = K* X - W*."""
-    return np.abs(a @ b).max(axis=(1, 2))
+    return np.maximum.reduce(np.abs(a @ b), axis=(1, 2))
 
 
 def _mixing_weights(d_f: np.ndarray, f: np.ndarray):
@@ -218,7 +233,7 @@ def _mixing_weights(d_f: np.ndarray, f: np.ndarray):
         gamma = linalg.solve(d_f_h @ d_f.T, d_f_h @ f)
     except np.linalg.LinAlgError:
         return None
-    return gamma if np.isfinite(gamma).all() else None
+    return gamma if np.logical_and.reduce(np.isfinite(gamma)) else None
 
 
 def _iterates(g: np.ndarray, kh: np.ndarray):
@@ -323,7 +338,7 @@ def _allowance(kh) -> float:
     held there with none of the allowance spent.
     """
     m, _, n = kh.shape
-    return (4 * m + 1) * n * float(np.finfo(float).eps)
+    return (4 * m + 1) * n * _EPS
 
 
 def solve_optimal(
@@ -352,12 +367,9 @@ def solve_optimal(
     solve lands on the iterate, and returns the certificate, that checking
     the full certificate on every iterate would.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral):
-        raise ValueError(f"need an integer max_iter, got {max_iter!r}")
-    if isinstance(tol, bool) or not isinstance(tol, Real):
-        raise ValueError(f"need a real tol, got {tol!r}")
-    if not 0.0 < tol < np.inf or max_iter < 0:
-        raise ValueError(f"need finite tol > 0 and max_iter >= 0, got {tol!r}, {max_iter!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 0:
+        raise ValueError(f"need an integer max_iter >= 0, got {max_iter!r}")
+    tol = _check_tol(tol)
     require_valid(e)
     g = e.weighted_states
     kh = _lsm_factors(e)
@@ -365,13 +377,13 @@ def solve_optimal(
     screen = 2.0 * (len(kh) * tol + _allowance(kh))
     iterates = islice(_iterates(g, kh), max_iter + 1)
     for iteration, (kh, wh, x) in enumerate(iterates):
-        if np.abs(x - x.conj().T).max() > screen:
+        if np.maximum.reduce(np.abs(x - x.conj().T), axis=None) > screen:
             continue
         x_hat, slacks = _slackness(kh, wh, x)
         # margins can make an iterate converge only where slackness passes
-        if float(slacks.max()) <= tol:
+        if float(np.maximum.reduce(slacks)) <= tol:
             margins = _margins(x_hat - g)
-            if float(margins.min()) >= -tol:
+            if float(np.minimum.reduce(margins)) >= -tol:
                 return _solution(g, kh, x_hat, margins, slacks, iteration, True)
     x_hat, slacks = _slackness(kh, wh, x)
     return _solution(g, kh, x_hat, _margins(x_hat - g), slacks, int(max_iter), False)

@@ -13,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .ensemble import Ensemble, validate
+from .ensemble import Ensemble, _check_seed, validate
 from .errors import DimMismatchError, InvalidEnsembleError
 from .lsm import Povm, require_match
 
@@ -64,9 +64,10 @@ def _sampling_rows(probs: np.ndarray) -> np.ndarray:
 def simulate(e: Ensemble, p: Povm, trials: int, seed: int) -> SimResult:
     """Run the detection experiment and tally a confusion-count matrix.
 
-    ``ValueError`` is raised unless ``trials`` is an integer, not a bool, of
-    at least 1, and ``InvalidEnsembleError``, carrying the validation report,
-    unless the states and priors pass :func:`qsd.ensemble.validate`: the
+    ``ValueError`` is raised, before any work, unless ``trials`` is an
+    integer, not a bool, of at least 1 and ``seed`` one of at least 0, and
+    ``InvalidEnsembleError``, carrying the validation report, unless the
+    states and priors pass :func:`qsd.ensemble.validate`: the
     states are drawn from the priors, so priors that do not sum to one would
     bias the draw. States that do not span the space are simulated.
     """
@@ -74,6 +75,7 @@ def simulate(e: Ensemble, p: Povm, trials: int, seed: int) -> SimResult:
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_seed(seed)
     require_match(e, p)
     report = validate(e)
     if not report.states_passed:

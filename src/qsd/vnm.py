@@ -21,6 +21,7 @@ import numpy as np
 from . import linalg
 from .ensemble import Ensemble
 from .lsm import Povm, require_match
+from .optimal import _check_tol
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,11 @@ def _completeness_residual(p: Povm) -> float:
 
 
 def check_povm(p: Povm, tol: float = 1e-8) -> PovmCheck:
-    """Verify PSD-ness of each operator and that they sum to the identity."""
+    """Verify PSD-ness of each operator and that they sum to the identity.
+
+    ``ValueError`` is raised unless ``tol`` is a real number, not a bool,
+    finite and positive."""
+    tol = _check_tol(tol)
     ops = p.operators
     scale = 1 + np.abs(ops).max(axis=(1, 2))
     margins = linalg.eigvalsh(linalg.hermitian_part(ops))[:, 0]
@@ -83,8 +88,10 @@ def vnm_report(e: Ensemble, p: Povm, tol: float = 1e-6) -> VnmReport:
 
     The verdict is true iff every idempotency residual ||Pi^2 - Pi||, every
     pairwise residual ||Pi_i Pi_j|| (i != j) and the completeness residual
-    are all within ``tol``.
+    are all within ``tol``, which must be a real number, not a bool, finite
+    and positive, or ``ValueError`` is raised.
     """
+    tol = _check_tol(tol)
     require_match(e, p)
     ops = p.operators
     idem = np.abs(ops @ ops - ops).max(axis=(1, 2))

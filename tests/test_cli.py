@@ -310,6 +310,15 @@ def test_gen_bad_ranks_exits_two():
         assert "dim" in result.stderr
 
 
+def test_negative_seed_exits_two(tmp_path):
+    e_path, p_path, _, _ = ortho_pair_files(tmp_path)
+    for argv in (["gen", "--dim", "2", "--ranks", "1,1", "--seed", "-1"],
+                 ["simulate", e_path, p_path, "--trials", "10", "--seed", "-1"]):
+        result = dispatch(argv)
+        assert result.exit_code == 2 and result.stdout == "", argv
+        assert "seed" in result.stderr
+
+
 def test_gen_bad_rank_format_exits_two():
     result = dispatch(["gen", "--dim", "2", "--ranks", "a,b", "--seed", "0"])
     assert result.exit_code == 2

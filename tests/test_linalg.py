@@ -179,16 +179,22 @@ def singular_system():
     return a, np.ones(5, dtype=np.complex128)
 
 
-@pytest.fixture
-def fallback_kernel(monkeypatch):
-    """A fresh copy of ``qsd.linalg`` loaded where numpy's gufunc module
-    cannot be imported, as on numpy 1.x: the route every entry point takes
-    there. The package's own ``qsd.linalg`` is left as it is."""
-    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+def kernel_without(monkeypatch, missing):
+    """A fresh copy of ``qsd.linalg`` loaded where the numpy module
+    ``missing`` cannot be imported. The package's own ``qsd.linalg`` is left
+    as it is."""
+    monkeypatch.setitem(sys.modules, missing, None)
     spec = importlib.util.spec_from_file_location("qsd._fallback_linalg", qsd.linalg.__file__)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def fallback_kernel(monkeypatch):
+    """``qsd.linalg`` loaded where numpy's gufunc module cannot be imported,
+    as on numpy 1.x: the route every entry point takes there."""
+    return kernel_without(monkeypatch, "numpy.linalg._umath_linalg")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -214,3 +220,88 @@ def test_fallback_kernel_gives_the_same_results(fallback_kernel):
     assert_same_results(fallback_kernel, 0)
     with pytest.raises(np.linalg.LinAlgError):
         fallback_kernel.solve(*singular_system())
+
+
+@pytest.mark.parametrize("missing", ["numpy._core._multiarray_umath", "numpy._core._ufunc_config"])
+def test_a_numpy_without_the_error_state_names_takes_the_public_route(monkeypatch, missing):
+    """The kernel sets numpy's error state through two private names; a numpy
+    that lacks either takes the public ``np.linalg`` route, as numpy 1.x
+    does, rather than calling the gufuncs outside their error mode."""
+    kernel = kernel_without(monkeypatch, missing)
+    assert kernel.eigh is np.linalg.eigh and kernel.solve is np.linalg.solve
+
+
+def entry_point_calls():
+    """One call of each entry point on a small well-posed input."""
+    rng = np.random.default_rng(3)
+    h = hermitian_part(complex_normal(rng, 4, 4))
+    a = complex_normal(rng, 12, 4)
+    return (
+        lambda: qsd.linalg.eigh(h),
+        lambda: qsd.linalg.eigvalsh(h),
+        lambda: qsd.linalg.svd(a),
+        lambda: qsd.linalg.solve(h + 8 * np.eye(4), a[0]),
+    )
+
+
+def singular_solve_message():
+    with pytest.raises(np.linalg.LinAlgError) as failure:
+        qsd.linalg.solve(*singular_system())
+    return str(failure.value)
+
+
+def test_entry_points_leave_the_callers_error_state_as_it_was():
+    """Each entry point sets its error mode only for its own call: after it
+    returns, or after a singular solve raises, the caller's error flags and
+    error callback are those the caller set."""
+
+    def callback(err, flag):
+        pass
+
+    for state in ({}, {"call": callback, "over": "raise", "divide": "warn",
+                       "under": "print", "invalid": "ignore"}):
+        with np.errstate(**state):
+            before = np.geterr(), np.geterrcall()
+            for call in entry_point_calls():
+                call()
+                assert (np.geterr(), np.geterrcall()) == before
+            assert singular_solve_message() == "Singular matrix"
+            assert (np.geterr(), np.geterrcall()) == before
+
+
+def test_entry_points_run_in_their_own_error_mode():
+    """The caller's error state does not reach LAPACK's failure report: under
+    ``all="raise"`` the calls return, and a NaN input still raises
+    ``LinAlgError`` rather than ``FloatingPointError``; under
+    ``invalid="ignore"`` a singular solve still raises ``LinAlgError``
+    rather than returning a result with NaN in it."""
+    with np.errstate(all="raise"):
+        for call in entry_point_calls():
+            call()
+        with pytest.raises(np.linalg.LinAlgError):
+            qsd.linalg.svd(np.full((6, 3), np.nan, dtype=np.complex128))
+    with np.errstate(invalid="ignore"):
+        assert singular_solve_message() == "Singular matrix"
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x takes the public route")
+def test_numpy_2_takes_the_route_without_errstate(monkeypatch):
+    """On numpy 2 a whole solve builds no error state: with ``np.errstate``,
+    and the ``_make_extobj`` that every ``np.errstate`` and every public
+    ``np.linalg`` decomposition calls through, made to raise, a solve still
+    converges. A numpy that drops any name the kernel imports sends it to the
+    public route, which fails here."""
+    import numpy._core._ufunc_config
+
+    from qsd import random_ensemble, solve_optimal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an error state was built during the solve")
+
+    e = random_ensemble(3, (2, 2, 1, 2), seed=1)
+    monkeypatch.setattr(np, "errstate", refuse)
+    monkeypatch.setattr(numpy._core._ufunc_config, "_make_extobj", refuse)
+    with pytest.raises(AssertionError):
+        np.linalg.svd(np.eye(2))
+    _, _, diag = solve_optimal(e)
+    assert diag.converged and diag.iterations == 11

@@ -519,8 +519,25 @@ def test_not_converged_returns_last_iterate():
 @pytest.mark.parametrize(
     "tol", [np.inf, np.nan, 0.0, -1e-8, -np.inf, True, False, "1e-8", None, 1j])
 def test_solve_rejects_tolerances_that_prove_nothing(zero_plus, tol):
+    """Every function that judges at a tolerance refuses one that proves
+    nothing. At ``tol=True``, read as 1, operators that sum to 1.2 I would
+    pass as a POVM and as a Von Neumann measurement, and a certificate with
+    margins of -0.2 and residuals of 0.15 would read as optimal."""
     with pytest.raises(ValueError):
         solve_optimal(zero_plus, tol=tol)
+    over = Povm([0.6 * np.eye(2), 0.6 * np.eye(2)])
+    cert = Certificate(dual_value=1.0, gap=0.0, feas_margins=(-0.2, -0.2),
+                       slack_residuals=(0.15, 0.15), x_hat=np.eye(2))
+    judges = (
+        lambda: check_povm(over, tol=tol),
+        lambda: vnm_report(zero_plus, over, tol=tol),
+        lambda: cert.feasible_at(tol),
+        lambda: cert.slack_at(tol),
+        lambda: cert.optimal_at(tol),
+    )
+    for judge in judges:
+        with pytest.raises(ValueError):
+            judge()
 
 
 def test_solve_rejects_negative_budget(zero_plus):

@@ -173,6 +173,25 @@ def test_simulate_requires_trials():
     assert res.trials == 3 and type(res.trials) is int
 
 
+def test_simulate_and_random_ensemble_require_seeds():
+    """A seed must be an integer of at least 0, refused before any work:
+    None is not read as OS entropy, a bool not as 0 or 1 and a float not
+    left to numpy's TypeError. A numpy integer is an integer, and draws and
+    reports as the Python int of its value."""
+    e = pure_ensemble((1.0,), (ket(1, 0),))
+    povm = make_povm([np.eye(2)])
+    for seed in (None, True, False, 1.5, 1.0, "1", -1):
+        with pytest.raises(ValueError):
+            simulate(e, povm, 10, seed=seed)
+        with pytest.raises(ValueError):
+            random_ensemble(3, (1, 2), seed=seed)
+    res = simulate(e, povm, 10, seed=np.int64(1))
+    assert res.seed == 1 and type(res.seed) is int
+    assert np.array_equal(res.counts, simulate(e, povm, 10, seed=1).counts)
+    a, b = random_ensemble(3, (1, 2), seed=np.uint64(5)), random_ensemble(3, (1, 2), seed=5)
+    assert np.array_equal(a.rhos, b.rhos) and np.array_equal(a.priors, b.priors)
+
+
 def test_std_error_formula(zero_plus):
     povm = compute_lsm(zero_plus)
     res = simulate(zero_plus, povm, 4096, seed=9)
