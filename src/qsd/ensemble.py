@@ -212,11 +212,16 @@ def _resolve_priors(priors, m: int) -> tuple[float, ...]:
     return vals
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included, and not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 def _check_seed(seed) -> None:
     """Raise ``ValueError`` unless ``seed`` is an integer, not a bool, and not
     negative: numpy would draw ``None`` from OS entropy, read ``True`` as 1
     and refuse a float with ``TypeError``."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"need an integer seed >= 0, got {seed!r}")
 
 
@@ -249,9 +254,10 @@ def random_ensemble(
     in [0.35, 1], so the state supports are generically non-orthogonal but
     linearly independent by construction (and well conditioned, keeping every
     state's rank exact); the ranks must then sum to ``dim``. Raises
-    ``BadRanksError`` unless ``dim >= 1`` and every rank lies in [1, dim],
-    and ``ValueError``, before any work, unless ``seed`` is an integer, not a
-    bool, and not negative.
+    ``BadRanksError`` unless ``dim`` and every rank are integers, not bools,
+    with ``dim >= 1`` and every rank in [1, dim], and ``ValueError`` unless
+    ``seed`` is an integer, not a bool, and not negative, both before any
+    work. A string of ranks is refused, not read character by character.
 
     Deterministic for a fixed seed: the PRNG is numpy's PCG64 and the draw
     order is state-index major, matrix-entry minor, real part before
@@ -259,9 +265,12 @@ def random_ensemble(
     first unitary, then singular values, then second unitary).
     """
     _check_seed(seed)
-    ranks = tuple(int(r) for r in ranks)
-    if not ranks or any(not 1 <= r <= dim for r in ranks):
-        raise BadRanksError(f"need dim >= 1 and every rank in [1, dim], got {dim}, {ranks}")
+    # a string is one rank that is not an integer, not a sequence of digits
+    ranks = (ranks,) if isinstance(ranks, (str, bytes)) else tuple(ranks)
+    if not (ranks and _is_int(dim) and all(_is_int(r) and 1 <= r <= dim for r in ranks)):
+        raise BadRanksError(
+            f"need integers, dim >= 1 and every rank in [1, dim], got {dim!r}, {ranks!r}"
+        )
     if require_independent and sum(ranks) != dim:
         raise BadRanksError(
             f"independent ensembles need ranks summing to dim={dim}, "

@@ -235,6 +235,28 @@ def test_random_ensemble_bad_ranks():
             random_ensemble(dim, ranks, seed=0)
 
 
+@pytest.mark.parametrize("dim, ranks", [
+    (2, (True, 1)),  # a bool is not a rank, though it compares as 1
+    (2, (1.7, 1)),  # a float rank is not truncated to 1
+    (2, (np.float64(2.0), 1)),
+    (3, "11"),  # a string is not read character by character
+    (3, b"12"),
+    (True, (1,)),  # nor is a bool a dimension
+    (2.0, (1, 1)),
+    (np.float64(2.0), (1, 1)),
+])
+def test_random_ensemble_refuses_ranks_and_dims_that_are_not_integers(dim, ranks):
+    with pytest.raises(BadRanksError, match=r"need integers, dim >= 1"):
+        random_ensemble(dim, ranks, seed=0)
+
+
+def test_random_ensemble_takes_numpy_integers():
+    want = random_ensemble(3, (2, 1), seed=5, require_independent=True)
+    got = random_ensemble(np.int64(3), np.array([2, 1]), seed=np.int32(5),
+                          require_independent=True)
+    assert np.array_equal(got.rhos, want.rhos)
+
+
 def test_random_ensemble_bad_priors():
     with pytest.raises(BadPriorsError):
         random_ensemble(2, (1, 1), priors=(0.7, 0.7), seed=0)

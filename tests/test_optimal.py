@@ -204,15 +204,17 @@ def test_work_per_solve(monkeypatch):
     ranks and the least-squares factors read that decomposition: eigh runs
     once, for the states, and rho_bar is decomposed for its spectrum only,
     by one eigvalsh. svd runs once to normalize the least-squares factors,
-    once per plain update and twice per mixed one. A mixed step takes its
-    combination from one solve of the small Gram system and never from
-    lstsq. eigvalsh runs once more, for the margins of the converging
-    iterate, the only iterate whose slackness passes here. The slackness
-    residuals are formed only on iterates that the screen on x - x* leaves
-    open: 2 of the 5 iterates of the independent solve and 2 of the 12 of
-    the dependent one. A solve that exhausts its budget runs its loop once
-    and takes margins and residuals once more, for the last iterate, which
-    it returns; the screen rules out all 6 of its iterates here.
+    once per plain update and twice per mixed one; past the plain steps,
+    every other step is mixed, here the 3 at steps 8, 10 and 12. A mixed
+    step takes its combination from one solve of the small Gram system and
+    never from lstsq. eigvalsh runs once more, for the margins of the
+    converging iterate, the only iterate whose slackness passes here. The
+    slackness residuals are formed only on iterates that the screen on
+    x - x* leaves open: 2 of the 5 iterates of the independent solve and 4
+    of the 14 of the dependent one. A solve that exhausts its budget runs
+    its loop once and takes margins and residuals once more, for the last
+    iterate, which it returns; the screen rules out all 6 of its iterates
+    here.
 
     The calls are counted at the kernel's entry points in ``qsd.linalg``. On
     numpy 2, where the kernel calls numpy's gufuncs, a solve calls no public
@@ -249,8 +251,8 @@ def test_work_per_solve(monkeypatch):
     # the mixed factors, and one solve for its combination
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1))
-    assert diag.converged and diag.iterations == 11
-    assert calls == {"eigh": 1, "svd": 15, "eigvalsh": 2, "solve": 3, "_slacks": 2}
+    assert diag.converged and diag.iterations == 13
+    assert calls == {"eigh": 1, "svd": 17, "eigvalsh": 2, "solve": 3, "_slacks": 4}
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
     assert not diag.converged and diag.iterations == 5
