@@ -37,7 +37,9 @@ nonzero at the start and the next G_i K_i = G_i M W_i with M = Lambda^{-1/2}
 positive definite is zero only if W_i* M W_i is. K_i keeps its r columns, so a
 projective Pi_i keeps its null space, and every product is thin: for linearly
 independent states, whose ranks sum to n, an iteration costs a few n x n
-products and one n x n SVD rather than a few stacks of m products.
+products and one n x n polar factor, an SVD below n = 32 and from there an
+``eigh`` of the n x n Gram matrix W* W with one Newton-Schulz step
+(:func:`qsd.linalg.polar_factor`), rather than a few stacks of m products.
 Pi_i = herm(K_i K_i*) is formed only for the returned iterate.
 
 The plain map K <- T(K) = U V* converges sublinearly on linearly dependent
@@ -47,7 +49,7 @@ on the factors on every other step, polar-normalized into a POVM and taken
 only if it does not lower P_d. The plain steps between extend the mixing
 history without clearing it, as in the periodic Pulay method (Banerjee,
 Suryanarayana & Pask, Chem. Phys. Lett. 647, 2016). A mixed step costs a
-second SVD and a Gram solve, about as much again as a plain step, and
+second polar factor and a Gram solve, about as much again as a plain step, and
 mixing on every other step keeps the acceleration: on the first 600
 dependent_small draws at seed 404 it takes 15% fewer SVDs, in 1% fewer
 iterations, than mixing on every step at depth 5. The linearly
@@ -64,7 +66,7 @@ X - x = -(x - x*)/2, with x = K W* the product the step forms anyway; when
 max|x - x*| exceeds 2 m tol by more than a rounding allowance, some residual
 exceeds tol and the iterate is skipped without forming X = herm(x) or its
 residuals. On the first 600 dependent_small draws at seed 404 that rules
-out 87% of the iterates whose slackness fails (8,725 of 9,984). The
+out 88% of the iterates whose slackness fails (8,646 of 9,834). The
 residuals are formed on the other iterates, and the feasibility margins,
 one batched eigenvalue decomposition, only on iterates whose slackness
 passes, since only there can they decide convergence. Both are computed by
@@ -329,7 +331,8 @@ def _slackness(kh, wh, x):
 
 def _allowance(kh) -> float:
     """Rounding allowance of the slackness screen for factors ``kh`` of
-    shape (m, r, n): ``(4 m + 1) n eps``.
+    shape (m, r, n): ``(4 m + 1) n eps``, plus
+    :func:`qsd.linalg.polar_excess` on the Gram route of the polar step.
 
     The residuals R_i = K_i (K_i* X - W_i*) of X = herm(x) sum to
     K K* X - x = X - x + E X, with E = K K* - I, and X - x = -(x - x*)/2.
@@ -337,20 +340,26 @@ def _allowance(kh) -> float:
     is at most 1 in norm: K has orthonormal rows, and the weighted states
     are PSD with traces summing to 1, so |W| <= 1 and |X| <= 1. A sum of N
     products of such entries is off by about N eps at most. So max|E X| is
-    at most |E|, about (m r + n) eps for the polar factor of an (m r, n)
-    matrix, whose SVD factors are orthonormal to within their sizes times
-    eps; x sums m r products; and each of the m computed residuals is off by
-    (n + r) eps, n for K_i* X and r for K_i times it. The total is
-    (3 m r + m n + n) eps <= (4 m + 1) n eps, since r <= n.
+    at most |E|; x sums m r products; and each of the m computed residuals
+    is off by (n + r) eps, n for K_i* X and r for K_i times it.
+
+    K* is :func:`qsd.linalg.polar_factor` of an (m r, n) row. From the SVD,
+    whose factors are orthonormal to within their sizes times eps, |E| is
+    about (m r + n) eps, and the total is (3 m r + m n + n) eps <=
+    (4 m + 1) n eps, since r <= n. The Gram route's Newton-Schulz step
+    rounds the same (m r + n) eps, and leaves the square of the defect of
+    the ``eigh`` it corrects, which ``polar_excess`` bounds: 3.2e-15 at
+    m r = n = 128, where (4 m + 1) n eps is 4.8e-13.
 
     Measured on every iterate of the solves of the first 600
     dependent_small and 60 li_ladder draws at seeds 404 and 2718: |E| is at
-    most 2.2 (m r + n) eps, well within the allowance, and
-    max|x - x*|/2 never exceeds m max_i max|R_i| as computed, so the bound
-    held there with none of the allowance spent.
+    most 2.2 (m r + n) eps on the SVD route and 0.34 (m r + n) eps on the
+    Gram route, well within the allowance, and max|x - x*|/2 never exceeds
+    m max_i max|R_i| as computed, so the bound held there with none of the
+    allowance spent.
     """
-    m, _, n = kh.shape
-    return (4 * m + 1) * n * _EPS
+    m, r, n = kh.shape
+    return (4 * m + 1) * n * _EPS + linalg.polar_excess(m * r, n)
 
 
 def solve_optimal(

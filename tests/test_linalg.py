@@ -305,3 +305,86 @@ def test_numpy_2_takes_the_route_without_errstate(monkeypatch):
         np.linalg.svd(np.eye(2))
     _, _, diag = solve_optimal(e)
     assert diag.converged and diag.iterations == 13
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def polar_rows(seed):
+    """Seeded square and tall (2n, n) complex rows at n = 16, 32 and 128."""
+    rng = np.random.default_rng(seed)
+    for n in (16, 32, 128):
+        for rows in (n, 2 * n):
+            yield complex_normal(rng, rows, n)
+
+
+def svd_polar(b):
+    u, _, vh = qsd.linalg.svd(b)
+    return u @ vh
+
+
+def row_of_condition(n, cond_gram, seed):
+    """A (2n, n) row whose Gram matrix A* A has condition number ``cond_gram``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(complex_normal(rng, 2 * n, n))
+    v, _ = np.linalg.qr(complex_normal(rng, n, n))
+    return (u * np.geomspace(1.0, cond_gram**-0.5, n)) @ v.conj().T
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_polar_factor_is_the_svds_u_vh(seed):
+    """On either route the polar factor is U V* to within 8 n eps; both
+    routes move it by rounding times cond(A), which is up to about 700
+    here, and the Gram route's result was at most 3.1 n eps from the SVD's.
+    Its columns are orthonormal to within the SVD's (rows + n) eps plus the
+    Gram route's ``polar_excess``, the bound on |K K* - I| that the
+    slackness screen's allowance assumes."""
+    for b in polar_rows(seed):
+        rows, n = b.shape
+        q = qsd.linalg.polar_factor(b)
+        assert q.shape == b.shape
+        assert maxabs(q - svd_polar(b)) <= 8 * n * EPS
+        defect = maxabs(q.conj().T @ q - np.eye(n))
+        assert defect <= (rows + n) * EPS + qsd.linalg.polar_excess(rows, n)
+
+
+def test_polar_factor_takes_the_svd_below_the_crossover_and_past_the_guard():
+    """Below ``_N_GRAM`` columns, and for rows whose A* A is conditioned past
+    ``1 / _GUARD``, the polar factor is ``u @ vh`` of the thin SVD bit for
+    bit; so is it for a row of rank below n. Rows conditioned just inside the
+    guard take the Gram route, and still come out orthonormal."""
+    rng = np.random.default_rng(7)
+    n_gram, guard = qsd.linalg._N_GRAM, qsd.linalg._GUARD
+    singular = complex_normal(rng, 64, 32)
+    singular[:, 5] = singular[:, 9]
+    svd_rows = [complex_normal(rng, rows, n) for n in (4, 16, n_gram - 1) for rows in (n, 2 * n)]
+    svd_rows += [row_of_condition(n, 4 / guard, n) for n in (n_gram, 128)] + [singular]
+    for b in svd_rows:
+        assert same_bits(qsd.linalg.polar_factor(b), svd_polar(b)), b.shape
+    assert qsd.linalg.polar_excess(2 * n_gram, n_gram - 1) == 0.0
+    for n in (n_gram, 128):
+        b = row_of_condition(n, 0.25 / guard, n)
+        q = qsd.linalg.polar_factor(b)
+        assert not same_bits(q, svd_polar(b))
+        assert maxabs(q.conj().T @ q - np.eye(n)) <= 3 * n * EPS + qsd.linalg.polar_excess(2 * n, n)
+
+
+def test_polar_factor_of_a_stack_is_that_of_its_row():
+    """An (m, r, n) stack gets the polar factor of its (m r, n) row, in the
+    stack's shape, on both routes; a single matrix is its own row."""
+    rng = np.random.default_rng(8)
+    for n in (4, 32):
+        stack = complex_normal(rng, 4, n // 2, n)
+        q = qsd.linalg.polar_factor(stack)
+        assert q.shape == stack.shape
+        assert same_bits(q, qsd.linalg.polar_factor(stack.reshape(-1, n)).reshape(stack.shape))
+
+
+def test_fallback_kernel_takes_the_same_polar_routes(fallback_kernel):
+    """On numpy 1.x the Gram route's eigh is ``np.linalg.eigh``; both routes,
+    and the guard between them, give what the gufunc kernel gives."""
+    rng = np.random.default_rng(9)
+    n = qsd.linalg._N_GRAM
+    rows = [complex_normal(rng, 2 * n, n), complex_normal(rng, 16, 16), row_of_condition(n, 1e12, 1)]
+    for b in rows:
+        assert same_bits(fallback_kernel.polar_factor(b), qsd.linalg.polar_factor(b))

@@ -216,6 +216,12 @@ def test_work_per_solve(monkeypatch):
     iterate, which it returns; the screen rules out all 6 of its iterates
     here.
 
+    From ``_N_GRAM`` = 32 columns on, the polar step takes the Gram route:
+    one eigh of the n x n Gram matrix in place of each svd, so an
+    independent solve at n = 32 makes no svd at all. Where that Gram matrix
+    is conditioned past the guard, as with priors down to 1e-8, the step
+    keeps the svd after its eigh.
+
     The calls are counted at the kernel's entry points in ``qsd.linalg``. On
     numpy 2, where the kernel calls numpy's gufuncs, a solve calls no public
     ``np.linalg`` decomposition or solver."""
@@ -260,6 +266,15 @@ def test_work_per_solve(monkeypatch):
     calls.clear()
     compute_lsm(li())
     assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
+    calls.clear()
+    _, _, diag = solve_optimal(random_ensemble(32, (8,) * 4, seed=0, require_independent=True))
+    assert diag.converged and diag.iterations == 4
+    assert calls == {"eigh": 2 + 4, "eigvalsh": 2, "_slacks": 1}
+    calls.clear()
+    skewed = (0.99999997, 1e-8, 1e-8, 1e-8)
+    _, _, diag = solve_optimal(random_ensemble(32, (8,) * 4, priors=skewed, seed=3, require_independent=True))
+    assert diag.converged and diag.iterations == 1
+    assert calls == {"eigh": 2 + 1, "svd": 1 + 1, "eigvalsh": 2, "_slacks": 1}
     if int(np.__version__.split(".")[0]) >= 2:
         assert not public
 
@@ -399,6 +414,29 @@ def test_sub_cut_eigenvalues_that_rho_bar_counts_stay_in_the_factors():
     assert diag.converged
     assert check_povm(povm).passed
     assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mid_size_dependent_solve_on_the_gram_route(monkeypatch, seed):
+    """Six rank-8 states in C^32 are linearly dependent, so the solve runs
+    past the plain steps into mixed ones, every polar step on the Gram
+    route. It certifies at 1e-7, its operators pass check_povm, and it takes
+    no more than a tenth more iterations than the same solve with every
+    polar step on the SVD (29, 43 and 45 on the SVD route, and as many on
+    the Gram route, with numpy 2.4)."""
+    e = random_ensemble(32, (8,) * 6, seed=seed)
+    svd_calls = []
+    monkeypatch.setattr(qsd.linalg, "svd", lambda *args: svd_calls.append(args))
+    povm, cert, diag = solve_optimal(e)
+    assert not svd_calls
+    monkeypatch.undo()
+    assert diag.converged and diag.iterations > PLAIN_STEPS
+    assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+    assert check_povm(povm).passed
+    monkeypatch.setattr(qsd.linalg, "_N_GRAM", e.dim + 1)
+    _, _, svd_diag = solve_optimal(e)
+    assert svd_diag.converged
+    assert diag.iterations <= svd_diag.iterations + svd_diag.iterations // 10
 
 
 def test_ill_conditioned_solve_resolves_the_identity():
