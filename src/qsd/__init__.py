@@ -11,16 +11,7 @@ from .ensemble import (
     random_ensemble,
     validate,
 )
-from .errors import (
-    BadPriorsError,
-    BadRanksError,
-    CountMismatchError,
-    DimMismatchError,
-    InvalidEnsembleError,
-    NotBinaryError,
-    QsdError,
-    SpanDeficientError,
-)
+from .errors import InvalidEnsembleError, SpanDeficientError
 from .lsm import Povm, compute_lsm, make_povm
 from .optimal import (
     Certificate,
@@ -42,17 +33,11 @@ from .vnm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadPriorsError",
-    "BadRanksError",
     "Certificate",
-    "CountMismatchError",
-    "DimMismatchError",
     "Ensemble",
     "InvalidEnsembleError",
-    "NotBinaryError",
     "Povm",
     "PovmCheck",
-    "QsdError",
     "RankPair",
     "SimResult",
     "SolveDiagnostics",

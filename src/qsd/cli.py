@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 from . import serialize
 from .ensemble import random_ensemble, validate
-from .errors import (
-    BadPriorsError,
-    BadRanksError,
-    CountMismatchError,
-    DimMismatchError,
-    InvalidEnsembleError,
-    QsdError,
-)
+from .errors import InvalidEnsembleError
 from .lsm import compute_lsm
 from .optimal import _check_tol, certify, prob_correct, solve_optimal
 from .sim import simulate
@@ -247,17 +240,6 @@ def _cmd_simulate(args):
     return serialize.sim_result_to_wire(result), 0, ""
 
 
-# Structurally bad inputs or arguments: the caller's request never made sense.
-_FORMAT_ERRORS = (
-    ValueError,
-    OSError,
-    BadRanksError,
-    BadPriorsError,
-    DimMismatchError,
-    CountMismatchError,
-)
-
-
 def dispatch(argv) -> CommandResult:
     """Run one command; never raises for bad input or domain failures."""
     try:
@@ -270,11 +252,9 @@ def dispatch(argv) -> CommandResult:
     except InvalidEnsembleError as exc:
         payload = serialize.validation_report_to_wire(exc.report)
         return CommandResult(1, serialize.dumps(payload), "ensemble failed validation")
-    except _FORMAT_ERRORS as exc:
+    # a bad argument or document, or an unreadable file: the request never made sense
+    except (ValueError, OSError) as exc:
         return CommandResult(2, "", f"error: {exc}")
-    except QsdError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        return CommandResult(1, serialize.dumps(payload), str(exc))
     stdout = payload if isinstance(payload, str) else serialize.dumps(payload)
     return CommandResult(code, stdout, note)
 

@@ -20,12 +20,7 @@ from numbers import Integral
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadPriorsError,
-    BadRanksError,
-    InvalidEnsembleError,
-    SpanDeficientError,
-)
+from .errors import InvalidEnsembleError, SpanDeficientError
 
 PRIOR_SUM_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -196,19 +191,19 @@ def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
 def _resolve_priors(priors, m: int) -> tuple[float, ...]:
     if isinstance(priors, str):
         if priors != "uniform":
-            raise BadPriorsError(f"unrecognized priors value {priors!r}")
+            raise ValueError(f"unrecognized priors value {priors!r}")
         # last prior absorbs the float residue so the sum is exactly 1
         vals = [1.0 / m] * m
         vals[-1] = 1.0 - sum(vals[:-1])
         return tuple(vals)
     vals = tuple(float(p) for p in priors)
     if len(vals) != m:
-        raise BadPriorsError(f"got {len(vals)} priors for {m} states")
+        raise ValueError(f"got {len(vals)} priors for {m} states")
     # written so that nan fails both tests
     if not all(0.0 < p < math.inf for p in vals):
-        raise BadPriorsError(f"priors must be finite and strictly positive, got {vals!r}")
+        raise ValueError(f"priors must be finite and strictly positive, got {vals!r}")
     if not abs(sum(vals) - 1.0) <= PRIOR_SUM_TOL:
-        raise BadPriorsError(f"priors sum to {sum(vals)!r}, expected 1")
+        raise ValueError(f"priors sum to {sum(vals)!r}, expected 1")
     return vals
 
 
@@ -254,10 +249,10 @@ def random_ensemble(
     in [0.35, 1], so the state supports are generically non-orthogonal but
     linearly independent by construction (and well conditioned, keeping every
     state's rank exact); the ranks must then sum to ``dim``. Raises
-    ``BadRanksError`` unless ``dim`` and every rank are integers, not bools,
-    with ``dim >= 1`` and every rank in [1, dim], and ``ValueError`` unless
-    ``seed`` is an integer, not a bool, and not negative, both before any
-    work. A string of ranks is refused, not read character by character.
+    ``ValueError``, before any work, unless ``dim`` and every rank are
+    integers, not bools, with ``dim >= 1`` and every rank in [1, dim], and
+    unless ``seed`` is an integer, not a bool, and not negative. A string of
+    ranks is refused, not read character by character.
 
     Deterministic for a fixed seed: the PRNG is numpy's PCG64 and the draw
     order is state-index major, matrix-entry minor, real part before
@@ -268,11 +263,11 @@ def random_ensemble(
     # a string is one rank that is not an integer, not a sequence of digits
     ranks = (ranks,) if isinstance(ranks, (str, bytes)) else tuple(ranks)
     if not (ranks and _is_int(dim) and all(_is_int(r) and 1 <= r <= dim for r in ranks)):
-        raise BadRanksError(
+        raise ValueError(
             f"need integers, dim >= 1 and every rank in [1, dim], got {dim!r}, {ranks!r}"
         )
     if require_independent and sum(ranks) != dim:
-        raise BadRanksError(
+        raise ValueError(
             f"independent ensembles need ranks summing to dim={dim}, "
             f"got sum {sum(ranks)}"
         )

@@ -1,13 +1,12 @@
-"""Exception types shared across the package."""
+"""The package's one domain failure: an ensemble outside the theorem's setting.
+
+Every other bad argument raises ``ValueError`` with a message that names it.
+"""
 
 from __future__ import annotations
 
 
-class QsdError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class InvalidEnsembleError(QsdError, ValueError):
+class InvalidEnsembleError(ValueError):
     """An ensemble failed validation.
 
     Carries the :class:`qsd.ensemble.ValidationReport` with every deviation.
@@ -32,23 +31,3 @@ class SpanDeficientError(InvalidEnsembleError):
         )
         self.span_rank = report.span_rank
         self.dim = report.dim
-
-
-class BadRanksError(QsdError):
-    """Requested ranks are inconsistent with the target dimension."""
-
-
-class BadPriorsError(QsdError):
-    """Priors are not strictly positive or do not sum to one."""
-
-
-class DimMismatchError(QsdError):
-    """Operator dimensions do not agree."""
-
-
-class CountMismatchError(QsdError):
-    """State and measurement-operator counts do not agree."""
-
-
-class NotBinaryError(QsdError):
-    """Exactly two states are required."""

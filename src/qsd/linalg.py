@@ -50,8 +50,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatchError
-
 # Eigenvalues of a PSD matrix below this fraction of the largest count as
 # zero for its rank. This is the package's one rank rule.
 PSD_RANK_REL_TOL = 1e-10
@@ -142,9 +140,8 @@ def square_stack(mats) -> np.ndarray:
     """Copy a non-empty sequence of finite square matrices of one shape into
     a new read-only complex128 array of shape (m, n, n), with n >= 1.
 
-    Raises ``DimMismatchError`` when the shapes differ or are not square and
-    ``ValueError`` when there is no matrix, the matrices are 0 x 0 or an
-    entry is NaN or infinite.
+    Raises ``ValueError`` when the shapes differ or are not square, there is
+    no matrix, the matrices are 0 x 0 or an entry is NaN or infinite.
     """
     try:
         stack = np.array(mats, dtype=np.complex128)
@@ -155,7 +152,7 @@ def square_stack(mats) -> np.ndarray:
         if not ms:
             raise ValueError("expected at least one matrix")
         shapes = sorted({a.shape for a in ms})
-        raise DimMismatchError(f"expected square matrices of one shape, got {shapes}")
+        raise ValueError(f"expected square matrices of one shape, got {shapes}")
     if not stack.shape[1]:
         raise ValueError("expected matrices of at least 1 x 1, got 0 x 0")
     if not np.logical_and.reduce(np.isfinite(stack), axis=None):

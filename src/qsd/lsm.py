@@ -19,14 +19,13 @@ import numpy as np
 
 from . import linalg
 from .ensemble import Ensemble, require_valid
-from .errors import CountMismatchError, DimMismatchError
 
 
 @dataclass(frozen=True)
 class Povm:
     """Finite square operators of one shape, copied into a read-only
-    (m, n, n) stack; other shapes raise ``DimMismatchError``, and a NaN or
-    infinite entry ``ValueError``. Completeness and positivity are checked
+    (m, n, n) stack; other shapes and a NaN or infinite entry raise
+    ``ValueError``. Completeness and positivity are checked
     separately, so that broken candidate POVMs can still be inspected.
     """
 
@@ -55,12 +54,12 @@ def make_povm(operators) -> Povm:
 
 
 def require_match(e: Ensemble, p: Povm) -> None:
-    """Raise unless the POVM acts on the ensemble's space with one outcome
-    per state: ``DimMismatchError`` or ``CountMismatchError``."""
+    """Raise ``ValueError`` unless the POVM acts on the ensemble's space
+    with one outcome per state."""
     if e.dim != p.dim:
-        raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
+        raise ValueError(f"ensemble dim {e.dim} != povm dim {p.dim}")
     if e.num_states != p.num_outcomes:
-        raise CountMismatchError(f"{e.num_states} states vs {p.num_outcomes} outcomes")
+        raise ValueError(f"{e.num_states} states vs {p.num_outcomes} outcomes")
 
 
 def compute_lsm(e: Ensemble) -> Povm:

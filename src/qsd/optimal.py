@@ -89,7 +89,6 @@ import numpy as np
 
 from . import linalg
 from .ensemble import Ensemble, require_valid
-from .errors import DimMismatchError, NotBinaryError
 from .lsm import Povm, _lsm_factors, require_match
 
 # Anderson mixing of the fixed point: the first PLAIN_STEPS steps are plain,
@@ -170,10 +169,10 @@ def helstrom_binary(e: Ensemble) -> float:
     """Closed-form optimum for two states: (1 + ||p1 rho1 - p2 rho2||_1) / 2.
 
     Independent oracle for cross-checking the iterative solver; never used
-    inside it.
+    inside it. Other state counts raise ``ValueError``.
     """
     if e.num_states != 2:
-        raise NotBinaryError(f"need exactly 2 states, got {e.num_states}")
+        raise ValueError(f"need exactly 2 states, got {e.num_states}")
     (p1, p2), (rho1, rho2) = e.priors, e.rhos
     delta = p1 * rho1 - p2 * rho2
     return 0.5 * (1.0 + linalg.trace_norm(delta))
@@ -191,12 +190,12 @@ def certify(e: Ensemble, p: Povm, x_hat, tol: float = 1e-7) -> Certificate:
     A passing certificate proves ``p`` optimal only if ``p`` is a POVM. That
     is not checked here, so a broken candidate can still be inspected;
     :func:`qsd.vnm.check_povm` checks it, and ``qsd certify`` does both.
-    An ``x_hat`` of the wrong shape raises ``DimMismatchError``, and one with
-    an entry that is not finite ``ValueError``.
+    An ``x_hat`` of the wrong shape, or with an entry that is not finite,
+    raises ``ValueError``.
     """
     x_hat = linalg.as_matrix(x_hat)
     if x_hat.shape != (e.dim, e.dim):
-        raise DimMismatchError(
+        raise ValueError(
             f"dual operator has shape {x_hat.shape}, expected ({e.dim}, {e.dim})"
         )
     if not np.isfinite(x_hat).all():

@@ -14,7 +14,7 @@ from numbers import Integral
 import numpy as np
 
 from .ensemble import Ensemble, _check_seed, validate
-from .errors import DimMismatchError, InvalidEnsembleError
+from .errors import InvalidEnsembleError
 from .lsm import Povm, require_match
 
 # Entries at or above this are roundoff; anything more negative is an invalid
@@ -37,11 +37,12 @@ def born_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
     state i and outcome j, as an (m, k) array.
 
     The outcome count k may differ from the state count m (e.g. a single
-    identity-resolution outcome); the array is then rectangular. The
-    probability of correct detection is :func:`qsd.optimal.prob_correct`.
+    identity-resolution outcome); the array is then rectangular, but the
+    dimensions must agree or ``ValueError`` is raised. The probability of
+    correct detection is :func:`qsd.optimal.prob_correct`.
     """
     if e.dim != p.dim:
-        raise DimMismatchError(f"ensemble dim {e.dim} != povm dim {p.dim}")
+        raise ValueError(f"ensemble dim {e.dim} != povm dim {p.dim}")
     return np.einsum("ikl,jlk->ij", e.rhos, p.operators).real
 
 

@@ -8,15 +8,16 @@ import numpy as np
 
 import pytest
 
-from conftest import ket, near_collinear_pair, pure_ensemble
+from conftest import ket, near_collinear_pair, pure_ensemble, trine_vectors
 
-from qsd import Ensemble, Povm, compute_lsm, random_ensemble, solve_optimal, validate
-from qsd.cli import dispatch
+from qsd import Ensemble, Povm, certify, compute_lsm, random_ensemble, solve_optimal, validate
+from qsd.cli import CommandResult, dispatch
 from qsd.serialize import (
     certificate_to_wire,
     dumps,
     ensemble_from_wire,
     ensemble_to_wire,
+    matrix_to_wire,
     povm_from_wire,
     povm_to_wire,
     solve_result_to_wire,
@@ -140,6 +141,54 @@ def test_solve_stdout_and_files_are_the_encoded_solve(tmp_path):
             assert fh.read() == dumps(wire["povm"]) + "\n"
         with open(cert_path) as fh:
             assert fh.read() == dumps(wire["certificate"]) + "\n"
+
+
+def test_lsm_out_file_holds_the_printed_text(tmp_path):
+    e_path, _, e, _ = ortho_pair_files(tmp_path)
+    out_path = tmp_path / "lsm.json"
+    result = dispatch(["lsm", e_path, "--out", str(out_path)])
+    assert result.exit_code == 0
+    assert result.stdout == dumps(povm_to_wire(compute_lsm(e)))
+    # the console script prints stdout with one newline, as the file ends
+    assert out_path.read_text() == result.stdout + "\n"
+
+
+def test_check_vnm_of_the_trine_optimum_exits_one(tmp_path):
+    # the trine's optimum is three rank-1 operators on a qubit, not projective
+    trine = pure_ensemble((1 / 3,) * 3, trine_vectors())
+    e_path = write_json(tmp_path, "e.json", ensemble_to_wire(trine))
+    p_path = write_json(tmp_path, "p.json", povm_to_wire(solve_optimal(trine)[0]))
+    result = dispatch(["check-vnm", e_path, p_path])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["is_von_neumann"] is False
+    assert result.stderr == "measurement is not Von Neumann at the given tolerance"
+
+
+@pytest.mark.parametrize("route, stderr", [
+    ("rank above dim", "error: need integers, dim >= 1 and every rank in [1, dim], got 2, (3,)"),
+    ("priors off one", "error: priors sum to 0.6, expected 1"),
+    ("pd of another dim", "error: ensemble dim 3 != povm dim 2"),
+    ("pd of another count", "error: 3 states vs 2 outcomes"),
+    ("certify x_hat shape", "error: dual operator has shape (3, 3), expected (2, 2)"),
+])
+def test_bad_arguments_exit_two_with_their_message(tmp_path, route, stderr):
+    """Every bad argument is a ValueError: exit 2, nothing on stdout and the
+    message on stderr."""
+    e_path, p_path, e, povm = ortho_pair_files(tmp_path)
+    e3 = pure_ensemble((0.5, 0.5), (ket(1, 0, 0), ket(0, 1, 0)))
+    trine = pure_ensemble((1 / 3,) * 3, trine_vectors())
+    cert = {**certificate_to_wire(certify(e, povm, np.eye(2))), "x_hat": matrix_to_wire(np.eye(3))}
+    argv = {
+        "rank above dim": ["gen", "--dim", "2", "--ranks", "3", "--seed", "0"],
+        "priors off one": ["gen", "--dim", "2", "--ranks", "1,1", "--priors", "0.3,0.3",
+                           "--seed", "0"],
+        "pd of another dim": ["pd", write_json(tmp_path, "e3.json", ensemble_to_wire(e3)), p_path],
+        "pd of another count": ["pd", write_json(tmp_path, "trine.json", ensemble_to_wire(trine)),
+                                p_path],
+        "certify x_hat shape": ["certify", e_path, p_path,
+                                write_json(tmp_path, "cert.json", cert)],
+    }[route]
+    assert dispatch(argv) == CommandResult(2, "", stderr)
 
 
 @pytest.mark.parametrize("broken", ["zero", "half"])
@@ -322,6 +371,13 @@ def test_negative_seed_exits_two(tmp_path):
 def test_gen_bad_rank_format_exits_two():
     result = dispatch(["gen", "--dim", "2", "--ranks", "a,b", "--seed", "0"])
     assert result.exit_code == 2
+
+
+def test_gen_priors_that_are_not_numbers_exit_two():
+    result = dispatch(["gen", "--dim", "2", "--ranks", "1,1", "--priors", "0.5,x", "--seed", "0"])
+    assert result == CommandResult(
+        2, "", "error: argument --priors: must be 'uniform' or numbers: '0.5,x'"
+    )
 
 
 @pytest.mark.parametrize("priors", ["nan,1", "1,nan", "inf,1"])

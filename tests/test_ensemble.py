@@ -8,9 +8,6 @@ from conftest import ket, near_collinear_pair, projector, pure_ensemble
 from psi_route import build_psi, factorize, inv_sqrt_psd, numeric_rank
 
 from qsd import (
-    BadPriorsError,
-    BadRanksError,
-    DimMismatchError,
     Ensemble,
     Povm,
     deflate,
@@ -209,7 +206,7 @@ def test_build_psi_single_mixed_state():
 def test_zero_prior_rejected_upstream():
     e = pure_ensemble((1.0, 0.0), (ket(1, 0), ket(0, 1)))
     assert not validate(e).passed
-    with pytest.raises(BadPriorsError):
+    with pytest.raises(ValueError, match=r"priors must be finite and strictly positive"):
         random_ensemble(2, (1, 1), priors=(1.0, 0.0), seed=0)
 
 
@@ -226,12 +223,12 @@ def test_random_ensemble_rank_sum():
 
 
 def test_random_ensemble_bad_ranks():
-    with pytest.raises(BadRanksError):
+    with pytest.raises(ValueError, match=r"independent ensembles need ranks summing to dim=2"):
         random_ensemble(2, (1, 1, 1), seed=0, require_independent=True)
-    with pytest.raises(BadRanksError):
+    with pytest.raises(ValueError, match=r"every rank in \[1, dim\], got 2, \(1, 0\)"):
         random_ensemble(2, (1, 0), seed=0)
     for dim, ranks in ((0, (1,)), (2, (3, 5)), (2, (1, 3))):
-        with pytest.raises(BadRanksError, match=r"dim >= 1 and every rank in \[1, dim\]"):
+        with pytest.raises(ValueError, match=r"dim >= 1 and every rank in \[1, dim\]"):
             random_ensemble(dim, ranks, seed=0)
 
 
@@ -246,7 +243,7 @@ def test_random_ensemble_bad_ranks():
     (np.float64(2.0), (1, 1)),
 ])
 def test_random_ensemble_refuses_ranks_and_dims_that_are_not_integers(dim, ranks):
-    with pytest.raises(BadRanksError, match=r"need integers, dim >= 1"):
+    with pytest.raises(ValueError, match=r"need integers, dim >= 1"):
         random_ensemble(dim, ranks, seed=0)
 
 
@@ -258,14 +255,16 @@ def test_random_ensemble_takes_numpy_integers():
 
 
 def test_random_ensemble_bad_priors():
-    with pytest.raises(BadPriorsError):
+    with pytest.raises(ValueError, match=r"priors sum to 1\.4, expected 1"):
         random_ensemble(2, (1, 1), priors=(0.7, 0.7), seed=0)
-    with pytest.raises(BadPriorsError):
+    with pytest.raises(ValueError, match=r"unrecognized priors value 'weird'"):
         random_ensemble(2, (1, 1), priors="weird", seed=0)
+    with pytest.raises(ValueError, match=r"got 3 priors for 2 states"):
+        random_ensemble(2, (1, 1), priors=(0.5, 0.25, 0.25), seed=0)
     # nan fails every comparison, so it must be rejected, not let through
     for bad in ((float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
                 (0.5, float("inf")), (float("nan"),) * 2):
-        with pytest.raises(BadPriorsError):
+        with pytest.raises(ValueError, match=r"priors must be finite and strictly positive"):
             random_ensemble(2, (1, 1), priors=bad, seed=0)
 
 
@@ -378,11 +377,11 @@ def test_ensemble_rejects_bad_shapes():
         Ensemble([0.5, 0.5], [rho])
     with pytest.raises(ValueError):
         Ensemble([[1.0]], [rho])
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValueError, match=r"of one shape, got \[\(2, 2\), \(3, 3\)\]"):
         Ensemble([0.5, 0.5], [rho, np.eye(3) / 3])
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValueError, match=r"of one shape, got \[\(2, 3\)\]"):
         Ensemble([1.0], [np.ones((2, 3))])
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValueError, match=r"of one shape, got \[\(2,\)\]"):
         Ensemble([1.0], [np.ones(2)])
     with pytest.raises(ValueError):
         Ensemble([], [])

@@ -5,7 +5,6 @@ from conftest import ket, near_collinear_pair, projector, pure_ensemble, trine_v
 from psi_route import build_psi, factorize, psi_route_lsm
 
 from qsd import (
-    DimMismatchError,
     Ensemble,
     InvalidEnsembleError,
     Povm,
@@ -224,9 +223,9 @@ def test_make_povm_stacks_operators():
 
 
 def test_make_povm_rejects_mixed_shapes():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValueError, match=r"of one shape, got \[\(2, 2\), \(3, 3\)\]"):
         make_povm([np.eye(2), np.eye(3)])
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValueError, match=r"of one shape, got \[\(2, 3\)\]"):
         make_povm([np.zeros((2, 3))])
     with pytest.raises(ValueError):
         make_povm([])
@@ -235,8 +234,8 @@ def test_make_povm_rejects_mixed_shapes():
 
 
 def test_povm_checks_its_shape_and_copies():
-    for bad in (np.eye(2), np.zeros((2, 2, 3))):
-        with pytest.raises(DimMismatchError):
+    for bad, shapes in ((np.eye(2), r"\[\(2,\)\]"), (np.zeros((2, 2, 3)), r"\[\(2, 3\)\]")):
+        with pytest.raises(ValueError, match=r"of one shape, got " + shapes):
             Povm(bad)
     ops = np.stack([np.eye(2), np.zeros((2, 2))])
     povm = Povm(ops)

@@ -24,8 +24,15 @@ def test_public_api():
                  "numeric_rank", "direct_sum_rank", "EigResult", "IterateRecord",
                  "eig_hermitian", "NotHermitianError", "NonSquareError",
                  "SingularMatrixError", "ConfusionMatrix", "is_projective",
-                 "rank_profile", "trace_norm"):
+                 "rank_profile", "trace_norm", "QsdError", "BadRanksError",
+                 "BadPriorsError", "DimMismatchError", "CountMismatchError",
+                 "NotBinaryError"):
         assert not hasattr(qsd, gone), gone
+    # every bad argument is a ValueError; the one domain failure carries a report
+    errors = {name for name in names if isinstance(getattr(qsd, name), type)
+              and issubclass(getattr(qsd, name), Exception)}
+    assert errors == {"InvalidEnsembleError", "SpanDeficientError"}
+    assert qsd.InvalidEnsembleError.__mro__[1] is ValueError
     # helstrom_binary still reads the trace norm from the linear algebra module
     assert callable(qsd.linalg.trace_norm)
     # nothing in the package reads a simulation or solve document

@@ -192,6 +192,10 @@ def test_povm_from_wire_checks_dim():
     for bad_dim in ("1", 1.0, 1.5, True, None):
         with pytest.raises(ValueError):
             povm_from_wire({"dim": bad_dim, "operators": [[[[1.0, 0]]]]})
+    with pytest.raises(ValueError, match=r"povm document must be a JSON object"):
+        povm_from_wire([[[[1.0, 0]]]])
+    with pytest.raises(ValueError, match=r"povm operators must be a non-empty list"):
+        povm_from_wire({"dim": 1, "operators": []})
     assert povm_from_wire({"dim": 1, "operators": [[[[1.0, 0]]]]}).dim == 1
 
 
@@ -218,6 +222,8 @@ def test_certificate_round_trip(zero_plus, solved_corpus):
                 certificate_from_wire({**wire, key: [*wire[key][:-1], bad]})
     with pytest.raises(ValueError):
         certificate_from_wire({**wire, "feas_margins": 0.0})
+    with pytest.raises(ValueError, match=r"certificate document must be a JSON object"):
+        certificate_from_wire([wire])
     # one margin and one residual per state, of at least one state
     with pytest.raises(ValueError):
         certificate_from_wire({**wire, "feas_margins": [], "slack_residuals": []})

@@ -4,7 +4,6 @@ import pytest
 from conftest import ket, projector, pure_ensemble
 
 from qsd import (
-    CountMismatchError,
     InvalidEnsembleError,
     born_probabilities,
     compute_lsm,
@@ -31,8 +30,10 @@ def test_born_single_outcome_column_of_ones(zero_plus):
     probs = born_probabilities(zero_plus, make_povm([np.eye(2)]))
     assert probs.shape == (2, 1)
     assert np.abs(probs - 1.0).max() < 1e-12
-    with pytest.raises(CountMismatchError):
+    with pytest.raises(ValueError, match=r"2 states vs 1 outcomes"):
         prob_correct(zero_plus, make_povm([np.eye(2)]))
+    with pytest.raises(ValueError, match=r"ensemble dim 2 != povm dim 3"):
+        born_probabilities(zero_plus, make_povm([np.eye(3)]))
 
 
 def test_born_rows_sum_to_one(zero_plus):
@@ -148,8 +149,11 @@ def test_simulate_rejects_invalid_negatives():
         np.array([[0.0, 0.0], [0.0, 1.0 + 1e-6]], dtype=complex),
     ]
     e = pure_ensemble((0.5, 0.5), (ket(1, 0), ket(0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"below -1e-10; POVM is invalid"):
         simulate(e, make_povm(ops), 100, seed=3)
+    # PSD operators that sum to I/2 give rows that sum to 1/2
+    with pytest.raises(ValueError, match=r"POVM is not complete"):
+        simulate(e, make_povm([np.eye(2) / 4] * 2), 100, seed=3)
 
 
 def test_sampling_rows_refuse_a_nan_probability():

@@ -5,7 +5,6 @@ from conftest import projector, trine_vectors
 from psi_route import numeric_rank
 
 from qsd import (
-    CountMismatchError,
     check_povm,
     compute_lsm,
     is_linearly_independent,
@@ -105,7 +104,7 @@ def test_rank_profile_reads_the_factor_widths():
 
 
 def test_rank_profile_count_mismatch(trine, orthonormal_pair_povm):
-    with pytest.raises(CountMismatchError):
+    with pytest.raises(ValueError, match=r"3 states vs 2 outcomes"):
         vnm_report(trine, orthonormal_pair_povm)
 
 
