@@ -2,8 +2,9 @@
 
 An ensemble is a finite set of density operators with strictly positive priors
 summing to one. Everything here rests on the weighted states ``p_i rho_i``,
-their sum, the average state ``rho_bar``, and the eigendecomposition of each
-state, which gives its rank and its thin factor. This module validates
+their sum, the average state ``rho_bar``, the eigendecomposition of
+``rho_bar`` and that of each state, which gives its rank and its thin
+factor. This module validates
 ensembles, decides whether the states span the space from the spectrum of
 ``rho_bar`` (the one span decision of the package), tests linear
 independence, restricts an ensemble to the subspace it spans, and generates
@@ -71,36 +72,55 @@ class Ensemble:
         return g
 
     @cached_property
-    def span(self) -> tuple[np.ndarray, int]:
-        """Read-only ascending eigenvalues of rho_bar, and the dimension the
-        states span.
+    def span(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """Read-only ascending eigenvalues of rho_bar, the dimension the
+        states span, and the read-only eigenvectors of rho_bar, as the
+        columns of an n x n matrix in the eigenvalues' order.
 
         This is the package's one decision on whether the states span the space:
         the rank of rho_bar by :func:`qsd.linalg.spectrum_rank`, the rule every
         rank in the package uses, and the rank at which the weighted factors
-        span the space, as the least-squares measurement needs. rho_bar, a sum
-        of exactly Hermitian matrices, is exactly Hermitian, so it needs no
-        symmetrizing.
+        span the space, as the least-squares measurement needs. It is also the
+        package's one decomposition of rho_bar: :func:`deflate` reads its
+        basis from the eigenvectors, and from ``qsd.linalg._N_GRAM`` columns on
+        the least-squares start reads the whole decomposition as that of the
+        Gram matrix of its polar step (:func:`qsd.lsm._lsm_factors`). rho_bar,
+        a sum of exactly Hermitian matrices, is exactly Hermitian, so it needs
+        no symmetrizing.
         """
-        w = linalg.eigvalsh(np.add.reduce(self.weighted_states))
+        w, v = linalg.eigh(np.add.reduce(self.weighted_states))
         w.flags.writeable = False
-        return w, linalg.spectrum_rank(w)
+        v.flags.writeable = False
+        return w, linalg.spectrum_rank(w), v
 
     @cached_property
-    def state_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ascending eigenvalues ``(m, n)`` and eigenvectors
-        ``(m, n, n)`` of each herm(rho_i), and each state's rank by
-        :func:`qsd.linalg.spectrum_rank`.
+    def state_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ascending eigenvalues ``(m, n)`` of each herm(rho_i),
+        the eigenvectors of its top ``r`` ``(m, n, r)``, each state's rank by
+        :func:`qsd.linalg.spectrum_rank`, and the width of each state's thin
+        factor, with ``r`` the widest.
 
         This is the package's one decomposition of the states: validation
         reads their PSD margins from it, every state rank comes from it, and
-        so do the thin factors of :func:`qsd.lsm._lsm_factors`.
+        so do the thin factors of :func:`qsd.lsm._weighted_factors`. A factor
+        keeps the top eigenvectors of its state, the state's rank of them,
+        and also every eigenvalue w below the state's rank cut whose share
+        ``p_i w / w_min`` of a least-squares operator, with w_min the smallest
+        eigenvalue of rho_bar, that cut would count. Dropping such an
+        eigenvalue could leave the operators short of the identity, even
+        short of spanning the space; each one dropped moves an operator by
+        less than the rank cut. Only the eigenvectors some factor reads are
+        kept: ``r`` is n/4 on 4 linearly independent states of rank n/4.
         """
         w, v = linalg.eigh(linalg.hermitian_part(self.rhos))
         ranks = linalg.spectrum_rank(w)
-        for a in (w, v, ranks):
+        cut = linalg.PSD_RANK_REL_TOL * self.span[0][0]
+        shares = np.add.reduce(self.priors[:, None] * w >= cut, axis=1, dtype=np.intp)
+        widths = np.maximum(ranks, shares)
+        v = np.ascontiguousarray(v[:, :, self.dim - int(np.maximum.reduce(widths)) :])
+        for a in (w, v, ranks, widths):
             a.flags.writeable = False
-        return w, v, ranks
+        return w, v, ranks, widths
 
 
 @dataclass(frozen=True)
@@ -302,11 +322,11 @@ def deflate(e: Ensemble) -> tuple[Ensemble, np.ndarray]:
 
     Returns the reduced ensemble together with the read-only n x k orthonormal
     basis B of the spanned subspace, the eigenvectors of rho_bar above the span
-    cut (largest eigenvalue first), so each new density operator is
-    ``B* rho B``. The identity deflation (k == n) is allowed and harmless.
+    cut (largest eigenvalue first), read from :attr:`Ensemble.span`, so each
+    new density operator is ``B* rho B``. The identity deflation (k == n) is
+    allowed and harmless.
     """
-    _, v = linalg.eigh(e.weighted_states.sum(axis=0))
-    basis = v[:, ::-1][:, : e.span[1]]
-    basis.flags.writeable = False
+    _, k, v = e.span
+    basis = v[:, ::-1][:, :k]
     rhos = linalg.hermitian_part(basis.conj().T @ e.rhos @ basis)
     return Ensemble(e.priors, rhos), basis

@@ -38,7 +38,9 @@ entry points are the public ``np.linalg`` functions, chosen once at import.
 :func:`polar_factor`, the solver's one normalization, takes one of two
 routes by the number n of columns of its row. Below ``_N_GRAM`` = 32 it is
 ``u @ vh`` of the thin SVD. From 32 on it is the Gram route, an ``eigh`` of
-the n x n matrix A* A and one Newton-Schulz step, which costs less. The
+the n x n matrix A* A and one Newton-Schulz step, which costs less; the
+least-squares start passes rho_bar's ``eigh``, which the ensemble has
+taken already, in place of that of A* A. The
 step is what makes the route safe: an ``eigh`` alone leaves the columns
 off orthonormal by eps times the condition number of A* A, which once left
 a least-squares measurement 1.7e-8 short of the identity, and the step
@@ -179,17 +181,20 @@ def factor_products(kh) -> np.ndarray:
     return hermitian_part(np.conj(kh).swapaxes(-1, -2) @ kh)
 
 
-def polar_factor(a) -> np.ndarray:
+def polar_factor(a, gram=None) -> np.ndarray:
     """The unitary polar factor U V* of the (m r, n) row A = U s V* of an
     (m, r, n) stack, in the stack's shape; for a matrix, of the matrix.
 
     For A of full column rank it is ``A (A* A)^{-1/2}``, and its columns are
     orthonormal at rounding level however ill-conditioned A* A is. Below
     ``_N_GRAM`` columns it is ``u @ vh`` from the thin :func:`svd` of A.
-    From ``_N_GRAM`` columns on it takes the Gram route: one ``eigh`` of the
-    n x n matrix A* A = V diag(w) V*, Q = A V diag(w^{-1/2}) V*, and one
-    Newton-Schulz step Q <- Q (3 I - Q* Q) / 2 (Higham, "Functions of
-    Matrices", SIAM 2008, ch. 8). With one BLAS thread, the route costs no
+    From ``_N_GRAM`` columns on it takes the Gram route: the eigenvalues w
+    and eigenvectors V of the n x n matrix A* A = V diag(w) V*,
+    Q = A V diag(w^{-1/2}) V*, and one Newton-Schulz step
+    Q <- Q (3 I - Q* Q) / 2 (Higham, "Functions of Matrices", SIAM 2008,
+    ch. 8). ``gram``, if given, is that ``(w, V)``, ascending, of a matrix
+    close enough to A* A (see :func:`polar_excess`), and the route takes no
+    ``eigh`` of its own. With one BLAS thread, the route costs no
     more than the SVD on every row measured from n = 28 up, m r = n to 2 n:
     11% less at n = 32 and 12% at n = 128 on square rows, 35% and 42% less
     on rows of 2 n. At n = 24 it costs 19% more on square rows.
@@ -199,16 +204,16 @@ def polar_factor(a) -> np.ndarray:
     that on the 617 Gram-route rows of 120 ``li_ladder`` and 3 mid-size
     dependent solves. The step maps that defect D = Q* Q - I to
     (D^3 - 3 D^2)/4, so the result misses I by rounding plus about D^2. The
-    route keeps the SVD where the smallest eigenvalue of A* A is not above
-    ``_GUARD`` times its largest; above it, |D| is at most
-    (m r + n) eps / ``_GUARD``, 5.7e-8 at m r = n = 128, and D^2 3.2e-15
-    (:func:`polar_excess`). On those rows 4 of the 617 fell back to the SVD,
-    and none would have at a ``_GUARD`` of 1e-8.
+    route keeps the SVD, with no ``eigh`` of A* A, where the smallest
+    eigenvalue w[0] is not above ``_GUARD`` times the largest; above it, |D|
+    is at most (m r + n) eps / ``_GUARD``, 5.7e-8 at m r = n = 128, and D^2
+    3.2e-15 (:func:`polar_excess`). On those rows 4 of the 617 fell back to
+    the SVD, and none would have at a ``_GUARD`` of 1e-8.
     """
     b = a.reshape(-1, a.shape[-1])
     n = b.shape[-1]
     if n >= _N_GRAM:
-        w, v = eigh(b.conj().T @ b)
+        w, v = eigh(b.conj().T @ b) if gram is None else gram
         if w[0] > _GUARD * w[-1]:
             q = b @ ((v * w**-0.5) @ v.conj().T)
             step = q.conj().T @ q
@@ -219,11 +224,12 @@ def polar_factor(a) -> np.ndarray:
     return (u @ vh).reshape(a.shape)
 
 
-def polar_excess(rows: int, n: int) -> float:
+def polar_excess(rows: int, n: int, states: int = 0) -> float:
     """A bound on how much further than the SVD's own rounding, about
     ``(rows + n) eps``, the columns of :func:`polar_factor`'s result for a
     (rows, n) row may be from orthonormal: max|Q* Q - I| is at most
-    ``(rows + n) eps`` plus this.
+    ``(rows + n) eps`` plus this. With ``states`` = m it also bounds the
+    least-squares start of m states, whose Gram decomposition is rho_bar's.
 
     It is 0 below ``_N_GRAM`` columns. On the Gram route, Q from the
     ``eigh`` has Q* Q = I + D with |D| at most ``(rows + n) eps / _GUARD``:
@@ -232,8 +238,29 @@ def polar_excess(rows: int, n: int) -> float:
     times the largest. The Newton-Schulz step leaves ``(D^3 - 3 D^2)/4``,
     at most |D|^2, and its own products round as the SVD's do: Q* Q sums
     ``rows`` products and Q (3 I - Q* Q)/2 sums n.
+
+    The start's row is A = F*, the adjoint thin factors of the weighted
+    states, and its Gram decomposition is rho_bar's (:func:`qsd.lsm._lsm_factors`),
+    so D = M^{-1/2} (F F* - M) M^{-1/2} with M = rho_bar, and |D| is at most
+    |F F* - M| / w_min. F F* misses M by what the factors drop, and by the
+    rounding of the states' ``eigh``:
+
+    - each dropped positive eigenvalue is below ``PSD_RANK_REL_TOL w_min``,
+      so together they are at most ``m n PSD_RANK_REL_TOL w_min``;
+    - each state's ``eigh`` rounds by up to n eps of ``p_i |rho_i|``, which
+      is at most rho_bar's largest eigenvalue w_max, since rho_bar >=
+      p_i rho_i; the start takes rho_bar's decomposition only where every
+      dropped negative eigenvalue is above ``-n eps w_max`` too, so the two
+      come to at most ``2 m n eps w_max``.
+
+    With ``w_min > _GUARD w_max`` on the route, |D| gains
+    ``2 m n eps / _GUARD + m n PSD_RANK_REL_TOL``: 2.3e-7 and 5.1e-8 at
+    m = 4 and rows = n = 128, and the square of the whole is 1.1e-13, under
+    the ``(4 m + 1) n eps`` = 4.8e-13 of the screen's allowance.
     """
-    return ((rows + n) * _EPS / _GUARD) ** 2 if n >= _N_GRAM else 0.0
+    if n < _N_GRAM:
+        return 0.0
+    return ((rows + n + 2 * states * n) * _EPS / _GUARD + states * n * PSD_RANK_REL_TOL) ** 2
 
 
 def spectrum_rank(values):

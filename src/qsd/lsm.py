@@ -9,6 +9,13 @@ of ``Psi``. Taken as that, by the routine every solver step normalizes with,
 it sums to the identity at rounding level however ill-conditioned rho_bar
 is; it is also where the solver starts. For linearly independent ensembles
 it is projective; in general it is only a valid POVM.
+
+The polar factor takes no decomposition of its own beyond the states' and
+rho_bar's, which the ensemble takes once each. Below n = 32, and where
+rho_bar is conditioned past the guard of :func:`qsd.linalg.polar_factor`,
+it is ``u @ vh`` of the thin SVD of Psi*. Elsewhere it reads rho_bar's
+eigendecomposition from :attr:`qsd.ensemble.Ensemble.span` as that of
+``Psi Psi*`` and takes one Newton-Schulz step.
 """
 
 from __future__ import annotations
@@ -19,6 +26,9 @@ import numpy as np
 
 from . import linalg
 from .ensemble import Ensemble, require_valid
+
+# float64 rounding unit, for the test on the states' negative eigenvalues
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -77,26 +87,16 @@ def _weighted_factors(e: Ensemble) -> np.ndarray:
     """Adjoint thin factors ``F_i*`` with ``F_i F_i* = p_i rho_i`` up to small
     eigenvalues, over a validated ensemble, as an ``(m, r, n)`` stack.
 
-    ``F_i*`` holds conjugated top eigenvectors of state i from
-    :attr:`qsd.ensemble.Ensemble.state_spectra` as rows, each scaled by
-    ``sqrt(p_i w)`` for its eigenvalue w, and is zero-padded to the ``r``
-    rows of the widest factor. It keeps the state's rank of them, and
-    also every eigenvalue below the state's rank cut whose share
-    ``p_i w / w_min`` of a least-squares operator, with w_min the smallest
-    eigenvalue of rho_bar, that cut would count. Dropping such an eigenvalue
-    could leave the operators short of the identity, even short of spanning
-    the space; each one dropped moves an operator by less than the rank cut.
+    ``F_i*`` holds the conjugated top eigenvectors of state i that
+    :attr:`qsd.ensemble.Ensemble.state_spectra` keeps as rows, each scaled by
+    ``sqrt(p_i w)`` for its eigenvalue w, as many as the state's factor
+    width there, and is zero-padded to the ``r`` rows of the widest factor.
     """
-    w_min = e.span[0][0]
-    values, vectors, ranks = e.state_spectra
-    weighted = e.priors[:, None] * values
-    shares = np.add.reduce(weighted >= linalg.PSD_RANK_REL_TOL * w_min, axis=1, dtype=np.intp)
-    widths = np.maximum(ranks, shares)
-    r = int(np.maximum.reduce(widths))
-    top = e.dim - r
+    values, vectors, _, widths = e.state_spectra
+    r = vectors.shape[-1]
     keep = np.arange(r) >= r - widths[:, None]
-    scale = np.sqrt(np.where(keep, weighted[:, top:], 0.0))
-    return np.conj(vectors[:, :, top:]).swapaxes(1, 2) * scale[:, :, None]
+    scale = np.sqrt(np.where(keep, e.priors[:, None] * values[:, e.dim - r :], 0.0))
+    return np.conj(vectors).swapaxes(1, 2) * scale[:, :, None]
 
 
 def _lsm_factors(e: Ensemble) -> np.ndarray:
@@ -104,5 +104,17 @@ def _lsm_factors(e: Ensemble) -> np.ndarray:
     rho_bar = F F* is invertible); the least-squares operators are
     ``K_i K_i*``. Its ``(m r, n)`` row ``[K_1 ... K_m]*`` is the polar factor
     of that of the :func:`_weighted_factors`, ``[F_1 ... F_m]*``.
+
+    The Gram matrix of that row is F F*, which is rho_bar but for what the
+    factors drop, so the polar step reads rho_bar's eigendecomposition from
+    :attr:`qsd.ensemble.Ensemble.span` as its Gram decomposition and takes
+    none of its own (:func:`qsd.linalg.polar_excess` bounds what that adds).
+    The bound needs every state eigenvalue the factors drop to be at least
+    ``-n eps`` times rho_bar's largest, which a state that is PSD up to its
+    ``eigh``'s rounding meets; validation admits more negative ones, and
+    where a state has one, the row's own Gram matrix is decomposed.
     """
-    return linalg.polar_factor(_weighted_factors(e))
+    w, _, v = e.span
+    lowest = np.minimum.reduce(e.priors * e.state_spectra[0][:, 0])
+    gram = (w, v) if lowest >= -e.dim * _EPS * w[-1] else None
+    return linalg.polar_factor(_weighted_factors(e), gram)

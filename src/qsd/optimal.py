@@ -24,7 +24,9 @@ against the true G_i, and K_i <- Lambda^{-1/2} W_i with Lambda =
 sum_i W_i W_i*, which is B_i Pi_i B_i* with B_i = Lambda^{-1/2} G_i written in
 factors. Lambda^{-1/2} W is the unitary polar factor U V* of the block row
 W = [W_1 ... W_m] = U s V*, and that is the update, the same
-:func:`qsd.linalg.polar_factor` of [F_1 ... F_m] that makes the start: U is
+:func:`qsd.linalg.polar_factor` of [F_1 ... F_m] that makes the start, where
+from n = 32 on rho_bar's eigendecomposition, taken once by
+:attr:`qsd.ensemble.Ensemble.span`, stands in for that of F F*: U is
 square, so sum_i K_i K_i* = U V* V U* = I for any W, and every iterate, the
 start included, is a POVM at rounding level however ill-conditioned Lambda
 or rho_bar is. U is square because the kept factor columns span the space,
@@ -331,7 +333,8 @@ def _slackness(kh, wh, x):
 def _allowance(kh) -> float:
     """Rounding allowance of the slackness screen for factors ``kh`` of
     shape (m, r, n): ``(4 m + 1) n eps``, plus
-    :func:`qsd.linalg.polar_excess` on the Gram route of the polar step.
+    :func:`qsd.linalg.polar_excess` of the least-squares start on the Gram
+    route of the polar step.
 
     The residuals R_i = K_i (K_i* X - W_i*) of X = herm(x) sum to
     K K* X - x = X - x + E X, with E = K K* - I, and X - x = -(x - x*)/2.
@@ -347,8 +350,12 @@ def _allowance(kh) -> float:
     about (m r + n) eps, and the total is (3 m r + m n + n) eps <=
     (4 m + 1) n eps, since r <= n. The Gram route's Newton-Schulz step
     rounds the same (m r + n) eps, and leaves the square of the defect of
-    the ``eigh`` it corrects, which ``polar_excess`` bounds: 3.2e-15 at
-    m r = n = 128, where (4 m + 1) n eps is 4.8e-13.
+    the ``eigh`` it corrects, which ``polar_excess`` bounds. The start's
+    defect is the larger: its Gram decomposition is rho_bar's, which misses
+    F F* by the eigenvalues the factors drop, up to m n 1e-10 relative to
+    rho_bar's smallest, and by the rounding of the states' ``eigh``. Every
+    iterate gets the start's bound, 1.1e-13 at m r = n = 128 and m = 4,
+    where (4 m + 1) n eps is 4.8e-13.
 
     Measured on every iterate of the solves of the first 600
     dependent_small and 60 li_ladder draws at seeds 404 and 2718: |E| is at
@@ -358,7 +365,7 @@ def _allowance(kh) -> float:
     allowance spent.
     """
     m, r, n = kh.shape
-    return (4 * m + 1) * n * _EPS + linalg.polar_excess(m * r, n)
+    return (4 * m + 1) * n * _EPS + linalg.polar_excess(m * r, n, m)
 
 
 def solve_optimal(

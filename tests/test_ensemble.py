@@ -15,6 +15,7 @@ from qsd import (
     random_ensemble,
     validate,
 )
+import qsd.linalg
 from qsd.linalg import maxabs
 from qsd.lsm import _weighted_factors
 
@@ -105,6 +106,9 @@ def test_weighted_factors_match_the_weighted_states_and_the_oracle_ranks():
         # a factor's width is its count of nonzero rows; the padding is zero
         widths = np.count_nonzero(np.abs(f).max(axis=2), axis=1)
         assert tuple(widths.tolist()) == oracle == tuple(e.state_spectra[2].tolist())
+        # the states' decomposition keeps the eigenvectors of the widest factor only
+        assert tuple(e.state_spectra[3].tolist()) == oracle
+        assert e.state_spectra[1].shape == (e.num_states, e.dim, max(oracle))
         assert maxabs(np.conj(f).swapaxes(1, 2) @ f - e.weighted_states) <= 1e-12
 
 
@@ -319,6 +323,32 @@ def test_deflate_reduces_to_spanned_subspace():
     assert abs(overlap - overlap_reduced) < 1e-12
 
 
+@pytest.mark.parametrize("make", [
+    lambda: pure_ensemble((0.5, 0.5), (ket(1, 0, 0), ket(1, 1, 0))),
+    lambda: near_collinear_pair(1e-7),
+    lambda: random_ensemble(8, (2, 2, 2), seed=5),
+    lambda: random_ensemble(16, (4,) * 4, seed=0, require_independent=True),
+], ids=["plane-in-C3", "near-collinear", "deficient-n8", "independent-n16"])
+def test_deflate_reads_its_basis_from_the_span(monkeypatch, make):
+    """deflate takes no decomposition of rho_bar of its own: its basis is the
+    top eigenvectors of ``Ensemble.span``, largest eigenvalue first, bit for
+    bit, and read-only. They are those of ``np.linalg.eigh`` of rho_bar, the
+    basis deflate took before it read the span."""
+    e = make()
+    w, k, v = e.span
+    eighs = []
+    monkeypatch.setattr(qsd.linalg, "eigh", lambda a: eighs.append(a) or np.linalg.eigh(a))
+    reduced, basis = deflate(e)
+    assert not eighs
+    assert basis.shape == (e.dim, k) and reduced.dim == k
+    assert np.array_equal(basis, v[:, ::-1][:, :k])
+    want = np.linalg.eigh(e.weighted_states.sum(axis=0))[1][:, ::-1][:, :k]
+    assert np.array_equal(basis, want)
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0
+
+
 # SHA-256 of the priors' float64 bytes followed by the rhos' complex128 bytes,
 # captured before ensembles became stacks; the benchmark corpora are drawn
 # with this function, so a change here changes every corpus.
@@ -366,7 +396,8 @@ def test_ensemble_stacks_and_copies():
     stack = np.stack(rhos)
     assert not np.shares_memory(Ensemble(priors, stack).rhos, stack)
     # and stored read-only, as are the quantities derived from them
-    for arr in (e.priors, e.rhos, e.weighted_states, e.span[0], deflate(e)[1]):
+    derived = (e.weighted_states, e.span[0], e.span[2], *e.state_spectra, deflate(e)[1])
+    for arr in (e.priors, e.rhos, *derived):
         with pytest.raises(ValueError):
             arr[0] = 0
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,11 @@ from qsd import (
     validate,
     vnm_report,
 )
-from qsd.linalg import maxabs
+import qsd.linalg
+from qsd.linalg import maxabs, polar_excess
+from qsd.lsm import _lsm_factors, _weighted_factors
+
+EPS = float(np.finfo(float).eps)
 
 
 def gram_route_lsm(e):
@@ -243,3 +249,90 @@ def test_povm_checks_its_shape_and_copies():
     assert povm.operators[0, 0, 0] == 1
     with pytest.raises(ValueError):
         povm.operators[0] = 0
+
+
+def count_decompositions(monkeypatch):
+    """A counter of the ``eigh`` and ``svd`` calls at the kernel's entry points."""
+    calls = Counter()
+    for name in ("eigh", "svd"):
+        def counted(*args, _real=getattr(qsd.linalg, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(qsd.linalg, name, counted)
+    return calls
+
+
+def svd_start(e):
+    """``u @ vh`` of the thin SVD of the weighted-factor row, in its stack's shape."""
+    f = _weighted_factors(e)
+    u, _, vh = np.linalg.svd(f.reshape(-1, e.dim), full_matrices=False)
+    return (u @ vh).reshape(f.shape)
+
+
+START_ENSEMBLES = [
+    *(pytest.param((n, (n // 4,) * 4, n, True), id=f"independent-n{n}") for n in (32, 64, 128)),
+    *(pytest.param((32, (8,) * 6, s, False), id=f"dependent-n32-seed{s}") for s in range(3)),
+]
+
+
+@pytest.mark.parametrize("args", START_ENSEMBLES)
+def test_start_reads_rho_bars_decomposition(monkeypatch, args):
+    """From ``_N_GRAM`` columns on, the least-squares start takes the Gram
+    route with rho_bar's eigendecomposition from ``Ensemble.span`` and no
+    decomposition of its own. It is ``u @ vh`` of the weighted-factor row
+    to within 8 n eps, and its columns are orthonormal to within the SVD's
+    (rows + n) eps plus ``polar_excess`` of a start of m states, the bound
+    the slackness screen's allowance uses."""
+    dim, ranks, seed, independent = args
+    e = random_ensemble(dim, ranks, seed=seed, require_independent=independent)
+    e.state_spectra  # the states and rho_bar are decomposed before counting
+    calls = count_decompositions(monkeypatch)
+    kh = _lsm_factors(e)
+    assert not calls
+    m, r, n = kh.shape
+    assert maxabs(kh - svd_start(e)) <= 8 * n * EPS
+    q = kh.reshape(-1, n)
+    assert maxabs(q.conj().T @ q - np.eye(n)) <= (m * r + n) * EPS + polar_excess(m * r, n, m)
+
+
+def test_start_past_the_guard_takes_the_svd(monkeypatch):
+    """Where rho_bar is conditioned past the guard, as with priors down to
+    1e-8, the start is ``u @ vh`` of the thin SVD bit for bit, and one svd
+    is all it takes."""
+    skewed = (0.99999997, 1e-8, 1e-8, 1e-8)
+    e = random_ensemble(32, (8,) * 4, priors=skewed, seed=3, require_independent=True)
+    w = e.span[0]
+    assert w[0] <= qsd.linalg._GUARD * w[-1]
+    e.state_spectra
+    calls = count_decompositions(monkeypatch)
+    kh = _lsm_factors(e)
+    assert calls == {"svd": 1}
+    assert np.array_equal(kh, svd_start(e))
+
+
+def test_start_with_a_negative_state_eigenvalue_decomposes_its_own_gram(monkeypatch):
+    """Validation admits a state eigenvalue down to about -1e-9, which the
+    factors drop. Beyond the rounding of the state's eigh it moves F F* off
+    rho_bar by more than ``polar_excess`` allows: with rho_bar's
+    decomposition this start would miss orthonormal by about 1e-7. So the
+    start decomposes its own Gram matrix there, and stays within the bound."""
+    p = 1e-5
+    base = random_ensemble(32, (8,) * 4, priors=(1 - 3 * p, p, p, p), seed=3, require_independent=True)
+    u = np.linalg.eigh(base.rhos[0])[1][:, 0]  # a direction outside the state's support
+    rhos = np.array(base.rhos)
+    rhos[0] -= 1e-9 * np.outer(u, u.conj())
+    e = Ensemble(base.priors, rhos)
+    assert validate(e).passed and e.state_spectra[0][0, 0] < -5e-10
+    w, _, v = e.span
+    assert w[0] > qsd.linalg._GUARD * w[-1]
+    calls = count_decompositions(monkeypatch)
+    kh = _lsm_factors(e)
+    assert calls == {"eigh": 1}
+    f = _weighted_factors(e)
+    assert np.array_equal(kh, qsd.linalg.polar_factor(f))
+    m, r, n = kh.shape
+    bound = (m * r + n) * EPS + polar_excess(m * r, n, m)
+    for start, within in ((kh, True), (qsd.linalg.polar_factor(f, (w, v)), False)):
+        q = start.reshape(-1, n)
+        assert (maxabs(q.conj().T @ q - np.eye(n)) <= bound) is within

@@ -201,12 +201,13 @@ def test_solver_certificates_on_random_independent():
 def test_work_per_solve(monkeypatch):
     """The states are decomposed once per solve, and validation, the state
     ranks and the least-squares factors read that decomposition: eigh runs
-    once, for the states, and rho_bar is decomposed for its spectrum only,
-    by one eigvalsh. svd runs once to normalize the least-squares factors,
+    once for the states and once for rho_bar, whose one decomposition gives
+    the span, the factors' cut and, from n = 32 on, the start's Gram
+    decomposition. svd runs once to normalize the least-squares factors,
     once per plain update and twice per mixed one; past the plain steps,
     every other step is mixed, here the 3 at steps 8, 10 and 12. A mixed
     step takes its combination from one solve of the small Gram system and
-    never from lstsq. eigvalsh runs once more, for the margins of the
+    never from lstsq. eigvalsh runs once, for the margins of the
     converging iterate, the only iterate whose slackness passes here. The
     slackness residuals are formed only on iterates that the screen on
     x - x* leaves open: 2 of the 5 iterates of the independent solve and 4
@@ -217,9 +218,11 @@ def test_work_per_solve(monkeypatch):
 
     From ``_N_GRAM`` = 32 columns on, the polar step takes the Gram route:
     one eigh of the n x n Gram matrix in place of each svd, so an
-    independent solve at n = 32 makes no svd at all. Where that Gram matrix
-    is conditioned past the guard, as with priors down to 1e-8, the step
-    keeps the svd after its eigh.
+    independent solve at n = 32 makes no svd at all, and the start reads
+    rho_bar's eigh, so it takes none of its own. Where rho_bar is
+    conditioned past the guard, as with priors down to 1e-8, the start
+    takes the svd straight away, and a loop step whose Gram matrix is past
+    the guard keeps the svd after its eigh.
 
     The calls are counted at the kernel's entry points in ``qsd.linalg``. On
     numpy 2, where the kernel calls numpy's gufuncs, a solve calls no public
@@ -251,29 +254,29 @@ def test_work_per_solve(monkeypatch):
     calls.clear()
     _, _, diag = solve_optimal(li())
     assert diag.converged and 0 < diag.iterations <= PLAIN_STEPS
-    assert calls == {"eigh": 1, "svd": 1 + diag.iterations, "eigvalsh": 2, "_slacks": 2}
+    assert calls == {"eigh": 2, "svd": 1 + diag.iterations, "eigvalsh": 1, "_slacks": 2}
     # past the plain steps, a mixed step takes a second svd to normalize
     # the mixed factors, and one solve for its combination
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1))
     assert diag.converged and diag.iterations == 13
-    assert calls == {"eigh": 1, "svd": 17, "eigvalsh": 2, "solve": 3, "_slacks": 4}
+    assert calls == {"eigh": 2, "svd": 17, "eigvalsh": 1, "solve": 3, "_slacks": 4}
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(3, (2, 2, 1, 2), seed=1), max_iter=5)
     assert not diag.converged and diag.iterations == 5
-    assert calls == {"eigh": 1, "svd": 1 + 5, "eigvalsh": 2, "_slacks": 1}
+    assert calls == {"eigh": 2, "svd": 1 + 5, "eigvalsh": 1, "_slacks": 1}
     calls.clear()
     compute_lsm(li())
-    assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
+    assert calls == {"eigh": 2, "svd": 1}
     calls.clear()
     _, _, diag = solve_optimal(random_ensemble(32, (8,) * 4, seed=0, require_independent=True))
     assert diag.converged and diag.iterations == 4
-    assert calls == {"eigh": 2 + 4, "eigvalsh": 2, "_slacks": 1}
+    assert calls == {"eigh": 2 + 4, "eigvalsh": 1, "_slacks": 1}
     calls.clear()
     skewed = (0.99999997, 1e-8, 1e-8, 1e-8)
     _, _, diag = solve_optimal(random_ensemble(32, (8,) * 4, priors=skewed, seed=3, require_independent=True))
     assert diag.converged and diag.iterations == 1
-    assert calls == {"eigh": 2 + 1, "svd": 1 + 1, "eigvalsh": 2, "_slacks": 1}
+    assert calls == {"eigh": 2 + 1, "svd": 1 + 1, "eigvalsh": 1, "_slacks": 1}
     if int(np.__version__.split(".")[0]) >= 2:
         assert not public
 
