@@ -3,7 +3,8 @@
 Machine-first: JSON on stdout, human diagnostics on stderr. Exit 0 on
 success, 1 on domain failure (validation/check failed, not converged,
 infeasible certificate, a certified measurement that is not a POVM), 2 on
-usage or format errors. Stdout is valid JSON whenever the exit code is 0 or
+a usage error, an unreadable file or a ValueError, which any bad argument or
+document raises. Stdout is valid JSON whenever the exit code is 0 or
 1. A ``-`` file argument reads stdin.
 """
 

@@ -1,6 +1,6 @@
 """Dense complex Hermitian kernel: stacks of square matrices, Hermitian
-parts, products of thin factors, polar factors, PSD rank, trace norm, and
-the package's one route to LAPACK.
+parts, products of thin factors, polar factors, pivoted Cholesky factors,
+PSD rank, trace norm, and the package's one route to LAPACK.
 
 All operations are pure functions on numpy complex128 arrays. Dimensions in
 this problem family are tiny (a few hundred at most), so everything goes
@@ -8,7 +8,7 @@ through full dense decompositions. The rank cut is relative to the largest
 eigenvalue, which keeps it meaningful for trace-normalized operators
 regardless of prior scaling.
 
-Every decomposition in the package goes through four entry points here:
+Every LAPACK decomposition in the package goes through four entry points here:
 :func:`eigh` (Hermitian eigendecomposition, lower triangle), :func:`eigvalsh`
 (its eigenvalues only), :func:`svd` (the thin SVD) and :func:`solve` (a
 square system with one right-hand side), each over a stack of complex
@@ -46,6 +46,11 @@ off orthonormal by eps times the condition number of A* A, which once left
 a least-squares measurement 1.7e-8 short of the identity, and the step
 squares that defect. Rows whose A* A is conditioned past 1 / ``_GUARD`` =
 1e6 keep the SVD, so that the square stays at rounding level.
+
+From ``_N_CHOLESKY`` = 64 columns on, the thin factors of the states that
+the least-squares start normalizes come from :func:`pivoted_cholesky`,
+plain numpy that calls no LAPACK routine, run only as wide as the factors
+are, so that no solve takes the states' eigenvectors.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ PSD_RANK_REL_TOL = 1e-10
 # only while the smallest eigenvalue of A* A exceeds _GUARD times the largest
 _N_GRAM = 32
 _GUARD = 1e-6
+# from this many columns on the states are decomposed for their eigenvalues
+# only, and their thin factors come from pivoted_cholesky
+_N_CHOLESKY = 64
 _EPS = float(np.finfo(float).eps)
 
 
@@ -242,25 +250,89 @@ def polar_excess(rows: int, n: int, states: int = 0) -> float:
     The start's row is A = F*, the adjoint thin factors of the weighted
     states, and its Gram decomposition is rho_bar's (:func:`qsd.lsm._lsm_factors`),
     so D = M^{-1/2} (F F* - M) M^{-1/2} with M = rho_bar, and |D| is at most
-    |F F* - M| / w_min. F F* misses M by what the factors drop, and by the
-    rounding of the states' ``eigh``:
+    |F F* - M| / w_min. Each F_i F_i* misses the weighted state G_i by what
+    its factor leaves out and by rounding (:func:`qsd.lsm._weighted_factors`):
 
-    - each dropped positive eigenvalue is below ``PSD_RANK_REL_TOL w_min``,
-      so together they are at most ``m n PSD_RANK_REL_TOL w_min``;
-    - each state's ``eigh`` rounds by up to n eps of ``p_i |rho_i|``, which
-      is at most rho_bar's largest eigenvalue w_max, since rho_bar >=
-      p_i rho_i; the start takes rho_bar's decomposition only where every
-      dropped negative eigenvalue is above ``-n eps w_max`` too, so the two
-      come to at most ``2 m n eps w_max``.
+    - below ``_N_CHOLESKY`` columns, and where the Cholesky's check fails,
+      the factor drops eigenvalues of G_i, each below
+      ``PSD_RANK_REL_TOL w_min``. The state's ``eigh`` rounds by up to n
+      eps of ``|G_i|``, which is at most rho_bar's largest eigenvalue w_max,
+      since rho_bar >= G_i; the start takes rho_bar's decomposition only
+      where every dropped negative eigenvalue is above ``-n eps w_max`` too,
+      so the rounding comes to at most ``2 n eps w_max``;
+    - on the Cholesky route (:func:`pivoted_cholesky`) the factor leaves the
+      Schur complement of its pivot block, whose norm is at most the
+      diagonal it leaves, which the route checks against the
+      ``n PSD_RANK_REL_TOL w_min`` that the dropped eigenvalues meet. The
+      Cholesky of width w_i rounds each entry (j, l) by at most
+      ``(w_i + 1) eps sqrt(G_jj G_ll)`` (Higham, 1990), so by at most
+      ``(w_i + 1) eps Tr G_i`` in norm, and the traces sum to Tr rho_bar =
+      1 <= n w_max. A negative eigenvalue adds ``n eps w_max`` as above.
 
-    With ``w_min > _GUARD w_max`` on the route, |D| gains
-    ``2 m n eps / _GUARD + m n PSD_RANK_REL_TOL``: 2.3e-7 and 5.1e-8 at
-    m = 4 and rows = n = 128, and the square of the whole is 1.1e-13, under
-    the ``(4 m + 1) n eps`` = 4.8e-13 of the screen's allowance.
+    So over the m states F F* misses M by at most
+    ``m n PSD_RANK_REL_TOL w_min`` and rounding of ``2 m n eps w_max`` below
+    ``_N_CHOLESKY`` columns, ``(2 m + r + 1) n eps w_max`` from it on, r =
+    rows / m the widest factor, which bounds either route. With ``w_min >
+    _GUARD w_max`` on the Gram route, |D| gains that rounding over
+    ``_GUARD`` plus ``m n PSD_RANK_REL_TOL``. At m = 4 and rows = n = 128,
+    r = 32, that is 1.2e-6 and 5.1e-8, and the square of the whole is
+    1.6e-12; at rows = n = 32 the square is 7.0e-15.
     """
     if n < _N_GRAM:
         return 0.0
-    return ((rows + n + 2 * states * n) * _EPS / _GUARD + states * n * PSD_RANK_REL_TOL) ** 2
+    start = 2 * states * n
+    if states and n >= _N_CHOLESKY:
+        start += (rows // states + 1) * n
+    return ((rows + n + start) * _EPS / _GUARD + states * n * PSD_RANK_REL_TOL) ** 2
+
+
+def pivoted_cholesky(a, widths, bounds):
+    """Adjoint thin factors of the Hermitian PSD matrices of an (m, n, n)
+    stack ``a`` from a pivoted Cholesky run ``widths[i]`` steps on matrix i
+    (Higham, "Analysis of the Cholesky decomposition of a semi-definite
+    matrix", 1990): the (m, r, n) stack of the F_i*, r the largest width,
+    whose rows past a matrix's width are zero. None where a pivot is not
+    positive, or where the diagonal that matrix i leaves sums, in absolute
+    value, past ``bounds[i]``.
+
+    Step k pivots on the largest diagonal entry d_p of the remainder
+    a_i - F_i F_i*, and its row k of F_i* is row p of the remainder over
+    sqrt(d_p), read off a_i and the rows so far, and zero at the earlier
+    pivots, where the remainder is zero in exact arithmetic. The remainder
+    left is the Schur complement of the pivot block, PSD for a PSD a_i, so
+    its norm is at most its trace, the diagonal left. k steps cost O(k^2 n)
+    per matrix, where an eigendecomposition costs O(n^3). The matrices are
+    taken widest first, so that those still being factored at step k are
+    the first ones of the stack.
+    """
+    m, n, _ = a.shape
+    order = np.argsort(-widths, kind="stable")
+    sorted_widths = widths[order]
+    fh = np.zeros((m, int(sorted_widths[0]), n), dtype=np.complex128)
+    d = np.diagonal(a, axis1=1, axis2=2).real[order]
+    # 0 at the pivots so far, 1 elsewhere
+    unpivoted = np.ones((m, n))
+    states = np.arange(m)
+    live = m
+    for k in range(fh.shape[1]):
+        while sorted_widths[live - 1] <= k:
+            live -= 1
+        s = states[:live]
+        p = np.argmax(d[:live], axis=1)
+        pivot = d[s, p]
+        if not np.minimum.reduce(pivot) > 0.0:
+            return None
+        root = np.sqrt(pivot)
+        row = a[order[:live], p] - (np.conj(fh[s, :k, p])[:, None, :] @ fh[:live, :k])[:, 0]
+        row *= unpivoted[:live] / root[:, None]
+        row[s, p] = root
+        fh[:live, k] = row
+        d[:live] -= (row * row.conj()).real
+        d[s, p] = 0.0
+        unpivoted[s, p] = 0.0
+    if not np.logical_and.reduce(np.add.reduce(np.abs(d), axis=1) <= bounds[order]):
+        return None
+    return fh[np.argsort(order)]
 
 
 def spectrum_rank(values):

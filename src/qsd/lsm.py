@@ -10,6 +10,9 @@ it sums to the identity at rounding level however ill-conditioned rho_bar
 is; it is also where the solver starts. For linearly independent ensembles
 it is projective; in general it is only a valid POVM.
 
+The thin factors come from the states' eigendecomposition below n = 64,
+and from a pivoted Cholesky of the weighted states from there on, where
+the ensemble takes the states' eigenvalues alone (:func:`_weighted_factors`).
 The polar factor takes no decomposition of its own beyond the states' and
 rho_bar's, which the ensemble takes once each. Below n = 32, and where
 rho_bar is conditioned past the guard of :func:`qsd.linalg.polar_factor`,
@@ -85,15 +88,35 @@ def compute_lsm(e: Ensemble) -> Povm:
 
 def _weighted_factors(e: Ensemble) -> np.ndarray:
     """Adjoint thin factors ``F_i*`` with ``F_i F_i* = p_i rho_i`` up to small
-    eigenvalues, over a validated ensemble, as an ``(m, r, n)`` stack.
+    eigenvalues, over a validated ensemble, as an ``(m, r, n)`` stack: as
+    many rows as the state's factor width in
+    :attr:`qsd.ensemble.Ensemble.state_spectra`, zero-padded to the ``r``
+    rows of the widest factor.
 
-    ``F_i*`` holds the conjugated top eigenvectors of state i that
-    :attr:`qsd.ensemble.Ensemble.state_spectra` keeps as rows, each scaled by
-    ``sqrt(p_i w)`` for its eigenvalue w, as many as the state's factor
-    width there, and is zero-padded to the ``r`` rows of the widest factor.
+    Below ``qsd.linalg._N_CHOLESKY`` columns ``F_i*`` holds the conjugated
+    top eigenvectors of state i that ``state_spectra`` keeps, each scaled
+    by ``sqrt(p_i w)`` for its eigenvalue w. From there on, where
+    ``state_spectra`` keeps no eigenvector, it is the pivoted Cholesky of
+    the weighted state run for that width (:func:`qsd.linalg.pivoted_cholesky`),
+    which leaves out the Schur complement of its pivot block where the
+    eigenvectors leave out the eigenvalues past the width. Those are each
+    below ``PSD_RANK_REL_TOL w_min``, w_min the smallest eigenvalue of
+    rho_bar, so the Cholesky is taken where the diagonal it leaves sums to
+    at most ``(n - width) PSD_RANK_REL_TOL w_min``. Otherwise, or where a
+    pivot is not positive, the states' eigh is taken, its eigenvectors
+    scaled by the eigenvalues of ``state_spectra``. With one BLAS thread,
+    on 4 states of rank 32 at n = 128, the Cholesky takes 1.0 ms and the
+    eigh 11.5 ms.
     """
     values, vectors, _, widths = e.state_spectra
     r = vectors.shape[-1]
+    if not r:
+        r = int(np.maximum.reduce(widths))
+        bounds = (e.dim - widths) * linalg.PSD_RANK_REL_TOL * e.span[0][0]
+        fh = linalg.pivoted_cholesky(e.weighted_states, widths, bounds)
+        if fh is not None:
+            return fh
+        vectors = linalg.eigh(linalg.hermitian_part(e.rhos))[1][:, :, e.dim - r :]
     keep = np.arange(r) >= r - widths[:, None]
     scale = np.sqrt(np.where(keep, e.priors[:, None] * values[:, e.dim - r :], 0.0))
     return np.conj(vectors).swapaxes(1, 2) * scale[:, :, None]
@@ -109,10 +132,10 @@ def _lsm_factors(e: Ensemble) -> np.ndarray:
     factors drop, so the polar step reads rho_bar's eigendecomposition from
     :attr:`qsd.ensemble.Ensemble.span` as its Gram decomposition and takes
     none of its own (:func:`qsd.linalg.polar_excess` bounds what that adds).
-    The bound needs every state eigenvalue the factors drop to be at least
-    ``-n eps`` times rho_bar's largest, which a state that is PSD up to its
-    ``eigh``'s rounding meets; validation admits more negative ones, and
-    where a state has one, the row's own Gram matrix is decomposed.
+    The bound needs every state eigenvalue to be at least ``-n eps`` times
+    rho_bar's largest, which a state that is PSD up to rounding meets;
+    validation admits more negative ones, and where a state has one, the
+    row's own Gram matrix is decomposed.
     """
     w, _, v = e.span
     lowest = np.minimum.reduce(e.priors * e.state_spectra[0][:, 0])

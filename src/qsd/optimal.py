@@ -352,10 +352,12 @@ def _allowance(kh) -> float:
     rounds the same (m r + n) eps, and leaves the square of the defect of
     the ``eigh`` it corrects, which ``polar_excess`` bounds. The start's
     defect is the larger: its Gram decomposition is rho_bar's, which misses
-    F F* by the eigenvalues the factors drop, up to m n 1e-10 relative to
-    rho_bar's smallest, and by the rounding of the states' ``eigh``. Every
-    iterate gets the start's bound, 1.1e-13 at m r = n = 128 and m = 4,
-    where (4 m + 1) n eps is 4.8e-13.
+    F F* by what the factors leave out, up to m n 1e-10 relative to
+    rho_bar's smallest, and by the rounding of the states' ``eigh`` or,
+    from n = 64 on, of their pivoted Cholesky. Every iterate gets the
+    start's bound: 7.0e-15 at m r = n = 32 and m = 4, and 1.6e-12 at
+    m r = n = 128, where (4 m + 1) n eps is 4.8e-13; at the default tol
+    of 1e-8, 2 m tol is 8e-8.
 
     Measured on every iterate of the solves of the first 600
     dependent_small and 60 li_ladder draws at seeds 404 and 2718: |E| is at

@@ -89,9 +89,60 @@ def test_ensemble_and_povm_refuse_nonfinite_entries():
                 Ensemble([0.5, bad], [half, half])
 
 
+def sub_cut_ensemble(shared: bool) -> Ensemble:
+    """Two states of C^64 in a seeded random basis, on orthogonal supports
+    of 32 and, with ``shared``, 31 dimensions, with eigenvalues from 1 down
+    to 1/2 of their largest there, and one eigenvalue 9e-11 of the largest,
+    below the state's rank cut: in state 0 alone, on a direction that state
+    1 covers, or, with ``shared``, in both, on the one direction neither
+    covers, so that rho_bar's smallest eigenvalue is that small and its
+    factor cut counts the states' rounding too."""
+    rng = np.random.default_rng(64)
+    n = 64
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    w = np.zeros((2, n))
+    w[0, :32] = np.linspace(1.0, 0.5, 32)
+    w[1, 32 : n - shared] = np.linspace(1.0, 0.5, 32 - shared)
+    w[: 1 + shared, n - 1 if shared else 32] = 9e-11
+    w /= w.sum(axis=1, keepdims=True)
+    return Ensemble([0.5, 0.5], [(u * wi) @ u.conj().T for wi in w])
+
+
+def eigh_factors(e, values=None):
+    """The weighted factors from the states' eigh, as
+    :func:`qsd.lsm._weighted_factors` forms them below
+    ``qsd.linalg._N_CHOLESKY``: the top eigenvectors of each state, as wide
+    as its factor, scaled by sqrt(p_i w), conjugated as rows and zero-padded
+    at the top to the widest factor. ``values``, if given, are the w in
+    place of the eigh's own."""
+    widths = e.state_spectra[3]
+    r, n = int(widths.max()), e.dim
+    w, v = np.linalg.eigh(qsd.linalg.hermitian_part(e.rhos))
+    w = w if values is None else values
+    keep = np.arange(r) >= r - widths[:, None]
+    scale = np.sqrt(np.where(keep, e.priors[:, None] * w[:, n - r :], 0.0))
+    return np.conj(v[:, :, n - r :]).swapaxes(1, 2) * scale[:, :, None]
+
+
+def cholesky_args(e):
+    """The widths and remainder bounds with which
+    :func:`qsd.lsm._weighted_factors` calls the pivoted Cholesky."""
+    widths = e.state_spectra[3]
+    return widths, (e.dim - widths) * qsd.linalg.PSD_RANK_REL_TOL * e.span[0][0]
+
+
 def test_weighted_factors_match_the_weighted_states_and_the_oracle_ranks():
+    """Each factor is as wide as its state's rank, but for the sub-cut
+    ensemble's state 0, whose factor keeps one eigenvalue more, and
+    F* F = G to 1e-12. Below ``_N_CHOLESKY`` = 64 the states' decomposition
+    keeps the eigenvectors of the widest factor; from it on it keeps none,
+    and the factors come from the pivoted Cholesky: li_ladder's shape at
+    n = 64, 96 and 128, full and mixed ranks and the sub-cut ensemble."""
     ensembles = [random_ensemble(n, (n // 4,) * 4, seed=n, require_independent=True)
-                 for n in (16, 32, 64)]
+                 for n in (16, 32, 64, 96, 128)]
+    ensembles += [random_ensemble(64, ranks, seed=7) for ranks in ((64,) * 3, (64, 32, 16))]
+    wide = sub_cut_ensemble(False)
+    ensembles.append(wide)
     for k in range(40):
         rng = np.random.default_rng([3100, k])
         n, m = 2 + k % 5, 2 + (k // 5) % 6
@@ -102,14 +153,46 @@ def test_weighted_factors_match_the_weighted_states_and_the_oracle_ranks():
     for e in ensembles:
         f = _weighted_factors(e)
         oracle = factorize(e).ranks
-        assert f.shape == (e.num_states, max(oracle), e.dim)
+        _, vectors, ranks, factor_widths = e.state_spectra
+        expected = (oracle[0] + 1, *oracle[1:]) if e is wide else oracle
+        assert f.shape == (e.num_states, max(expected), e.dim)
         # a factor's width is its count of nonzero rows; the padding is zero
         widths = np.count_nonzero(np.abs(f).max(axis=2), axis=1)
-        assert tuple(widths.tolist()) == oracle == tuple(e.state_spectra[2].tolist())
-        # the states' decomposition keeps the eigenvectors of the widest factor only
-        assert tuple(e.state_spectra[3].tolist()) == oracle
-        assert e.state_spectra[1].shape == (e.num_states, e.dim, max(oracle))
+        assert tuple(widths.tolist()) == expected == tuple(factor_widths.tolist())
+        assert oracle == tuple(ranks.tolist())
+        # the states' decomposition keeps the eigenvectors of the widest
+        # factor only, and none where the factors come from the Cholesky
+        kept = max(expected) if e.dim < qsd.linalg._N_CHOLESKY else 0
+        assert vectors.shape == (e.num_states, e.dim, kept)
+        assert not any(a.flags.writeable for a in e.state_spectra)
         assert maxabs(np.conj(f).swapaxes(1, 2) @ f - e.weighted_states) <= 1e-12
+    assert qsd.linalg.pivoted_cholesky(wide.weighted_states, *cholesky_args(wide)) is not None
+
+
+def test_weighted_factors_below_the_cholesky_size_are_the_eigh_formula():
+    """Below ``_N_CHOLESKY`` the factors are those of the states' eigh, bit
+    for bit: the route that was there before the Cholesky."""
+    ensembles = [random_ensemble(n, (n // 4,) * 4, seed=n, require_independent=True)
+                 for n in (16, 32, 60)]
+    ensembles += [random_ensemble(n, ranks, seed=3) for n, ranks in ((3, (2, 2, 1, 2)), (5, (1, 5)), (63, (63, 20)))]
+    for e in ensembles:
+        assert e.dim < qsd.linalg._N_CHOLESKY
+        assert np.array_equal(_weighted_factors(e), eigh_factors(e))
+
+
+def test_cholesky_leaving_too_much_takes_the_eigh():
+    """Where rho_bar's smallest eigenvalue is 2e-10 of its largest, the
+    factor cut counts eigenvalues at rounding level, which the Cholesky
+    cannot factor to within the remainder it is allowed. The factors are
+    then the eigh's eigenvectors scaled by the eigenvalues of
+    ``state_spectra``, whose widths count only positive ones, bit for bit,
+    and still match the weighted states."""
+    e = sub_cut_ensemble(True)
+    assert validate(e).passed and e.dim >= qsd.linalg._N_CHOLESKY
+    assert qsd.linalg.pivoted_cholesky(e.weighted_states, *cholesky_args(e)) is None
+    f = _weighted_factors(e)
+    assert np.array_equal(f, eigh_factors(e, e.state_spectra[0]))
+    assert maxabs(np.conj(f).swapaxes(1, 2) @ f - e.weighted_states) <= 1e-12
 
 
 def test_validate_flags_span_deficiency():

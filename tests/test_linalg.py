@@ -388,3 +388,51 @@ def test_fallback_kernel_takes_the_same_polar_routes(fallback_kernel):
     rows = [complex_normal(rng, 2 * n, n), complex_normal(rng, 16, 16), row_of_condition(n, 1e12, 1)]
     for b in rows:
         assert same_bits(fallback_kernel.polar_factor(b), qsd.linalg.polar_factor(b))
+
+
+def reference_pivoted_cholesky(a, width):
+    """The pivoted Cholesky of one Hermitian PSD matrix as Higham (1990)
+    writes it, right-looking: ``width`` steps, each pivoting on the largest
+    diagonal entry left and subtracting the outer product of the scaled
+    pivot column. Returns the rows of F* and the remainder a - F F*."""
+    rest = np.array(a, dtype=np.complex128)
+    rows = []
+    for _ in range(width):
+        p = int(np.argmax(rest.diagonal().real))
+        col = rest[:, p] / np.sqrt(rest[p, p].real)
+        rows.append(col.conj())
+        rest = rest - np.outer(col, col.conj())
+    return np.array(rows), rest
+
+
+def test_pivoted_cholesky_matches_the_reference_loop():
+    """The vectorized Cholesky gives each matrix of a stack of mixed widths
+    and ranks the reference's rows up to its rank, zero past its width and
+    at the earlier pivots, and returns None where the diagonal left sums past the bound or a pivot is
+    not positive."""
+    n = 24
+    ranks, widths = (24, 9, 5, 5), np.array([24, 9, 7, 3])
+    stack = []
+    for r in ranks:
+        b = np_rng.normal(size=(n, r)) + 1j * np_rng.normal(size=(n, r))
+        stack.append(hermitian_part(b @ b.conj().T) / r)
+    stack = np.array(stack)
+    left = []
+    fh = qsd.linalg.pivoted_cholesky(stack, widths, np.full(4, np.inf))
+    assert fh.shape == (4, 24, n)
+    for a, r, w, f in zip(stack, ranks, widths, fh):
+        rows, rest = reference_pivoted_cholesky(a, w)
+        # past the rank, both factor rounding, which they need not share
+        assert maxabs(f[: min(r, w)] - rows[:r]) <= 1e-13 and not f[w:].any()
+        # row k is zero, exactly, at the k pivots before it
+        assert all(np.count_nonzero(f[k] == 0) >= k for k in range(w))
+        assert maxabs(np.conj(f).T @ f + rest - a) <= 1e-13
+        left.append(np.abs(rest.diagonal().real).sum())
+    # a width at or past the rank leaves rounding; below it, the rest
+    assert max(left[:3]) < 1e-13 and left[3] > 0.1
+    bounds = np.array(left) * 2 + 1e-12
+    assert qsd.linalg.pivoted_cholesky(stack, widths, bounds) is not None
+    bounds[3] = left[3] / 2
+    assert qsd.linalg.pivoted_cholesky(stack, widths, bounds) is None
+    # a second pivot of zero, exactly
+    assert qsd.linalg.pivoted_cholesky(np.diag([1.0, 0.0])[None].astype(complex), np.array([2]), np.zeros(1)) is None

@@ -222,7 +222,12 @@ def test_work_per_solve(monkeypatch):
     rho_bar's eigh, so it takes none of its own. Where rho_bar is
     conditioned past the guard, as with priors down to 1e-8, the start
     takes the svd straight away, and a loop step whose Gram matrix is past
-    the guard keeps the svd after its eigh.
+    the guard keeps the svd after its eigh. From ``_N_CHOLESKY`` = 64 on,
+    the states' eigh is an eigvalsh, and the factors come from a pivoted
+    Cholesky, which calls no LAPACK routine: validation takes that eigvalsh
+    and rho_bar's eigh, and nothing else, and an independent solve at
+    n = 64 takes eigvalsh twice, once for the states and once for the
+    margins, and eigh once for rho_bar and once per step.
 
     The calls are counted at the kernel's entry points in ``qsd.linalg``. On
     numpy 2, where the kernel calls numpy's gufuncs, a solve calls no public
@@ -277,6 +282,15 @@ def test_work_per_solve(monkeypatch):
     _, _, diag = solve_optimal(random_ensemble(32, (8,) * 4, priors=skewed, seed=3, require_independent=True))
     assert diag.converged and diag.iterations == 1
     assert calls == {"eigh": 2 + 1, "svd": 1 + 1, "eigvalsh": 1, "_slacks": 1}
+    # from n = 64 on the states are decomposed for their eigenvalues only,
+    # and validation reads nothing else of them
+    calls.clear()
+    validate(random_ensemble(64, (16,) * 4, seed=0, require_independent=True))
+    assert calls == {"eigvalsh": 1, "eigh": 1}
+    calls.clear()
+    _, _, diag = solve_optimal(random_ensemble(64, (16,) * 4, seed=0, require_independent=True))
+    assert diag.converged and diag.iterations == 4
+    assert calls == {"eigh": 1 + 4, "eigvalsh": 2, "_slacks": 2}
     if int(np.__version__.split(".")[0]) >= 2:
         assert not public
 
