@@ -5,13 +5,14 @@ on linearly independent ensembles.
 
 from .ensemble import (
     Ensemble,
+    InvalidEnsembleError,
+    SpanDeficientError,
     ValidationReport,
     deflate,
     is_linearly_independent,
     random_ensemble,
     validate,
 )
-from .errors import InvalidEnsembleError, SpanDeficientError
 from .lsm import Povm, compute_lsm, make_povm
 from .optimal import (
     Certificate,

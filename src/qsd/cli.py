@@ -16,8 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import serialize
-from .ensemble import random_ensemble, validate
-from .errors import InvalidEnsembleError
+from .ensemble import InvalidEnsembleError, random_ensemble, validate
 from .lsm import compute_lsm
 from .optimal import _check_tol, certify, prob_correct, solve_optimal
 from .sim import simulate

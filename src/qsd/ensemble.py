@@ -3,12 +3,14 @@
 An ensemble is a finite set of density operators with strictly positive priors
 summing to one. Everything here rests on the weighted states ``p_i rho_i``,
 their sum, the average state ``rho_bar``, the eigendecomposition of
-``rho_bar`` and the eigenvalues of each state, which give its rank and the
-width of its thin factor. This module validates
-ensembles, decides whether the states span the space from the spectrum of
-``rho_bar`` (the one span decision of the package), tests linear
-independence, restricts an ensemble to the subspace it spans, and generates
-seeded random ensembles for test corpora.
+``rho_bar``, the eigenvalues of each state, which give its rank and the
+width of its thin factor, and those thin factors, which this module alone
+forms (:attr:`Ensemble._weighted_factors`). This module validates
+ensembles and raises :class:`InvalidEnsembleError`, the package's one
+domain failure, with the validation report; decides whether the states
+span the space from the spectrum of ``rho_bar`` (the one span decision of
+the package); tests linear independence, restricts an ensemble to the
+subspace it spans, and generates seeded random ensembles for test corpora.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from numbers import Integral
 import numpy as np
 
 from . import linalg
-from .errors import InvalidEnsembleError, SpanDeficientError
 
 PRIOR_SUM_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -94,43 +95,104 @@ class Ensemble:
         return w, linalg.spectrum_rank(w), v
 
     @cached_property
-    def state_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def state_spectra(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ascending eigenvalues ``(m, n)`` of each herm(rho_i),
-        the eigenvectors of its top ``r`` ``(m, n, r)``, each state's rank by
-        :func:`qsd.linalg.spectrum_rank`, and the width of each state's thin
-        factor, with ``r`` the widest; from ``qsd.linalg._N_CHOLESKY`` = 64
-        columns on, ``r`` is 0 and no eigenvector is taken.
+        each state's rank by :func:`qsd.linalg.spectrum_rank`, and the width
+        of each state's thin factor (:attr:`_weighted_factors`).
 
-        This is the package's one decomposition of the states: validation
-        reads their PSD margins from it, every state rank comes from it, and
-        so do the widths of the thin factors of
-        :func:`qsd.lsm._weighted_factors`. A factor is as wide as its state's
-        rank, and also keeps every eigenvalue w below the state's rank cut
-        whose share ``p_i w / w_min`` of a least-squares operator, with w_min
-        the smallest eigenvalue of rho_bar, that cut would count. Dropping
-        such an eigenvalue could leave the operators short of the identity,
-        even short of spanning the space; each one dropped moves an operator
-        by less than the rank cut. Below 64 columns the factors read the top
-        eigenvectors, and only those some factor reads are kept: ``r`` is n/4
-        on 4 linearly independent states of rank n/4. From 64 on the states
-        are decomposed for their eigenvalues alone, an ``eigvalsh`` that costs
-        about half an ``eigh`` (6.3 against 11.5 ms for 4 states at n = 128,
-        one BLAS thread), and the factors come from a pivoted Cholesky run to
-        the widths here.
+        This is the package's one spectrum of the states: validation reads
+        their PSD margins from it, and every state rank comes from it. A
+        factor is as wide as its state's rank, and also keeps every
+        eigenvalue w below the state's rank cut whose share ``p_i w / w_min``
+        of a least-squares operator, with w_min the smallest eigenvalue of
+        rho_bar, that cut would count. Dropping such an eigenvalue could
+        leave the operators short of the identity, even short of spanning
+        the space; each one dropped moves an operator by less than the rank
+        cut. Below ``qsd.linalg._N_CHOLESKY`` = 64 columns the eigenvalues
+        are those of the states' ``eigh``. From 64 on they come from an
+        ``eigvalsh``, which costs about half an ``eigh`` (6.3 against 11.5
+        ms for 4 states at n = 128, one BLAS thread).
         """
-        rhos = linalg.hermitian_part(self.rhos)
         if self.dim < linalg._N_CHOLESKY:
-            w, v = linalg.eigh(rhos)
-        else:
-            w, v = linalg.eigvalsh(rhos), np.zeros((*rhos.shape[:2], 0), dtype=np.complex128)
-        ranks = linalg.spectrum_rank(w)
+            return self._state_eigh[0]
+        return self._spectrum(linalg.eigvalsh(linalg.hermitian_part(self.rhos)))
+
+    def _spectrum(self, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``values``, ascending eigenvalues of the states, with the ranks and
+        factor widths they give, all read-only: ``state_spectra``."""
+        ranks = linalg.spectrum_rank(values)
         cut = linalg.PSD_RANK_REL_TOL * self.span[0][0]
-        shares = np.add.reduce(self.priors[:, None] * w >= cut, axis=1, dtype=np.intp)
+        shares = np.add.reduce(self.priors[:, None] * values >= cut, axis=1, dtype=np.intp)
         widths = np.maximum(ranks, shares)
-        v = np.ascontiguousarray(v[:, :, self.dim - int(np.maximum.reduce(widths)) :])
-        for a in (w, v, ranks, widths):
+        for a in (values, ranks, widths):
             a.flags.writeable = False
-        return w, v, ranks, widths
+        return values, ranks, widths
+
+    @cached_property
+    def _state_eigh(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """The states' one ``eigh``: the spectrum it gives below
+        ``qsd.linalg._N_CHOLESKY`` columns, :attr:`state_spectra` from there
+        on, and the thin factors of its eigenvectors (see
+        :attr:`_weighted_factors`): the conjugated top eigenvectors of each
+        state, as many as its width, scaled by ``sqrt(p_i w)`` for the
+        eigenvalues w of the spectrum and zero-padded at the top to the
+        widest factor, r rows. Of the eigenvectors only the factors are
+        kept, so below 64 the factors are formed with the spectrum, when
+        validation first reads it; r is n/4 on 4 linearly independent states
+        of rank n/4. From 64 on the ``eigh`` is taken only where the
+        Cholesky fails, and the factors read the ``eigvalsh`` spectrum,
+        whose widths count only positive eigenvalues.
+        """
+        w, v = linalg.eigh(linalg.hermitian_part(self.rhos))
+        spectrum = self._spectrum(w) if self.dim < linalg._N_CHOLESKY else self.state_spectra
+        values, _, widths = spectrum
+        r = int(np.maximum.reduce(widths))
+        weighted = self.priors[:, None] * values[:, self.dim - r :]
+        # validation reads the spectrum before it has passed the ensemble, so
+        # a negative prior or eigenvalue may reach here; a valid ensemble
+        # keeps only positive ones
+        keep = (np.arange(r) >= r - widths[:, None]) & (weighted > 0.0)
+        scale = np.sqrt(np.where(keep, weighted, 0.0))
+        fh = np.conj(v[:, :, self.dim - r :]).swapaxes(1, 2) * scale[:, :, None]
+        fh.flags.writeable = False
+        return spectrum, fh
+
+    @property
+    def _weighted_factors(self) -> np.ndarray:
+        """Read-only adjoint thin factors ``F_i*`` with ``F_i F_i* = p_i
+        rho_i`` up to small eigenvalues, over a validated ensemble, as an
+        ``(m, r, n)`` stack: as many rows as the state's factor width in
+        :attr:`state_spectra`, zero-padded to the ``r`` rows of the widest
+        factor. The least-squares measurement and the solver's start are the
+        polar factor of their row (:func:`qsd.lsm._lsm_factors`).
+
+        This is the package's one choice of how a factor is formed. Below
+        ``qsd.linalg._N_CHOLESKY`` = 64 columns the factors are those of the
+        states' ``eigh``, whose eigenvalues are the spectrum there, kept
+        with it in :attr:`_state_eigh`. From 64 on, where the spectrum is an
+        ``eigvalsh`` and no eigenvector is taken, ``F_i*`` is the pivoted
+        Cholesky of the weighted state run for its width
+        (:func:`qsd.linalg.pivoted_cholesky`), which leaves out the Schur
+        complement of its pivot block where the eigenvectors leave out the
+        eigenvalues past the width. Those are each below
+        ``PSD_RANK_REL_TOL w_min``, w_min the smallest eigenvalue of
+        rho_bar, so the Cholesky is taken where the diagonal it leaves sums
+        to at most ``(n - width) PSD_RANK_REL_TOL w_min``. Otherwise, or
+        where a pivot is not positive, the factors are the ``eigh``'s,
+        scaled by the eigenvalues of ``state_spectra``. With one BLAS
+        thread, on 4 states of rank 32 at n = 128, the Cholesky takes 1.0 ms
+        and the ``eigh`` 11.5 ms. The Cholesky's factors are formed on each
+        read, not kept: a solve reads them once, and kept they would hold
+        256 KiB more through an n = 128 solve of rank-32 states.
+        """
+        if self.dim >= linalg._N_CHOLESKY:
+            widths = self.state_spectra[2]
+            bounds = (self.dim - widths) * linalg.PSD_RANK_REL_TOL * self.span[0][0]
+            fh = linalg.pivoted_cholesky(self.weighted_states, widths, bounds)
+            if fh is not None:
+                fh.flags.writeable = False
+                return fh
+        return self._state_eigh[1]
 
 
 @dataclass(frozen=True)
@@ -150,6 +212,26 @@ class ValidationReport:
     dim: int
     states_passed: bool
     passed: bool
+
+
+class InvalidEnsembleError(ValueError):
+    """An ensemble failed validation: the package's one domain failure, an
+    ensemble outside the theorem's setting. Every other bad argument raises
+    ``ValueError`` with a message that names it.
+
+    Carries the :class:`ValidationReport` with every deviation as ``report``.
+    """
+
+    def __init__(self, report: ValidationReport, message: str = "ensemble failed validation"):
+        super().__init__(message)
+        self.report = report
+
+
+class SpanDeficientError(InvalidEnsembleError):
+    """The state eigenvectors do not span the full space.
+
+    ``report.span_rank`` is the dimension they span, so callers can deflate.
+    """
 
 
 def validate(e: Ensemble) -> ValidationReport:
@@ -202,7 +284,11 @@ def require_valid(e: Ensemble) -> None:
     if not report.states_passed:
         raise InvalidEnsembleError(report)
     if not report.passed:
-        raise SpanDeficientError(report)
+        raise SpanDeficientError(
+            report,
+            f"state eigenvectors span a {report.span_rank}-dimensional subspace "
+            f"of a {report.dim}-dimensional space",
+        )
 
 
 def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
@@ -214,7 +300,7 @@ def is_linearly_independent(e: Ensemble) -> tuple[bool, int, int]:
     :attr:`Ensemble.state_spectra`; the flag is true iff the two agree.
     """
     span_rank = e.span[1]
-    total_rank = int(e.state_spectra[2].sum())
+    total_rank = int(e.state_spectra[1].sum())
     return span_rank == total_rank, span_rank, total_rank
 
 

@@ -47,10 +47,10 @@ a least-squares measurement 1.7e-8 short of the identity, and the step
 squares that defect. Rows whose A* A is conditioned past 1 / ``_GUARD`` =
 1e6 keep the SVD, so that the square stays at rounding level.
 
-From ``_N_CHOLESKY`` = 64 columns on, the thin factors of the states that
-the least-squares start normalizes come from :func:`pivoted_cholesky`,
-plain numpy that calls no LAPACK routine, run only as wide as the factors
-are, so that no solve takes the states' eigenvectors.
+:func:`pivoted_cholesky` is plain numpy that calls no LAPACK routine. From
+``_N_CHOLESKY`` = 64 columns on, the ensemble forms the states' thin
+factors with it (:attr:`qsd.ensemble.Ensemble._weighted_factors`), so that
+no solve takes the states' eigenvectors there.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ PSD_RANK_REL_TOL = 1e-10
 # only while the smallest eigenvalue of A* A exceeds _GUARD times the largest
 _N_GRAM = 32
 _GUARD = 1e-6
-# from this many columns on the states are decomposed for their eigenvalues
-# only, and their thin factors come from pivoted_cholesky
+# from this many columns on the ensemble takes the states' eigenvalues only,
+# and their thin factors from pivoted_cholesky
 _N_CHOLESKY = 64
 _EPS = float(np.finfo(float).eps)
 
@@ -251,7 +251,8 @@ def polar_excess(rows: int, n: int, states: int = 0) -> float:
     states, and its Gram decomposition is rho_bar's (:func:`qsd.lsm._lsm_factors`),
     so D = M^{-1/2} (F F* - M) M^{-1/2} with M = rho_bar, and |D| is at most
     |F F* - M| / w_min. Each F_i F_i* misses the weighted state G_i by what
-    its factor leaves out and by rounding (:func:`qsd.lsm._weighted_factors`):
+    its factor leaves out and by rounding
+    (:attr:`qsd.ensemble.Ensemble._weighted_factors`):
 
     - below ``_N_CHOLESKY`` columns, and where the Cholesky's check fails,
       the factor drops eigenvalues of G_i, each below

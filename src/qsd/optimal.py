@@ -294,11 +294,13 @@ def _iterates(g: np.ndarray, kh: np.ndarray):
         yield kh, wh, x
 
         t = linalg.polar_factor(wh).ravel()
-        # History is kept only from step _HISTORY_FROM, so solves that stop
+        # History is kept only from step _HISTORY_FROM, tuned so that the
+        # first mixed step combines 5 differences; kept from the start, it
+        # changes the outputs. Opening it late also keeps solves that stop
         # within the plain steps, every linearly independent one measured,
-        # hold little of it. Kept from the start, it gives the same outputs
-        # but raised the tracemalloc peak of an n = 128 li_ladder solve from
-        # 3,331 to 4,612 KiB, and li_ladder's peak RSS by 1.5 MB.
+        # from holding much of it: kept from the start, it raised the
+        # tracemalloc peak of an n = 128 li_ladder solve from 3,331 to
+        # 4,612 KiB, and li_ladder's peak RSS by 1.5 MB.
         if step >= _HISTORY_FROM:
             f = t - kh.ravel()
             if prev is not None:
@@ -353,8 +355,8 @@ def _allowance(kh) -> float:
     the ``eigh`` it corrects, which ``polar_excess`` bounds. The start's
     defect is the larger: its Gram decomposition is rho_bar's, which misses
     F F* by what the factors leave out, up to m n 1e-10 relative to
-    rho_bar's smallest, and by the rounding of the states' ``eigh`` or,
-    from n = 64 on, of their pivoted Cholesky. Every iterate gets the
+    rho_bar's smallest, and by their rounding
+    (:attr:`qsd.ensemble.Ensemble._weighted_factors`). Every iterate gets the
     start's bound: 7.0e-15 at m r = n = 32 and m = 4, and 1.6e-12 at
     m r = n = 128, where (4 m + 1) n eps is 4.8e-13; at the default tol
     of 1e-8, 2 m tol is 8e-8.

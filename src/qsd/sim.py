@@ -13,8 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .ensemble import Ensemble, _check_seed, validate
-from .errors import InvalidEnsembleError
+from .ensemble import Ensemble, InvalidEnsembleError, _check_seed, validate
 from .lsm import Povm, require_match
 
 # Entries at or above this are roundoff; anything more negative is an invalid

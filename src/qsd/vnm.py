@@ -110,7 +110,7 @@ def vnm_report(e: Ensemble, p: Povm, tol: float = 1e-6) -> VnmReport:
         completeness_residual=completeness,
         rank_pairs=tuple(
             RankPair(state_rank=r, povm_rank=t, equal=t == r, bounded=t <= r)
-            for r, t in zip(e.state_spectra[2].tolist(), p.ranks)
+            for r, t in zip(e.state_spectra[1].tolist(), p.ranks)
         ),
         tol=tol,
         is_von_neumann=verdict,

@@ -31,6 +31,25 @@ def near_collinear_pair(eps) -> Ensemble:
     return pure_ensemble((0.5, 0.5), (ket(1, 0), ket(np.cos(eps), np.sin(eps))))
 
 
+def sub_cut_ensemble(shared: bool) -> Ensemble:
+    """Two states of C^64 in a seeded random basis, on orthogonal supports
+    of 32 and, with ``shared``, 31 dimensions, with eigenvalues from 1 down
+    to 1/2 of their largest there, and one eigenvalue 9e-11 of the largest,
+    below the state's rank cut: in state 0 alone, on a direction that state
+    1 covers, or, with ``shared``, in both, on the one direction neither
+    covers, so that rho_bar's smallest eigenvalue is that small and its
+    factor cut counts the states' rounding too."""
+    rng = np.random.default_rng(64)
+    n = 64
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    w = np.zeros((2, n))
+    w[0, :32] = np.linspace(1.0, 0.5, 32)
+    w[1, 32 : n - shared] = np.linspace(1.0, 0.5, 32 - shared)
+    w[: 1 + shared, n - 1 if shared else 32] = 9e-11
+    w /= w.sum(axis=1, keepdims=True)
+    return Ensemble([0.5, 0.5], [(u * wi) @ u.conj().T for wi in w])
+
+
 @pytest.fixture
 def orthonormal_pair() -> Ensemble:
     return pure_ensemble((0.5, 0.5), (ket(1, 0), ket(0, 1)))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ket, near_collinear_pair, projector, pure_ensemble
+from conftest import ket, near_collinear_pair, projector, pure_ensemble, sub_cut_ensemble
 from psi_route import build_psi, factorize, inv_sqrt_psd, numeric_rank
 
 from qsd import (
@@ -17,7 +17,6 @@ from qsd import (
 )
 import qsd.linalg
 from qsd.linalg import maxabs
-from qsd.lsm import _weighted_factors
 
 np_rng = np.random.default_rng(23)
 
@@ -71,6 +70,24 @@ def test_validate_reports_an_infinite_state_under_warnings_as_errors():
                 Ensemble([0.5, 0.5], [bad, half])
 
 
+def test_validate_reports_negative_priors_and_eigenvalues_under_warnings_as_errors():
+    """Validation never raises for bad content, and it reads the states'
+    spectrum, with the factors formed from it below ``_N_CHOLESKY``, before
+    it has passed them: a negative prior, or a negative state eigenvalue
+    above a factor cut that rho_bar's own negative eigenvalue makes
+    negative, is reported, not met by a square root that warns."""
+    half = np.eye(2) / 2
+    ensembles = [Ensemble([-0.5, 1.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+                 Ensemble([-0.5, 1.5], [half, half]),
+                 Ensemble([0.5, 0.5], [np.diag([1.0 + 1e-12, -1e-12]), np.diag([1.5, -0.5])])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [validate(e) for e in ensembles]
+    assert [r.min_prior < 0 for r in reports] == [True, True, False]
+    assert min(reports[2].psd_margins) < 0
+    assert not any(r.passed for r in reports)
+
+
 def test_ensemble_and_povm_refuse_nonfinite_entries():
     """A NaN or infinite operator or prior is refused when the POVM or the
     ensemble is built, as the wire decoders refuse it, so no derived
@@ -89,33 +106,14 @@ def test_ensemble_and_povm_refuse_nonfinite_entries():
                 Ensemble([0.5, bad], [half, half])
 
 
-def sub_cut_ensemble(shared: bool) -> Ensemble:
-    """Two states of C^64 in a seeded random basis, on orthogonal supports
-    of 32 and, with ``shared``, 31 dimensions, with eigenvalues from 1 down
-    to 1/2 of their largest there, and one eigenvalue 9e-11 of the largest,
-    below the state's rank cut: in state 0 alone, on a direction that state
-    1 covers, or, with ``shared``, in both, on the one direction neither
-    covers, so that rho_bar's smallest eigenvalue is that small and its
-    factor cut counts the states' rounding too."""
-    rng = np.random.default_rng(64)
-    n = 64
-    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    w = np.zeros((2, n))
-    w[0, :32] = np.linspace(1.0, 0.5, 32)
-    w[1, 32 : n - shared] = np.linspace(1.0, 0.5, 32 - shared)
-    w[: 1 + shared, n - 1 if shared else 32] = 9e-11
-    w /= w.sum(axis=1, keepdims=True)
-    return Ensemble([0.5, 0.5], [(u * wi) @ u.conj().T for wi in w])
-
-
 def eigh_factors(e, values=None):
     """The weighted factors from the states' eigh, as
-    :func:`qsd.lsm._weighted_factors` forms them below
+    ``Ensemble._weighted_factors`` forms them below
     ``qsd.linalg._N_CHOLESKY``: the top eigenvectors of each state, as wide
     as its factor, scaled by sqrt(p_i w), conjugated as rows and zero-padded
     at the top to the widest factor. ``values``, if given, are the w in
     place of the eigh's own."""
-    widths = e.state_spectra[3]
+    widths = e.state_spectra[2]
     r, n = int(widths.max()), e.dim
     w, v = np.linalg.eigh(qsd.linalg.hermitian_part(e.rhos))
     w = w if values is None else values
@@ -126,21 +124,24 @@ def eigh_factors(e, values=None):
 
 def cholesky_args(e):
     """The widths and remainder bounds with which
-    :func:`qsd.lsm._weighted_factors` calls the pivoted Cholesky."""
-    widths = e.state_spectra[3]
+    ``Ensemble._weighted_factors`` calls the pivoted Cholesky."""
+    widths = e.state_spectra[2]
     return widths, (e.dim - widths) * qsd.linalg.PSD_RANK_REL_TOL * e.span[0][0]
 
 
 def test_weighted_factors_match_the_weighted_states_and_the_oracle_ranks():
     """Each factor is as wide as its state's rank, but for the sub-cut
     ensemble's state 0, whose factor keeps one eigenvalue more, and
-    F* F = G to 1e-12. Below ``_N_CHOLESKY`` = 64 the states' decomposition
-    keeps the eigenvectors of the widest factor; from it on it keeps none,
-    and the factors come from the pivoted Cholesky: li_ladder's shape at
-    n = 64, 96 and 128, full and mixed ranks and the sub-cut ensemble."""
+    F* F = G to 1e-12. Below ``_N_CHOLESKY`` = 64 the factors come from the
+    states' eigh, from it on from the pivoted Cholesky: li_ladder's shape at
+    n = 64, 96 and 128, full and mixed ranks and the sub-cut ensemble. The
+    spectrum has one layout on both routes, as n = 63 and 64 show, and the
+    spectrum and the factors are read-only."""
     ensembles = [random_ensemble(n, (n // 4,) * 4, seed=n, require_independent=True)
                  for n in (16, 32, 64, 96, 128)]
     ensembles += [random_ensemble(64, ranks, seed=7) for ranks in ((64,) * 3, (64, 32, 16))]
+    edges = [random_ensemble(n, (16, 16, 16, n - 48), seed=n, require_independent=True) for n in (63, 64)]
+    ensembles += edges
     wide = sub_cut_ensemble(False)
     ensembles.append(wide)
     for k in range(40):
@@ -151,21 +152,21 @@ def test_weighted_factors_match_the_weighted_states_and_the_oracle_ranks():
             ensembles.append(e)
     assert len(ensembles) > 30
     for e in ensembles:
-        f = _weighted_factors(e)
+        f = e._weighted_factors
         oracle = factorize(e).ranks
-        _, vectors, ranks, factor_widths = e.state_spectra
+        values, ranks, factor_widths = e.state_spectra
         expected = (oracle[0] + 1, *oracle[1:]) if e is wide else oracle
         assert f.shape == (e.num_states, max(expected), e.dim)
         # a factor's width is its count of nonzero rows; the padding is zero
         widths = np.count_nonzero(np.abs(f).max(axis=2), axis=1)
         assert tuple(widths.tolist()) == expected == tuple(factor_widths.tolist())
         assert oracle == tuple(ranks.tolist())
-        # the states' decomposition keeps the eigenvectors of the widest
-        # factor only, and none where the factors come from the Cholesky
-        kept = max(expected) if e.dim < qsd.linalg._N_CHOLESKY else 0
-        assert vectors.shape == (e.num_states, e.dim, kept)
-        assert not any(a.flags.writeable for a in e.state_spectra)
+        assert values.shape == (e.num_states, e.dim) and ranks.shape == factor_widths.shape == (e.num_states,)
+        assert not any(a.flags.writeable for a in (*e.state_spectra, f))
         assert maxabs(np.conj(f).swapaxes(1, 2) @ f - e.weighted_states) <= 1e-12
+    below, above = edges
+    assert below.dim < qsd.linalg._N_CHOLESKY <= above.dim
+    assert [a.dtype for a in below.state_spectra] == [a.dtype for a in above.state_spectra]
     assert qsd.linalg.pivoted_cholesky(wide.weighted_states, *cholesky_args(wide)) is not None
 
 
@@ -177,7 +178,7 @@ def test_weighted_factors_below_the_cholesky_size_are_the_eigh_formula():
     ensembles += [random_ensemble(n, ranks, seed=3) for n, ranks in ((3, (2, 2, 1, 2)), (5, (1, 5)), (63, (63, 20)))]
     for e in ensembles:
         assert e.dim < qsd.linalg._N_CHOLESKY
-        assert np.array_equal(_weighted_factors(e), eigh_factors(e))
+        assert np.array_equal(e._weighted_factors, eigh_factors(e))
 
 
 def test_cholesky_leaving_too_much_takes_the_eigh():
@@ -190,7 +191,7 @@ def test_cholesky_leaving_too_much_takes_the_eigh():
     e = sub_cut_ensemble(True)
     assert validate(e).passed and e.dim >= qsd.linalg._N_CHOLESKY
     assert qsd.linalg.pivoted_cholesky(e.weighted_states, *cholesky_args(e)) is None
-    f = _weighted_factors(e)
+    f = e._weighted_factors
     assert np.array_equal(f, eigh_factors(e, e.state_spectra[0]))
     assert maxabs(np.conj(f).swapaxes(1, 2) @ f - e.weighted_states) <= 1e-12
 
@@ -479,7 +480,7 @@ def test_ensemble_stacks_and_copies():
     stack = np.stack(rhos)
     assert not np.shares_memory(Ensemble(priors, stack).rhos, stack)
     # and stored read-only, as are the quantities derived from them
-    derived = (e.weighted_states, e.span[0], e.span[2], *e.state_spectra, deflate(e)[1])
+    derived = (e.weighted_states, e.span[0], e.span[2], *e.state_spectra, e._weighted_factors, deflate(e)[1])
     for arr in (e.priors, e.rhos, *derived):
         with pytest.raises(ValueError):
             arr[0] = 0

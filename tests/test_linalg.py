@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +307,68 @@ def test_numpy_2_takes_the_route_without_errstate(monkeypatch):
         np.linalg.svd(np.eye(2))
     _, _, diag = solve_optimal(e)
     assert diag.converged and diag.iterations == 13
+
+
+
+LAPACK_NAMES = frozenset({"eigh", "eigvalsh", "svd", "solve"})
+
+
+def lapack_calls_outside_the_kernel(package: Path) -> list[str]:
+    """Each call to numpy's ``linalg.eigh``, ``eigvalsh``, ``svd`` or
+    ``solve`` in the modules of ``package`` but ``linalg.py``, as
+    ``file:line: call``: by its dotted name through any alias of numpy or of
+    ``numpy.linalg``, or by a name imported from ``numpy.linalg``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        numpy_names, linalg_names, imported = set(), {"numpy.linalg"}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name == "numpy":
+                        numpy_names.add(a.asname or "numpy")
+                    elif a.name == "numpy.linalg" and a.asname:
+                        linalg_names.add(a.asname)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+                for a in node.names:
+                    if node.module == "numpy" and a.name == "linalg":
+                        linalg_names.add(a.asname or "linalg")
+                    elif node.module == "numpy.linalg" and a.name in LAPACK_NAMES:
+                        imported.add(a.asname or a.name)
+        linalg_names |= {f"{name}.linalg" for name in numpy_names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr in LAPACK_NAMES
+                    and ast.unparse(f.value) in linalg_names) or (isinstance(f, ast.Name) and f.id in imported):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(f)}")
+    return found
+
+
+def test_only_the_kernel_calls_numpys_decompositions(tmp_path):
+    """Every eigh, eigvalsh, svd and solve of the package goes through the
+    entry points of ``qsd.linalg``, the one place that counts its calls
+    and sets their error mode; no other module calls numpy's own. numpy's
+    ``qr``, which ``random_ensemble`` calls, is not one of the four. The
+    check finds each way of naming one of the four, and passes the
+    kernel's own entry points and ``qr``."""
+    package = Path(qsd.linalg.__file__).parent
+    assert len(list(package.glob("*.py"))) > 1
+    assert lapack_calls_outside_the_kernel(package) == []
+    (tmp_path / "probe.py").write_text(
+        "import numpy as xp\nimport numpy.linalg as la\nfrom numpy import linalg as nl\n"
+        "from numpy.linalg import solve as sv\nfrom . import linalg\n"
+        "xp.linalg.eigh(a)\nla.svd(a)\nnl.eigvalsh(a)\nsv(a, b)\nnumpy.linalg.solve(a, b)\n"
+        "xp.linalg.qr(a)\nlinalg.eigh(a)\n"
+    )
+    (tmp_path / "linalg.py").write_text("import numpy as np\nnp.linalg.eigh(a)\n")
+    assert lapack_calls_outside_the_kernel(tmp_path) == [
+        "probe.py:6: xp.linalg.eigh", "probe.py:7: la.svd", "probe.py:8: nl.eigvalsh",
+        "probe.py:9: sv", "probe.py:10: numpy.linalg.solve",
+    ]
 
 
 EPS = float(np.finfo(float).eps)

@@ -4,7 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import ket, projector, pure_ensemble, trine_vectors
+from conftest import ket, projector, pure_ensemble, sub_cut_ensemble, trine_vectors
 
 import qsd.linalg
 import qsd.optimal
@@ -25,7 +25,7 @@ from qsd import (
     vnm_report,
 )
 from qsd.linalg import PSD_RANK_REL_TOL, factor_products, maxabs
-from qsd.lsm import _lsm_factors, _weighted_factors
+from qsd.lsm import _lsm_factors
 from qsd.optimal import PLAIN_STEPS, _certificate, _iterates, _slackness
 
 # 1/2 + sqrt(2)/4, the two-state optimum for |0>, |+> with equal priors
@@ -227,7 +227,10 @@ def test_work_per_solve(monkeypatch):
     Cholesky, which calls no LAPACK routine: validation takes that eigvalsh
     and rho_bar's eigh, and nothing else, and an independent solve at
     n = 64 takes eigvalsh twice, once for the states and once for the
-    margins, and eigh once for rho_bar and once per step.
+    margins, and eigh once for rho_bar and once per step. Where the
+    Cholesky leaves more than it may, the factors take the states' eigh, the
+    one the ensemble takes below 64: the sub-cut pair that shares its
+    smallest direction takes it, and its twin does not.
 
     The calls are counted at the kernel's entry points in ``qsd.linalg``. On
     numpy 2, where the kernel calls numpy's gufuncs, a solve calls no public
@@ -291,6 +294,14 @@ def test_work_per_solve(monkeypatch):
     _, _, diag = solve_optimal(random_ensemble(64, (16,) * 4, seed=0, require_independent=True))
     assert diag.converged and diag.iterations == 4
     assert calls == {"eigh": 1 + 4, "eigvalsh": 2, "_slacks": 2}
+    # the sub-cut pair at n = 64 is optimal at its start; where the Cholesky
+    # leaves too much, the factors take the states' eigh, and rho_bar, past
+    # the guard, the svd
+    for shared, lapack in ((False, {"eigh": 1}), (True, {"eigh": 2, "svd": 1})):
+        calls.clear()
+        _, _, diag = solve_optimal(sub_cut_ensemble(shared))
+        assert diag.converged and diag.iterations == 0
+        assert calls == {**lapack, "eigvalsh": 2, "_slacks": 1}
     if int(np.__version__.split(".")[0]) >= 2:
         assert not public
 
@@ -407,7 +418,7 @@ def test_states_near_the_rank_cut_converge_and_certify():
             rho = rho + eps * null @ null.conj().T
             rhos.append(rho / np.trace(rho).real)
         e = Ensemble(e.priors, rhos)
-        full_rank.add(int(e.state_spectra[2].max()) == n)
+        full_rank.add(int(e.state_spectra[1].max()) == n)
         povm, cert, diag = solve_optimal(e)
         assert diag.converged
         assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
@@ -419,17 +430,22 @@ def test_sub_cut_eigenvalues_that_rho_bar_counts_stay_in_the_factors():
     """Each state's third eigenvalue, 9e-11 of its largest, is below its
     rank cut, so both states have rank 1; but rho_bar's third eigenvalue is
     above its own cut, so the states span the space. The factors keep those
-    eigenvalues, or the measurement could not resolve the identity."""
+    eigenvalues, or the measurement could not resolve the identity. The
+    sub-cut pairs at n = 64 solve too, on the Cholesky's factors and, where
+    the Cholesky leaves too much, on the states' eigh; each solve is
+    certified and matches the Helstrom bound within its gap."""
     eps = 9e-11
     e = Ensemble([0.5, 0.5], [np.diag([1 - eps, 0, eps]), np.diag([0, 1 - eps, eps])])
-    assert validate(e).passed and e.state_spectra[2].tolist() == [1, 1]
-    widths = np.count_nonzero(np.abs(_weighted_factors(e)).max(axis=2), axis=1)
+    assert validate(e).passed and e.state_spectra[1].tolist() == [1, 1]
+    widths = np.count_nonzero(np.abs(e._weighted_factors).max(axis=2), axis=1)
     assert widths.tolist() == [2, 2]
-    assert check_povm(compute_lsm(e)).passed
-    povm, cert, diag = solve_optimal(e)
-    assert diag.converged
-    assert check_povm(povm).passed
-    assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+    for e in (e, sub_cut_ensemble(False), sub_cut_ensemble(True)):
+        assert check_povm(compute_lsm(e)).passed
+        povm, cert, diag = solve_optimal(e)
+        assert diag.converged
+        assert check_povm(povm).passed
+        assert certify(e, povm, cert.x_hat).optimal_at(1e-7)
+        assert abs(diag.primal_value - helstrom_binary(e)) <= cert.gap
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -33,6 +33,10 @@ def test_public_api():
               and issubclass(getattr(qsd, name), Exception)}
     assert errors == {"InvalidEnsembleError", "SpanDeficientError"}
     assert qsd.InvalidEnsembleError.__mro__[1] is ValueError
+    # both live beside the report they carry, and no module holds errors alone
+    assert {getattr(qsd, name).__module__ for name in errors} == {"qsd.ensemble"}
+    assert importlib.util.find_spec("qsd.errors") is None
+    assert len(names) == 25
     # helstrom_binary still reads the trace norm from the linear algebra module
     assert callable(qsd.linalg.trace_norm)
     # nothing in the package reads a simulation or solve document

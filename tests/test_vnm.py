@@ -14,7 +14,6 @@ from qsd import (
     vnm_report,
 )
 from qsd.linalg import maxabs
-from qsd.lsm import _weighted_factors
 
 
 def test_check_povm_projector_pair(orthonormal_pair_povm):
@@ -96,7 +95,7 @@ def test_rank_profile_reads_the_factor_widths():
         if e.span[1] == n:
             ensembles.append(e)
     for e in ensembles:
-        f = _weighted_factors(e)
+        f = e._weighted_factors
         widths = np.count_nonzero(np.abs(f).max(axis=2), axis=1).tolist()
         guess = make_povm([np.eye(e.dim) / e.num_states] * e.num_states)
         assert [pair.state_rank for pair in vnm_report(e, guess).rank_pairs] == widths
